@@ -30,7 +30,7 @@ from .harness import (
     reversal_test,
     run,
 )
-from .hk import hk_step, hk_step_euler, hk_step_report
+from .hk import hk_step, hk_step_euler
 from .kowalevski import (
     BranchRule,
     GammaMethod,
@@ -47,7 +47,6 @@ from .kowalevski import (
 )
 from .models import (
     BodyState,
-    InvariantSet,
     KowalevskiParams,
     TopParams,
     euler_poisson_rhs,

@@ -6,6 +6,8 @@ Everything here operates on plain numpy arrays: 3-vectors of shape (3,),
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 
@@ -15,6 +17,17 @@ class NumericalError(RuntimeError):
 
 class SingularSystemError(NumericalError):
     """Raised when a linear system is singular to working precision."""
+
+
+@contextmanager
+def numerical_guard(what: str):
+    """Raise NumericalError when a float operation in the block overflows or
+    is invalid (such as inf - inf), in numpy or in a Python power."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, OverflowError) as e:
+        raise NumericalError(f"{what}: {e}") from e
 
 
 def vec3(x, y, z) -> np.ndarray:

@@ -13,7 +13,9 @@ import numpy as np
 
 from .algebra import NumericalError
 from .harness import (
+    MODELS,
     ConfigError,
+    PeriodEstimationError,
     RunConfig,
     convergence_study,
     drift_report,
@@ -27,9 +29,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _reals(text: str, n: int) -> tuple[float, ...]:
+def _reals(text: str, n: int | None = None) -> tuple[float, ...]:
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != n:
+    if n is not None and len(parts) != n:
         raise ConfigError(f"expected {n} comma-separated reals, got {text!r}")
     try:
         return tuple(float(p) for p in parts)
@@ -38,11 +40,9 @@ def _reals(text: str, n: int) -> tuple[float, ...]:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", required=True,
-                   choices=["euler", "lagrange", "kowalevski", "general"])
+    p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--scheme", required=True,
-                   choices=["hk", "bs", "symmetric", "bohlin-a", "bohlin-b",
-                            "bohlin-c", "hybrid", "reference"])
+                   choices=list(dict.fromkeys(s for m in MODELS.values() for s in m.schemes)))
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--steps", type=int, default=0)
     p.add_argument("--stride", type=int, default=10)
@@ -94,8 +94,7 @@ def _cmd_reverse(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    h_list = [float(x) for x in args.h_list.split(",")]
-    rows = convergence_study(_config_from_args(args), h_list, args.t_end)
+    rows = convergence_study(_config_from_args(args), list(_reals(args.h_list)), args.t_end)
     print(f"{'h':>12} {'endpoint error':>16} {'observed order':>15}")
     for h, err, order in rows:
         order_s = f"{order:.3f}" if order is not None else "-"
@@ -104,7 +103,11 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_period(args) -> int:
-    traj = run(_config_from_args(args))
+    config = _config_from_args(args)
+    model = MODELS[config.model]
+    if args.column not in model.columns + model.invariant_names:
+        raise ConfigError(f"model {config.model!r} has no column {args.column!r}")
+    traj = run(config)
     period = estimate_period(traj.column(args.column), args.h * args.stride)
     print(f"estimated period of {args.column}: {period:.6g}")
     return 0
@@ -142,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, PeriodEstimationError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as e:

@@ -22,27 +22,13 @@ class ConvergenceError(NumericalError):
 MAX_FIXED_POINT_ITERATIONS = 100
 
 
-def bs_step_euler(
-    m: np.ndarray, p: TopParams, h: float, use_next_omega: bool = False
-) -> np.ndarray:
-    """Advance m by m' - m = (h/2)(m' + m) x omega.
-
-    With use_next_omega=False, omega is taken at the old level and the step is
-    a single linear solve. With use_next_omega=True, omega is taken at the new
-    level and resolved by fixed-point iteration (implicit variant).
-    |m|^2 is preserved to roundoff either way, but the step is not symmetric
-    under h -> -h.
+def bs_step_euler(m: np.ndarray, p: TopParams, h: float) -> np.ndarray:
+    """Advance m by m' - m = (h/2)(m' + m) x omega, omega taken at the old
+    level: a single linear solve. |m|^2 is preserved to roundoff, but the step
+    is not symmetric under h -> -h.
     """
     m = np.asarray(m, dtype=float)
-    if not use_next_omega:
-        return bs_solve(m, m / p.inertia, 0.5 * h)
-    m_next = m.copy()
-    for _ in range(MAX_FIXED_POINT_ITERATIONS):
-        candidate = bs_solve(m, m_next / p.inertia, 0.5 * h)
-        if np.max(np.abs(candidate - m_next)) <= 1e-13 * max(1.0, np.max(np.abs(m))):
-            return candidate
-        m_next = candidate
-    raise ConvergenceError("implicit norm-preserving step did not converge")
+    return bs_solve(m, m / p.inertia, 0.5 * h)
 
 
 def symmetric_step_euler(

@@ -1,15 +1,18 @@
-"""Run driver: trajectory generation, invariant drift reports, reversibility
-and convergence diagnostics, period estimation, CSV emission."""
+"""Run driver: the model/scheme table, trajectory generation, invariant drift
+reports, reversibility and convergence diagnostics, period estimation, CSV
+emission."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from . import euler_lagrange, kowalevski
-from .algebra import cross
+from .algebra import NumericalError, cross, numerical_guard
+from .euler_lagrange import LagrangeParams, LagrangeState
 from .hk import hk_step
 from .models import (
     BodyState,
@@ -17,30 +20,24 @@ from .models import (
     TopParams,
     euler_poisson_rhs,
     invariants,
-)
-
-BODY_MODELS = ("euler", "kowalevski", "general")
-MODELS = BODY_MODELS + ("lagrange",)
-
-SCHEMES_BY_MODEL = {
-    "euler": ("hk", "bs", "symmetric", "reference"),
-    "general": ("hk", "reference"),
-    "kowalevski": ("hk", "bohlin-a", "bohlin-b", "bohlin-c", "hybrid", "reference"),
-    "lagrange": ("bs", "reference"),
-}
-
-BODY_CSV_HEADER = "step,t,w1,w2,w3,g1,g2,g3,gamma_sq,two_ell,E,k_sq"
-LAGRANGE_CSV_HEADER = "step,t,m1,m2,m3,a1,a2,a3,a_sq,m_dot_p,m_dot_a,E"
-
-# Standard test point: w = (2, 0, 0), gamma_3 = 0.001 with gamma on the sphere.
-DEFAULT_GAMMA3 = 0.001
-DEFAULT_KOW_INIT = np.array(
-    [2.0, 0.0, 0.0, math.sqrt(1.0 - DEFAULT_GAMMA3**2), 0.0, DEFAULT_GAMMA3]
+    kowalevski_invariants,
 )
 
 
 class ConfigError(ValueError):
     """Invalid run configuration."""
+
+
+@dataclass(frozen=True)
+class Model:
+    """A model's column names and constructors, each from a validated RunConfig:
+    to y -> invariant row, and per scheme to a step function (y, h) -> y'."""
+
+    columns: tuple[str, ...]
+    invariant_names: tuple[str, ...]
+    invariants: Callable[[RunConfig], Callable]
+    schemes: dict[str, Callable[[RunConfig], Callable]]
+    default_init: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -59,35 +56,34 @@ class RunConfig:
     out_path: str | None = None
 
     def validated(self) -> "RunConfig":
-        if self.model not in MODELS:
+        model = MODELS.get(self.model)
+        if model is None:
             raise ConfigError(f"unknown model {self.model!r}")
-        if self.scheme not in SCHEMES_BY_MODEL[self.model]:
+        if self.scheme not in model.schemes:
             raise ConfigError(
                 f"scheme {self.scheme!r} not valid for model {self.model!r}"
             )
-        if not (self.h > 0):
-            raise ConfigError("h must be positive")
+        if not (0 < self.h < math.inf):
+            raise ConfigError("h must be positive and finite")
         if self.steps < 0:
             raise ConfigError("steps must be nonnegative")
         if self.stride < 1:
             raise ConfigError("stride must be >= 1")
-        init = self.init
+        init = self.init if self.init is not None else model.default_init
         if init is None:
-            if self.model == "kowalevski":
-                init = DEFAULT_KOW_INIT.copy()
-            else:
-                raise ConfigError(f"model {self.model!r} requires an explicit init")
-        init = np.asarray(init, dtype=float)
+            raise ConfigError(f"model {self.model!r} requires an explicit init")
+        init = np.array(init, dtype=float)
         if init.shape != (6,):
             raise ConfigError("init must have 6 components")
+        params = [self.c0, *self.inertia, *self.gravity, *self.vertical, *init]
+        if not np.all(np.isfinite(params)) or min(self.inertia) <= 0:
+            raise ConfigError("parameters and init must be finite, inertia positive")
         return replace(self, init=init)
 
     def top_params(self) -> TopParams:
         if self.model == "kowalevski":
             return KowalevskiParams(self.c0).top_params()
-        if self.model == "euler":
-            return TopParams(*self.inertia, np.zeros(3))
-        return TopParams(*self.inertia, np.asarray(self.gravity, dtype=float))
+        return TopParams(*self.inertia, self.gravity if self.model == "general" else np.zeros(3))
 
 
 @dataclass
@@ -101,9 +97,7 @@ class Trajectory:
     invariant_values: np.ndarray  # one column per invariant name
 
     def column(self, name: str) -> np.ndarray:
-        body_cols = ("w1", "w2", "w3", "g1", "g2", "g3")
-        lag_cols = ("m1", "m2", "m3", "a1", "a2", "a3")
-        cols = lag_cols if self.model == "lagrange" else body_cols
+        cols = MODELS[self.model].columns
         if name in cols:
             return self.states[:, cols.index(name)]
         if name in self.invariant_names:
@@ -114,9 +108,9 @@ class Trajectory:
         return self.states[-1].copy()
 
     def to_csv(self, path: str) -> None:
-        header = LAGRANGE_CSV_HEADER if self.model == "lagrange" else BODY_CSV_HEADER
+        names = ("step", "t") + MODELS[self.model].columns + self.invariant_names
         with open(path, "w", newline="\n") as f:
-            f.write(header + "\n")
+            f.write(",".join(names) + "\n")
             for i in range(len(self.steps)):
                 vals = [f"{v:.17g}" for v in self.states[i]]
                 invs = [
@@ -130,118 +124,121 @@ class Trajectory:
                 )
 
 
-def _rk4_step(y: np.ndarray, rhs, h: float) -> np.ndarray:
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * h * k1)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4(rhs):
+    def step(y: np.ndarray, h: float) -> np.ndarray:
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    return step
 
 
-def _body_rhs(p: TopParams):
-    def rhs(y: np.ndarray) -> np.ndarray:
-        dw, dg = euler_poisson_rhs(BodyState.unpacked(y), p)
-        return np.concatenate([dw, dg])
-
-    return rhs
+def _packed(step, params, *rest, state=BodyState):
+    """Packed-state form of a step (s, params, h, *rest) -> s'."""
+    return lambda y, h: step(state.unpacked(y), params, h, *rest).packed()
 
 
-def _lagrange_rhs(lp: euler_lagrange.LagrangeParams):
-    def rhs(y: np.ndarray) -> np.ndarray:
-        m, a = y[:3], y[3:]
-        return np.concatenate([cross(lp.p, a), cross(m, a)])
+def _free_top(m_step, p: TopParams):
+    """Packed-state form of a step m -> m' of m = I omega; gamma rides along."""
+    return lambda y, h: np.concatenate([m_step(p.inertia * y[:3], p, h) / p.inertia, y[3:]])
 
-    return rhs
+
+def _bohlin(method: kowalevski.GammaMethod):
+    return lambda c: _packed(
+        kowalevski.bohlin_algorithm_step, KowalevskiParams(c.c0), method, c.branch_rule
+    )
+
+
+def _body_invariants(config: RunConfig):
+    """y -> (gamma_sq, two_ell, E, k_sq); two_ell, k_sq NaN (blank) off kowalevski."""
+    p = config.top_params()
+    kp = KowalevskiParams(config.c0) if config.model == "kowalevski" else None
+
+    def row(y: np.ndarray) -> np.ndarray:
+        s = BodyState.unpacked(y)
+        gamma_sq, _, energy = invariants(s, p)
+        two_ell, _, k_sq = kowalevski_invariants(s, kp) if kp else (math.nan,) * 3
+        return np.array([gamma_sq, two_ell, energy, k_sq])
+
+    return row
+
+
+def _lagrange_invariants(config: RunConfig):
+    lp = LagrangeParams(config.vertical)
+    return lambda y: np.array(
+        euler_lagrange.lagrange_invariants(LagrangeState.unpacked(y), lp, config.h)
+    )
+
+
+def _body_reference(config: RunConfig):
+    p = config.top_params()
+    return _rk4(lambda y: np.concatenate(euler_poisson_rhs(BodyState.unpacked(y), p)))
+
+
+def _lagrange_reference(config: RunConfig):
+    p = LagrangeParams(config.vertical).p
+    return _rk4(lambda y: np.concatenate([cross(p, y[3:]), cross(y[:3], y[3:])]))
+
+
+_BODY_COLUMNS = ("w1", "w2", "w3", "g1", "g2", "g3")
+_BODY_INVARIANTS = ("gamma_sq", "two_ell", "E", "k_sq")
+_BODY_SCHEMES = {
+    "hk": lambda c: _packed(hk_step, c.top_params()),
+    "reference": _body_reference,
+}
+
+# The one list of models and of the schemes each runs. Step functions are
+# looked up when a stepper is built, not when this table is.
+MODELS: dict[str, Model] = {
+    "euler": Model(_BODY_COLUMNS, _BODY_INVARIANTS, _body_invariants, {
+        **_BODY_SCHEMES,
+        "bs": lambda c: _free_top(euler_lagrange.bs_step_euler, c.top_params()),
+        "symmetric": lambda c: _free_top(euler_lagrange.symmetric_step_euler, c.top_params()),
+    }),
+    "lagrange": Model(
+        ("m1", "m2", "m3", "a1", "a2", "a3"), ("a_sq", "m_dot_p", "m_dot_a", "E"),
+        _lagrange_invariants, {
+            "bs": lambda c: _packed(
+                euler_lagrange.lagrange_step, LagrangeParams(c.vertical), state=LagrangeState
+            ),
+            "reference": _lagrange_reference,
+        },
+    ),
+    # The default init is the standard test point: w = (2, 0, 0), gamma_3 = 0.001.
+    "kowalevski": Model(_BODY_COLUMNS, _BODY_INVARIANTS, _body_invariants, {
+        **_BODY_SCHEMES,
+        "bohlin-a": _bohlin(kowalevski.GammaMethod.BS_A),
+        "bohlin-b": _bohlin(kowalevski.GammaMethod.STEREO_B),
+        "bohlin-c": _bohlin(kowalevski.GammaMethod.ROTATION_C),
+        "hybrid": lambda c: _packed(kowalevski.hybrid_step, KowalevskiParams(c.c0), c.branch_rule),
+    }, default_init=np.array([2.0, 0.0, 0.0, math.sqrt(1.0 - 0.001**2), 0.0, 0.001])),
+    "general": Model(_BODY_COLUMNS, _BODY_INVARIANTS, _body_invariants, _BODY_SCHEMES),
+}
 
 
 def make_stepper(config: RunConfig):
     """Packed-state step function y -> y' for the configured model/scheme."""
-    model, scheme = config.model, config.scheme
-    if model == "lagrange":
-        lp = euler_lagrange.LagrangeParams(np.asarray(config.vertical, dtype=float))
-        if scheme == "bs":
-            def step(y, h):
-                s = euler_lagrange.lagrange_step(
-                    euler_lagrange.LagrangeState.unpacked(y), lp, h
-                )
-                return s.packed()
-        else:
-            rhs = _lagrange_rhs(lp)
-            def step(y, h):
-                return _rk4_step(y, rhs, h)
-        return step
-
-    p = config.top_params()
-    if scheme == "hk":
-        def step(y, h):
-            return hk_step(BodyState.unpacked(y), p, h).packed()
-    elif scheme == "reference":
-        rhs = _body_rhs(p)
-        def step(y, h):
-            return _rk4_step(y, rhs, h)
-    elif scheme == "bs":
-        def step(y, h):
-            m = p.inertia * y[:3]
-            m_next = euler_lagrange.bs_step_euler(m, p, h)
-            return np.concatenate([m_next / p.inertia, y[3:]])
-    elif scheme == "symmetric":
-        def step(y, h):
-            m = p.inertia * y[:3]
-            m_next = euler_lagrange.symmetric_step_euler(m, p, h)
-            return np.concatenate([m_next / p.inertia, y[3:]])
-    elif scheme == "hybrid":
-        kp = KowalevskiParams(config.c0)
-        def step(y, h):
-            return kowalevski.hybrid_step(
-                BodyState.unpacked(y), kp, h, config.branch_rule
-            ).packed()
-    else:  # bohlin-a / bohlin-b / bohlin-c
-        kp = KowalevskiParams(config.c0)
-        method = {
-            "bohlin-a": kowalevski.GammaMethod.BS_A,
-            "bohlin-b": kowalevski.GammaMethod.STEREO_B,
-            "bohlin-c": kowalevski.GammaMethod.ROTATION_C,
-        }[scheme]
-        def step(y, h):
-            return kowalevski.bohlin_algorithm_step(
-                BodyState.unpacked(y), kp, h, method, config.branch_rule
-            ).packed()
-    return step
-
-
-def _invariant_row(config: RunConfig, y: np.ndarray) -> np.ndarray:
-    if config.model == "lagrange":
-        lp = euler_lagrange.LagrangeParams(np.asarray(config.vertical, dtype=float))
-        return np.array(
-            euler_lagrange.lagrange_invariants(
-                euler_lagrange.LagrangeState.unpacked(y), lp, config.h
-            )
-        )
-    inv = invariants(BodyState.unpacked(y), config.top_params())
-    two_ell = inv.kow_two_ell if inv.kow_two_ell is not None else math.nan
-    k_sq = inv.kow_k_sq if inv.kow_k_sq is not None else math.nan
-    return np.array([inv.gamma_sq, two_ell, inv.energy, k_sq])
+    return MODELS[config.model].schemes[config.scheme](config)
 
 
 def run(config: RunConfig) -> Trajectory:
-    """Iterate the configured scheme, sampling every stride-th step."""
+    """Iterate the configured scheme, sampling every stride-th step. Raises
+    NumericalError when a sampled state is non-finite or anything overflows."""
     config = config.validated()
-    step = make_stepper(config)
-    names = (
-        ("a_sq", "m_dot_p", "m_dot_a", "E")
-        if config.model == "lagrange"
-        else ("gamma_sq", "two_ell", "E", "k_sq")
-    )
-    y = np.asarray(config.init, dtype=float).copy()
-    rows_steps = [0]
-    rows_states = [y.copy()]
-    rows_inv = [_invariant_row(config, y)]
-    for n in range(1, config.steps + 1):
-        y = step(y, config.h)
-        if n % config.stride == 0:
-            rows_steps.append(n)
-            rows_states.append(y.copy())
-            rows_inv.append(_invariant_row(config, y))
+    model, y = MODELS[config.model], config.init
+    step, invariant_row = make_stepper(config), model.invariants(config)
+    with numerical_guard(f"{config.model}/{config.scheme} run"):
+        rows_steps, rows_states, rows_inv = [0], [y.copy()], [invariant_row(y)]
+        for n in range(1, config.steps + 1):
+            y = step(y, config.h)
+            if n % config.stride == 0:
+                if not np.isfinite(y).all():
+                    raise NumericalError(f"non-finite state at step {n}")
+                rows_steps.append(n)
+                rows_states.append(y.copy())
+                rows_inv.append(invariant_row(y))
     steps_arr = np.array(rows_steps)
     traj = Trajectory(
         model=config.model,
@@ -249,7 +246,7 @@ def run(config: RunConfig) -> Trajectory:
         steps=steps_arr,
         t=steps_arr * config.h,
         states=np.array(rows_states),
-        invariant_names=names,
+        invariant_names=model.invariant_names,
         invariant_values=np.array(rows_inv),
     )
     if config.out_path:
@@ -263,14 +260,15 @@ def reversal_test(config: RunConfig, n: int) -> float:
     config = config.validated()
     if n < 0:
         raise ConfigError("n must be nonnegative")
-    step = make_stepper(config)
-    y0 = np.asarray(config.init, dtype=float).copy()
-    y = y0.copy()
-    for _ in range(n):
-        y = step(y, config.h)
-    for _ in range(n):
-        y = step(y, -config.h)
-    return float(np.max(np.abs(y - y0)))
+    step, y = make_stepper(config), config.init
+    with numerical_guard(f"{config.model}/{config.scheme} round trip"):
+        for _ in range(n):
+            y = step(y, config.h)
+        for _ in range(n):
+            y = step(y, -config.h)
+        if not np.isfinite(y).all():
+            raise NumericalError("non-finite state after the round trip")
+        return float(np.max(np.abs(y - config.init)))
 
 
 @dataclass(frozen=True)
@@ -331,11 +329,13 @@ def convergence_study(
 ) -> list[tuple[float, float, float | None]]:
     """Endpoint error against a fourth-order reference at min(h)/20, for each
     h in h_list. Returns rows (h, error, observed_order) where observed_order
-    compares each row against the previous one.
+    compares each row against the previous one (None if either error is 0).
     """
     config = config.validated()
     if len(h_list) < 3:
         raise ConfigError("need at least 3 step sizes")
+    if not all(0 < x < math.inf for x in [*h_list, t_end]):
+        raise ConfigError("step sizes and t_end must be positive and finite")
     for h in h_list:
         n = t_end / h
         if abs(n - round(n)) > 1e-9:
@@ -353,7 +353,7 @@ def convergence_study(
         cfg = replace(config, h=h, steps=n, stride=n)
         err = float(np.max(np.abs(run(cfg).final_state() - y_ref)))
         order = None
-        if prev is not None:
+        if prev is not None and prev[1] > 0 and err > 0:
             h_prev, err_prev = prev
             order = math.log(err_prev / err) / math.log(h_prev / h)
         rows.append((h, err, order))

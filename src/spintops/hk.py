@@ -7,8 +7,6 @@ time levels exchanged, which makes the scheme time-reversal symmetric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import solve3, solve6
@@ -73,22 +71,6 @@ def hk_step(s: BodyState, p: TopParams, h: float) -> BodyState:
     mat, rhs = assemble_system(s, p, h)
     x = solve6(mat, rhs)
     return BodyState(x[:3], x[3:])
-
-
-@dataclass(frozen=True)
-class HkStepReport:
-    state_next: BodyState
-    matrix_cond_estimate: float
-    residual: float
-
-
-def hk_step_report(s: BodyState, p: TopParams, h: float) -> HkStepReport:
-    """hk_step plus linear-solve diagnostics."""
-    mat, rhs = assemble_system(s, p, h)
-    x = solve6(mat, rhs)
-    res = float(np.max(np.abs(mat @ x - rhs)))
-    cond = float(np.linalg.cond(mat))
-    return HkStepReport(BodyState(x[:3], x[3:]), cond, res)
 
 
 def euler_system(omega: np.ndarray, p: TopParams, h: float) -> tuple[np.ndarray, np.ndarray]:

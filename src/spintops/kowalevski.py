@@ -173,22 +173,17 @@ def hybrid_step(
     kp: KowalevskiParams,
     h: float,
     rule: BranchRule = BranchRule.ARG_SIGN,
-    refresh_omega3: bool = False,
 ) -> BodyState:
     """Predictor-corrector step: bilinear 6x6 predictor, then a midpoint-type
     re-solve of gamma against the averaged omega, then the square-root
     recovery of (w1, w2).
 
     Keeps |gamma|^2 = 1 and |xi|^2 exact, and is nearly h -> -h symmetric.
-    With refresh_omega3 the trapezoidal w3 update is re-applied using the
-    corrected gamma instead of keeping the predictor's w3.
+    The new w3 is the predictor's.
     """
     pred = hk_step(s, kp.top_params(), h)
     gam_next = bs_solve(s.gamma, pred.omega + s.omega, 0.25 * h)
-    if refresh_omega3:
-        w3_next = omega3_update(s.omega[2], s.gamma[1], gam_next[1], h, kp.c0)
-    else:
-        w3_next = float(pred.omega[2])
+    w3_next = float(pred.omega[2])
     w_next = bohlin_step(
         omega_complex(s),
         gamma_complex(s),

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import cross, vec3
+from .algebra import cross, skew_apply_matrix, vec3
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,6 @@ class KowalevskiParams:
         return TopParams(2.0, 2.0, 1.0, vec3(self.c0, 0.0, 0.0))
 
 
-@dataclass(frozen=True)
-class InvariantSet:
-    gamma_sq: float
-    m_dot_gamma: float
-    energy: float
-    kow_two_ell: float | None = None
-    kow_k_sq: float | None = None
-
-
 def euler_poisson_rhs(s: BodyState, p: TopParams) -> tuple[np.ndarray, np.ndarray]:
     """Time derivatives (d omega, d gamma) of the body-frame equations.
 
@@ -82,31 +73,11 @@ def euler_poisson_rhs(s: BodyState, p: TopParams) -> tuple[np.ndarray, np.ndarra
     return dm / p.inertia, cross(gam, w)
 
 
-def _is_kowalevski_like(p: TopParams) -> bool:
-    return (
-        abs(p.A - p.B) <= 1e-12 * max(p.A, p.B)
-        and abs(p.A - 2 * p.C) <= 1e-12 * max(p.A, 2 * p.C)
-        and p.g[1] == 0.0
-        and p.g[2] == 0.0
-    )
-
-
-def invariants(s: BodyState, p: TopParams) -> InvariantSet:
-    """The three universal conserved quantities, plus the Kowalevski pair
-    (2*ell and k^2) when the parameters are of the (2, 2, 1)-proportional,
-    x-axis-gravity form."""
+def invariants(s: BodyState, p: TopParams) -> tuple[float, float, float]:
+    """The three universal conserved quantities (gamma^2, m.gamma, E)."""
     w, gam = s.omega, s.gamma
     m = p.inertia * w
-    base = dict(
-        gamma_sq=float(gam @ gam),
-        m_dot_gamma=float(m @ gam),
-        energy=float(0.5 * (m @ w) + p.g @ gam),
-    )
-    if _is_kowalevski_like(p):
-        kp = KowalevskiParams(c0=p.g[0] / p.C)
-        two_ell, _, k_sq = kowalevski_invariants(s, kp)
-        return InvariantSet(**base, kow_two_ell=two_ell, kow_k_sq=k_sq)
-    return InvariantSet(**base)
+    return float(gam @ gam), float(m @ gam), float(0.5 * (m @ w) + p.g @ gam)
 
 
 def omega_complex(s: BodyState) -> complex:
@@ -131,17 +102,6 @@ def kowalevski_invariants(s: BodyState, kp: KowalevskiParams) -> tuple[float, fl
     return float(two_ell), float(energy), float(k_sq)
 
 
-def _antisym(v: np.ndarray) -> np.ndarray:
-    # Layout such that _antisym(m) @ u == u x m.
-    return np.array(
-        [
-            [0.0, v[2], -v[1]],
-            [-v[2], 0.0, v[0]],
-            [v[1], -v[0], 0.0],
-        ]
-    )
-
-
 def matrix_form_residual(s: BodyState, p: TopParams) -> float:
     """Max-norm residual of the two commutator identities equivalent to the
     component equations: dM/dt = [Om, M] + [G, Gam] and dGam/dt = [Om, Gam].
@@ -153,11 +113,10 @@ def matrix_form_residual(s: BodyState, p: TopParams) -> float:
     m = p.inertia * s.omega
     dm = p.inertia * dw
 
-    M = _antisym(m)
-    Om = _antisym(s.omega)
-    Gam = _antisym(s.gamma)
-    G = _antisym(p.g)
-
-    r1 = _antisym(dm) - (Om @ M - M @ Om) - (G @ Gam - Gam @ G)
-    r2 = _antisym(dgam) - (Om @ Gam - Gam @ Om)
+    # Matrices in the layout K(v).T @ u == u x v.
+    M, Om, Gam, G, dM, dGam = (
+        skew_apply_matrix(v).T for v in (m, s.omega, s.gamma, p.g, dm, dgam)
+    )
+    r1 = dM - (Om @ M - M @ Om) - (G @ Gam - Gam @ G)
+    r2 = dGam - (Om @ Gam - Gam @ Om)
     return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))

@@ -50,6 +50,7 @@ def bohlin_a_traj():
     return _kow_run("bohlin-a")
 
 
+@pytest.mark.slow
 def test_criterion_1_hk_k_sq_band(hk_traj):
     k = hk_traj.column("k_sq")
     inc = np.diff(k)
@@ -74,6 +75,7 @@ def test_criterion_2_initial_invariants():
     _check(2, ok, f"k^2={k_sq!r}, E={energy!r}, 2l={two_ell!r}")
 
 
+@pytest.mark.slow
 def test_criterion_3_hybrid_exactness(hybrid_traj):
     rep = drift_report(hybrid_traj)
     gamma_dev = rep["gamma_sq"].max_abs_deviation
@@ -82,6 +84,7 @@ def test_criterion_3_hybrid_exactness(hybrid_traj):
     _check(3, ok, f"max|gamma^2-1|={gamma_dev:.3e}, rel k^2 drift={k_rel:.3e}")
 
 
+@pytest.mark.slow
 def test_criterion_4_bohlin_a_exactness_and_drift(bohlin_a_traj):
     rep = drift_report(bohlin_a_traj)
     gamma_dev = rep["gamma_sq"].max_abs_deviation
@@ -95,6 +98,7 @@ def test_criterion_4_bohlin_a_exactness_and_drift(bohlin_a_traj):
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_period_contrast(hk_traj, bohlin_a_traj):
     p_hk = estimate_period(hk_traj.column("g3"), H)
     p_a = estimate_period(bohlin_a_traj.column("g3"), H)
@@ -103,6 +107,7 @@ def test_criterion_5_period_contrast(hk_traj, bohlin_a_traj):
     _check(5, ok, f"gamma_3 periods {p_hk:.4f} vs {p_a:.4f} ({100 * rel:.1f}% apart)")
 
 
+@pytest.mark.slow
 def test_criterion_6_lagrange_exact_invariants():
     rng = np.random.default_rng(42)
     a = rng.normal(size=3)
@@ -119,6 +124,7 @@ def test_criterion_6_lagrange_exact_invariants():
     _check(6, ok, ", ".join(f"{k} rel drift {v:.3e}" for k, v in rels.items()))
 
 
+@pytest.mark.slow
 def test_criterion_7_euler_top_schemes():
     from spintops.euler_lagrange import bs_step_euler, symmetric_step_euler
     from spintops.hk import hk_step_euler

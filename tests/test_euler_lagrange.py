@@ -54,20 +54,6 @@ class TestBsStepEuler:
         back = bs_step_euler(bs_step_euler(m, P123, h), P123, -h)
         assert np.max(np.abs(back - m)) >= 1e-8
 
-    def test_implicit_variant_converges_and_conserves(self):
-        m = vec3(1, 1, 1)
-        h = 0.1
-        mn = bs_step_euler(m, P123, h, use_next_omega=True)
-        assert abs(mn @ mn - 3.0) <= 1e-12
-        # defining relation with omega at the new level
-        res = mn - m - 0.5 * h * cross(mn + m, mn / P123.inertia)
-        assert np.max(np.abs(res)) <= 1e-12
-        assert not np.allclose(mn, bs_step_euler(m, P123, h), atol=1e-6)
-
-    def test_implicit_variant_non_convergence(self):
-        with pytest.raises(ConvergenceError):
-            bs_step_euler(vec3(5, 5, 5), P123, 10.0, use_next_omega=True)
-
 
 class TestSymmetricStepEuler:
     def test_zero_step(self):

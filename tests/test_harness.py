@@ -3,6 +3,7 @@ import pytest
 
 from spintops.cli import main
 from spintops.harness import (
+    MODELS,
     ConfigError,
     PeriodEstimationError,
     RunConfig,
@@ -12,7 +13,7 @@ from spintops.harness import (
     reversal_test,
     run,
 )
-from spintops.models import BodyState, KowalevskiParams, invariants
+from spintops.models import BodyState, KowalevskiParams, invariants, kowalevski_invariants
 
 
 def kow_cfg(**kw):
@@ -73,12 +74,13 @@ class TestRun:
         kp = KowalevskiParams(1.0)
         for i in range(len(traj.steps)):
             s = BodyState(traj.states[i, :3], traj.states[i, 3:])
-            inv = invariants(s, kp.top_params())
+            gamma_sq, _, energy = invariants(s, kp.top_params())
+            two_ell, _, k_sq = kowalevski_invariants(s, kp)
             row = traj.invariant_values[i]
-            assert abs(row[0] - inv.gamma_sq) <= 1e-15
-            assert abs(row[1] - inv.kow_two_ell) <= 1e-15
-            assert abs(row[2] - inv.energy) <= 1e-15
-            assert abs(row[3] - inv.kow_k_sq) <= 1e-15
+            assert abs(row[0] - gamma_sq) <= 1e-15
+            assert abs(row[1] - two_ell) <= 1e-15
+            assert abs(row[2] - energy) <= 1e-15
+            assert abs(row[3] - k_sq) <= 1e-15
 
     def test_determinism_identical_csv_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -87,16 +89,19 @@ class TestRun:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_body_csv_header_and_blank_kowalevski_columns(self, tmp_path):
-        path = tmp_path / "euler.csv"
-        cfg = RunConfig(model="euler", scheme="hk", h=0.01, steps=2, stride=1,
-                        inertia=(1, 2, 3), init=np.array([1, 1, 1, 1, 0, 0.0]),
-                        out_path=str(path))
-        run(cfg)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "step,t,w1,w2,w3,g1,g2,g3,gamma_sq,two_ell,E,k_sq"
-        fields = lines[1].split(",")
-        assert fields[9] == "" and fields[11] == ""  # two_ell, k_sq blank
-        assert fields[8] != "" and fields[10] != ""
+        # (2, 2, 1) has the Kowalevski proportions; the columns stay blank
+        # because only the kowalevski model fills them.
+        for inertia in [(1, 2, 3), (2, 2, 1)]:
+            path = tmp_path / "euler.csv"
+            cfg = RunConfig(model="euler", scheme="hk", h=0.01, steps=2, stride=1,
+                            inertia=inertia, init=np.array([1, 1, 1, 1, 0, 0.0]),
+                            out_path=str(path))
+            run(cfg)
+            lines = path.read_text().splitlines()
+            assert lines[0] == "step,t,w1,w2,w3,g1,g2,g3,gamma_sq,two_ell,E,k_sq"
+            fields = lines[1].split(",")
+            assert fields[9] == "" and fields[11] == "", inertia  # two_ell, k_sq blank
+            assert fields[8] != "" and fields[10] != "", inertia
 
     def test_lagrange_csv_header(self, tmp_path):
         path = tmp_path / "lag.csv"
@@ -167,6 +172,46 @@ class TestConvergenceStudy:
         for _, _, order in rows[1:]:
             assert order == pytest.approx(2.0, abs=0.25)
 
+    def test_zero_error_leaves_order_undefined(self, capsys):
+        # a free top at rest is a fixed point of every scheme: every error is 0
+        rc = main(["converge", "--model", "euler", "--scheme", "bs", "--h", "0.01",
+                   "--h-list", "0.02,0.01,0.005", "--t-end", "1.0",
+                   "--init", "0,0,0,1,0,0"])
+        assert rc == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(float(err), order) for _, err, order in rows] == [(0.0, "-")] * 3
+
+
+_KOW_RUN = ["run", "--model", "kowalevski", "--scheme", "hk", "--h", "0.001", "--steps", "10"]
+_KOW_CONVERGE = ["converge", "--model", "kowalevski", "--scheme", "hk", "--h", "0.01", "--t-end", "1.0"]
+_EULER_RUN = ["run", "--model", "euler", "--scheme", "hk", "--h", "0.01", "--steps", "2"]
+
+# Each input exits 2 with a message, never with a traceback or a NaN run.
+CONFIG_ERRORS = [
+    ["run", "--model", "euler", "--scheme", "hybrid", "--h", "0.001", "--steps", "10"],
+    ["run", "--model", "kowalevski", "--scheme", "hk", "--h", "inf", "--steps", "10"],
+    [*_KOW_RUN, "--c0", "nan"],
+    [*_KOW_RUN, "--init", "nan,0,0,1,0,0"],
+    [*_EULER_RUN, "--init", "1,1,1,1,0,0", "--inertia", "0,1,1"],
+    ["run", "--model", "general", "--scheme", "hk", "--h", "0.01", "--steps", "2",
+     "--init", "1,1,1,1,0,0", "--gravity", "nan,0,0"],
+    [*_KOW_CONVERGE, "--h-list", "0,0.01,0.005"],
+    [*_KOW_CONVERGE, "--h-list", "a,b,c"],
+    ["converge", "--model", "kowalevski", "--scheme", "hk", "--h", "0.01",
+     "--h-list", "0.02,0.01,0.005", "--t-end", "inf"],
+    ["period", "--model", "kowalevski", "--scheme", "hk", "--h", "0.001",
+     "--steps", "100", "--column", "zz"],
+    ["period", "--model", "kowalevski", "--scheme", "hk", "--h", "0.001",
+     "--steps", "10", "--column", "g3"],
+]
+
+# Each input exits 3: a singular solve, or a state or invariant that overflows.
+NUMERICAL_ERRORS = [
+    ["run", "--model", "kowalevski", "--scheme", "hk", "--h", "1e9", "--steps", "5"],
+    [*_KOW_RUN, "--init", "1e200,0,0,1,0,0"],
+    [*_EULER_RUN, "--init", "1e200,1e200,1e200,1,0,0"],
+]
+
 
 class TestCli:
     def test_run_writes_csv(self, tmp_path, capsys):
@@ -179,15 +224,30 @@ class TestCli:
         assert "k_sq" in capsys.readouterr().out
 
     def test_config_error_exit_code(self, capsys):
-        rc = main(["run", "--model", "euler", "--scheme", "hybrid",
-                   "--h", "0.001", "--steps", "10"])
-        assert rc == 2
+        for argv in CONFIG_ERRORS:
+            assert main(argv) == 2, argv
+            assert "config error" in capsys.readouterr().err, argv
 
     def test_numerical_error_exit_code(self, capsys):
-        # singular 6x6 system from an absurd step size
-        rc = main(["run", "--model", "kowalevski", "--scheme", "hk",
-                   "--h", "1e9", "--steps", "5"])
-        assert rc == 3
+        for argv in NUMERICAL_ERRORS:
+            assert main(argv) == 3, argv
+            assert "numerical failure" in capsys.readouterr().err, argv
+
+    @pytest.mark.parametrize(
+        "model,scheme",
+        [(m, s) for m in MODELS for s in MODELS[m].schemes],
+        ids=lambda x: x,
+    )
+    def test_every_registered_scheme_runs(self, model, scheme, tmp_path):
+        out = tmp_path / "traj.csv"
+        init = [] if model == "kowalevski" else ["--init", "0.3,-0.2,0.9,0.6,0,0.8"]
+        rc = main(["run", "--model", model, "--scheme", scheme, "--h", "0.01",
+                   "--steps", "2", "--stride", "1", "--out", str(out), *init])
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        m = MODELS[model]
+        assert lines[0] == ",".join(("step", "t") + m.columns + m.invariant_names)
+        assert len(lines) == 4
 
     def test_reverse_command(self, capsys):
         rc = main(["reverse", "--model", "kowalevski", "--scheme", "hk",
@@ -201,6 +261,7 @@ class TestCli:
         assert rc == 0
         assert "observed order" in capsys.readouterr().out
 
+    @pytest.mark.slow
     def test_period_command(self, capsys):
         rc = main(["period", "--model", "kowalevski", "--scheme", "hk",
                    "--h", "0.001", "--steps", "50000", "--stride", "50",

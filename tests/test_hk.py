@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spintops.algebra import vec3
-from spintops.hk import assemble_system, euler_system, hk_step, hk_step_euler, hk_step_report
+from spintops.hk import assemble_system, euler_system, hk_step, hk_step_euler
 from spintops.models import BodyState, KowalevskiParams, TopParams
 
 from conftest import cramer_solve3, full_pivot_solve
@@ -133,14 +133,6 @@ class TestHkStep:
         s = BodyState(rng.normal(size=3), rng.normal(size=3))
         out = hk_step(s, p, 0.02)
         assert out.omega[2] == s.omega[2]
-
-    def test_report_diagnostics(self):
-        rep = hk_step_report(BENCH, KP.top_params(), 0.001)
-        assert rep.residual <= 1e-12
-        assert 1.0 <= rep.matrix_cond_estimate < 10.0
-        assert np.allclose(
-            rep.state_next.packed(), hk_step(BENCH, KP.top_params(), 0.001).packed()
-        )
 
 
 class TestHkStepEuler:

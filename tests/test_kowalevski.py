@@ -254,14 +254,6 @@ class TestHybridStep:
             assert abs(s.gamma @ s.gamma - 1.0) <= 1e-13
             assert abs(abs(xi(s, KP)) - k0) <= 1e-13
 
-    def test_refresh_omega3_variant_keeps_invariants(self):
-        s = BENCH
-        k0 = abs(xi(s, KP))
-        for _ in range(100):
-            s = hybrid_step(s, KP, 0.001, refresh_omega3=True)
-        assert abs(s.gamma @ s.gamma - 1.0) <= 1e-13
-        assert abs(abs(xi(s, KP)) - k0) <= 1e-13
-
     def test_round_trip_reversibility(self):
         # calibrated: 6.4e-14 after 1000 steps with the nearest-predictor rule
         s = BENCH
