@@ -6,8 +6,7 @@ from .algebra import (
     SingularSystemError,
     cross,
     rotation_matrix,
-    solve3,
-    solve6,
+    solve,
     vec3,
 )
 from .euler_lagrange import (
@@ -33,7 +32,6 @@ from .harness import (
 from .hk import hk_step, hk_step_euler
 from .kowalevski import (
     BranchRule,
-    GammaMethod,
     SouthPoleError,
     bohlin_algorithm_step,
     bohlin_step,

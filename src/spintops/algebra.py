@@ -56,51 +56,27 @@ def skew_apply_matrix(v: np.ndarray) -> np.ndarray:
     )
 
 
-# Relative singularity cutoff for the elimination pivots: a system counts as
-# singular when |det| < SINGULAR_RTOL * ||a||_F ** n.
+# Relative singularity cutoff: a system counts as singular when
+# |det| < SINGULAR_RTOL * ||a||_F ** n.
 SINGULAR_RTOL = 1e-14
 
 
-def _solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Partial-pivot Gaussian elimination for small n (3 or 6)."""
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the n x n system a @ x = b by LAPACK's LU solve.
+
+    Raises SingularSystemError when |det(a)| falls below the relative cutoff,
+    a zero matrix included.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
     if a.shape != (n, n) or b.shape != (n,):
         raise ValueError(f"shape mismatch: a {a.shape}, b {b.shape}")
-    scale = float(np.linalg.norm(a))
-    aug = np.hstack([a, b[:, None]])
-    det = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(aug[k:, k])))
-        if p != k:
-            aug[[k, p]] = aug[[p, k]]
-            det = -det
-        piv = aug[k, k]
-        det *= piv
-        if piv != 0.0:
-            aug[k + 1 :, k:] -= np.outer(aug[k + 1 :, k] / piv, aug[k, k:])
-    if abs(det) < SINGULAR_RTOL * scale**n:
-        raise SingularSystemError(
-            f"{n}x{n} system singular to tolerance (|det|={abs(det):.3e})"
-        )
-    x = np.zeros(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (aug[k, n] - aug[k, k + 1 : n] @ x[k + 1 :]) / aug[k, k]
-    return x
-
-
-def solve3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the 3x3 system a @ x = b.
-
-    Raises SingularSystemError when |det(a)| falls below the relative cutoff.
-    """
-    return _solve_dense(a, b)
-
-
-def solve6(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the 6x6 system a @ x = b."""
-    return _solve_dense(a, b)
+    det = abs(float(np.linalg.det(a)))
+    # "not >" also rejects det = 0 at a zero scale, and a NaN determinant.
+    if not det > SINGULAR_RTOL * float(np.linalg.norm(a)) ** n:
+        raise SingularSystemError(f"{n}x{n} system singular to tolerance (|det|={det:.3e})")
+    return np.linalg.solve(a, b)
 
 
 # Below this rotation angle the axis n = theta/|theta| is ill-defined;
@@ -132,9 +108,12 @@ def rotation_matrix(theta: np.ndarray) -> np.ndarray:
 def bs_solve(x: np.ndarray, v: np.ndarray, c: float) -> np.ndarray:
     """Solve x' - x = c * (x' + x) x v for x'.
 
-    Rearranged to (I + c*K(v)) x' = x + c * (x x v); the update preserves
-    |x|^2 exactly in exact arithmetic since (x'+x).(x'-x) = 0.
+    With a = c*v this is (I + K(a)) x' = (I - K(a)) x, the Cayley transform of
+    the skew matrix K(a), in closed form:
+    x' = x + 2/(1 + |a|^2) * (a x (a x x) - a x x).
+    det(I + K(a)) = 1 + |a|^2 >= 1, so the update is never singular, and it
+    preserves |x|^2 exactly in exact arithmetic since (x'+x).(x'-x) = 0.
     """
-    lhs = np.eye(3) + c * skew_apply_matrix(v)
-    rhs = x + c * cross(x, v)
-    return solve3(lhs, rhs)
+    a = c * np.asarray(v, dtype=float)
+    ax = cross(a, x)
+    return x + (2.0 / (1.0 + a @ a)) * (cross(a, ax) - ax)

@@ -31,12 +31,15 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Model:
     """A model's column names and constructors, each from a validated RunConfig:
-    to y -> invariant row, and per scheme to a step function (y, h) -> y'."""
+    to y -> invariant row, and per scheme to a step function (y, h) -> y'.
+    `reads` names the model parameters (c0, inertia, gravity, vertical,
+    branch_rule) that the model uses; the others must keep their defaults."""
 
     columns: tuple[str, ...]
     invariant_names: tuple[str, ...]
     invariants: Callable[[RunConfig], Callable]
     schemes: dict[str, Callable[[RunConfig], Callable]]
+    reads: tuple[str, ...]
     default_init: np.ndarray | None = None
 
 
@@ -78,12 +81,16 @@ class RunConfig:
         params = [self.c0, *self.inertia, *self.gravity, *self.vertical, *init]
         if not np.all(np.isfinite(params)) or min(self.inertia) <= 0:
             raise ConfigError("parameters and init must be finite, inertia positive")
+        for name in ("c0", "inertia", "gravity", "vertical", "branch_rule"):
+            unread = name not in model.reads
+            if unread and not np.array_equal(getattr(self, name), getattr(RunConfig, name)):
+                raise ConfigError(f"model {self.model!r} does not read {name}")
         return replace(self, init=init)
 
     def top_params(self) -> TopParams:
         if self.model == "kowalevski":
             return KowalevskiParams(self.c0).top_params()
-        return TopParams(*self.inertia, self.gravity if self.model == "general" else np.zeros(3))
+        return TopParams(*self.inertia, self.gravity)
 
 
 @dataclass
@@ -145,9 +152,9 @@ def _free_top(m_step, p: TopParams):
     return lambda y, h: np.concatenate([m_step(p.inertia * y[:3], p, h) / p.inertia, y[3:]])
 
 
-def _bohlin(method: kowalevski.GammaMethod):
-    return lambda c: _packed(
-        kowalevski.bohlin_algorithm_step, KowalevskiParams(c.c0), method, c.branch_rule
+def _bohlin(c: RunConfig, gamma_step):
+    return _packed(
+        kowalevski.bohlin_algorithm_step, KowalevskiParams(c.c0), gamma_step, c.branch_rule
     )
 
 
@@ -196,7 +203,7 @@ MODELS: dict[str, Model] = {
         **_BODY_SCHEMES,
         "bs": lambda c: _free_top(euler_lagrange.bs_step_euler, c.top_params()),
         "symmetric": lambda c: _free_top(euler_lagrange.symmetric_step_euler, c.top_params()),
-    }),
+    }, reads=("inertia",)),
     "lagrange": Model(
         ("m1", "m2", "m3", "a1", "a2", "a3"), ("a_sq", "m_dot_p", "m_dot_a", "E"),
         _lagrange_invariants, {
@@ -204,17 +211,19 @@ MODELS: dict[str, Model] = {
                 euler_lagrange.lagrange_step, LagrangeParams(c.vertical), state=LagrangeState
             ),
             "reference": _lagrange_reference,
-        },
+        }, reads=("vertical",),
     ),
     # The default init is the standard test point: w = (2, 0, 0), gamma_3 = 0.001.
     "kowalevski": Model(_BODY_COLUMNS, _BODY_INVARIANTS, _body_invariants, {
         **_BODY_SCHEMES,
-        "bohlin-a": _bohlin(kowalevski.GammaMethod.BS_A),
-        "bohlin-b": _bohlin(kowalevski.GammaMethod.STEREO_B),
-        "bohlin-c": _bohlin(kowalevski.GammaMethod.ROTATION_C),
+        "bohlin-a": lambda c: _bohlin(c, kowalevski.gamma_step_bs),
+        "bohlin-b": lambda c: _bohlin(c, kowalevski.gamma_step_stereo),
+        "bohlin-c": lambda c: _bohlin(c, kowalevski.gamma_step_rotation),
         "hybrid": lambda c: _packed(kowalevski.hybrid_step, KowalevskiParams(c.c0), c.branch_rule),
-    }, default_init=np.array([2.0, 0.0, 0.0, math.sqrt(1.0 - 0.001**2), 0.0, 0.001])),
-    "general": Model(_BODY_COLUMNS, _BODY_INVARIANTS, _body_invariants, _BODY_SCHEMES),
+    }, reads=("c0", "branch_rule"),
+        default_init=np.array([2.0, 0.0, 0.0, math.sqrt(1.0 - 0.001**2), 0.0, 0.001])),
+    "general": Model(_BODY_COLUMNS, _BODY_INVARIANTS, _body_invariants, _BODY_SCHEMES,
+                     reads=("inertia", "gravity")),
 }
 
 

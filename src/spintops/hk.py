@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import solve3, solve6
+from .algebra import solve
 from .models import BodyState, TopParams
 
 
@@ -69,27 +69,12 @@ def assemble_system(s: BodyState, p: TopParams, h: float) -> tuple[np.ndarray, n
 def hk_step(s: BodyState, p: TopParams, h: float) -> BodyState:
     """Advance (omega, gamma) by one bilinear step (one 6x6 solve)."""
     mat, rhs = assemble_system(s, p, h)
-    x = solve6(mat, rhs)
+    x = solve(mat, rhs)
     return BodyState(x[:3], x[3:])
 
 
-def euler_system(omega: np.ndarray, p: TopParams, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """3x3 system of the free-top specialization (gravity absent)."""
-    a1 = h * (p.B - p.C) / (2.0 * p.A)
-    a2 = h * (p.C - p.A) / (2.0 * p.B)
-    a3 = h * (p.A - p.B) / (2.0 * p.C)
-    mat = np.array(
-        [
-            [1.0, -a1 * omega[2], -a1 * omega[1]],
-            [-a2 * omega[2], 1.0, -a2 * omega[0]],
-            [-a3 * omega[1], -a3 * omega[0], 1.0],
-        ]
-    )
-    return mat, np.asarray(omega, dtype=float)
-
-
 def hk_step_euler(omega: np.ndarray, p: TopParams, h: float) -> np.ndarray:
-    """Free-top bilinear step in omega alone; identical to the omega block of
-    hk_step with zero gravity."""
-    mat, rhs = euler_system(omega, p, h)
-    return solve3(mat, rhs)
+    """Free-top bilinear step in omega alone: the omega block of hk_step's
+    system at gamma = 0, which carries no gravity term for any p."""
+    mat, rhs = assemble_system(BodyState(omega, np.zeros(3)), p, h)
+    return solve(mat[:3, :3], rhs[:3])

@@ -12,18 +12,13 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+from typing import Callable
 
 import numpy as np
 
 from .algebra import NumericalError, bs_solve, rotation_matrix, vec3
 from .hk import hk_step
 from .models import BodyState, KowalevskiParams, gamma_complex, omega_complex
-
-
-class GammaMethod(enum.Enum):
-    BS_A = "bs"
-    STEREO_B = "stereo"
-    ROTATION_C = "rotation"
 
 
 class BranchRule(enum.Enum):
@@ -72,14 +67,6 @@ def gamma_step_stereo(gamma: np.ndarray, omega: np.ndarray, h: float) -> np.ndar
 def gamma_step_rotation(gamma: np.ndarray, omega: np.ndarray, h: float) -> np.ndarray:
     """gamma' = R(h*omega) gamma: instantaneous rotation over one step."""
     return rotation_matrix(h * np.asarray(omega, dtype=float)) @ gamma
-
-
-def gamma_step(gamma: np.ndarray, omega: np.ndarray, h: float, method: GammaMethod) -> np.ndarray:
-    if method is GammaMethod.BS_A:
-        return gamma_step_bs(gamma, omega, h)
-    if method is GammaMethod.STEREO_B:
-        return gamma_step_stereo(gamma, omega, h)
-    return gamma_step_rotation(gamma, omega, h)
 
 
 def omega3_update(
@@ -131,11 +118,12 @@ def bohlin_algorithm_step(
     s: BodyState,
     kp: KowalevskiParams,
     h: float,
-    method: GammaMethod = GammaMethod.BS_A,
+    gamma_step: Callable = gamma_step_bs,
     rule: BranchRule = BranchRule.ARG_SIGN,
 ) -> BodyState:
-    """Three-stage step: gamma by the selected sphere-preserving method, then
-    the trapezoidal w3 update, then the square-root recovery of (w1, w2).
+    """Three-stage step: gamma by gamma_step (one of the sphere-preserving
+    gamma_step_bs, _stereo and _rotation), then the trapezoidal w3 update,
+    then the square-root recovery of (w1, w2).
 
     Keeps |gamma|^2 = 1 and |xi|^2 exact; not symmetric under h -> -h since
     the gamma stage uses omega at the old level only. With the default
@@ -152,7 +140,7 @@ def bohlin_algorithm_step(
     |d| = 5.0e-4 there, against a median of order 1 over random states; this is
     why the 1000-step round trip at h = 1e-3 is only 9.3e-7.
     """
-    gam_next = gamma_step(s.gamma, s.omega, h, method)
+    gam_next = gamma_step(s.gamma, s.omega, h)
     w3_next = omega3_update(s.omega[2], s.gamma[1], gam_next[1], h, kp.c0)
     w_next = bohlin_step(
         omega_complex(s),

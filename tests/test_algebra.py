@@ -7,8 +7,7 @@ from spintops.algebra import (
     cross,
     rotation_matrix,
     skew_apply_matrix,
-    solve3,
-    solve6,
+    solve,
     vec3,
 )
 
@@ -61,10 +60,10 @@ class TestCross:
 
 class TestSolve3:
     def test_identity(self):
-        assert np.array_equal(solve3(np.eye(3), vec3(1, 2, 3)), vec3(1, 2, 3))
+        assert np.array_equal(solve(np.eye(3), vec3(1, 2, 3)), vec3(1, 2, 3))
 
     def test_diagonal(self):
-        assert np.array_equal(solve3(np.diag([2.0, 4.0, 8.0]), vec3(2, 4, 8)), np.ones(3))
+        assert np.array_equal(solve(np.diag([2.0, 4.0, 8.0]), vec3(2, 4, 8)), np.ones(3))
 
     def test_matches_cramer_oracle(self, rng):
         for _ in range(100):
@@ -72,20 +71,21 @@ class TestSolve3:
             if abs(np.linalg.det(a)) < 0.1:
                 continue
             b = rng.normal(size=3)
-            x = solve3(a, b)
+            x = solve(a, b)
             assert np.allclose(x, cramer_solve3(a, b), atol=1e-11)
             assert np.max(np.abs(a @ x - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
 
     def test_singular_raises(self):
-        a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]])
-        with pytest.raises(SingularSystemError):
-            solve3(a, vec3(1, 1, 1))
+        rank_2 = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]])
+        for a in [rank_2, np.zeros((3, 3))]:
+            with pytest.raises(SingularSystemError):
+                solve(a, vec3(1, 1, 1))
 
 
 class TestSolve6:
     def test_identity(self, rng):
         b = rng.normal(size=6)
-        assert np.array_equal(solve6(np.eye(6), b), b)
+        assert np.array_equal(solve(np.eye(6), b), b)
 
     def test_block_diagonal_matches_solve3(self, rng):
         a1 = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
@@ -94,22 +94,22 @@ class TestSolve6:
         a = np.zeros((6, 6))
         a[:3, :3] = a1
         a[3:, 3:] = a2
-        x = solve6(a, b)
-        assert np.allclose(x[:3], solve3(a1, b[:3]), atol=1e-13)
-        assert np.allclose(x[3:], solve3(a2, b[3:]), atol=1e-13)
+        x = solve(a, b)
+        assert np.allclose(x[:3], solve(a1, b[:3]), atol=1e-13)
+        assert np.allclose(x[3:], solve(a2, b[3:]), atol=1e-13)
 
     def test_matches_full_pivot_oracle(self, rng):
         for _ in range(50):
             a = np.eye(6) + 0.3 * rng.normal(size=(6, 6))
             b = rng.normal(size=6)
-            x = solve6(a, b)
+            x = solve(a, b)
             assert np.allclose(x, full_pivot_solve(a, b), atol=1e-12)
             assert np.max(np.abs(a @ x - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
 
     def test_singular_raises(self):
-        a = np.ones((6, 6))
-        with pytest.raises(SingularSystemError):
-            solve6(a, np.ones(6))
+        for a in [np.ones((6, 6)), np.zeros((6, 6))]:
+            with pytest.raises(SingularSystemError):
+                solve(a, np.ones(6))
 
 
 class TestRotationMatrix:
@@ -157,16 +157,24 @@ class TestRotationMatrix:
 
 
 class TestBsSolve:
+    # |c v| from a small step up to 1e8, where the update is near a half-turn
+    # about v; the closed form never raises.
+    C_V_NORMS = [0.05, 1.0, 1e3, 1e8]
+
     def test_norm_preserved(self, rng):
-        for _ in range(50):
-            x = rng.normal(size=3)
-            v = rng.normal(size=3)
-            xn = bs_solve(x, v, 0.05)
-            assert abs(xn @ xn - x @ x) <= 1e-13 * max(1.0, x @ x)
+        for cv in self.C_V_NORMS:
+            for _ in range(50):
+                x = rng.normal(size=3)
+                v = rng.normal(size=3)
+                xn = bs_solve(x, v, cv / np.linalg.norm(v))
+                assert abs(xn @ xn - x @ x) <= 1e-13 * max(1.0, x @ x), cv
 
     def test_defining_relation(self, rng):
-        x = rng.normal(size=3)
-        v = rng.normal(size=3)
-        c = 0.025
-        xn = bs_solve(x, v, c)
-        assert np.allclose(xn - x, c * cross(xn + x, v), atol=1e-14)
+        for cv in self.C_V_NORMS:
+            for _ in range(50):
+                x = rng.normal(size=3)
+                v = rng.normal(size=3)
+                c = cv / np.linalg.norm(v)
+                xn = bs_solve(x, v, c)
+                scale = max(1.0, cv) * np.linalg.norm(x)
+                assert np.max(np.abs(xn - x - c * cross(xn + x, v))) <= 1e-14 * scale, cv

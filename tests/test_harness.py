@@ -203,6 +203,13 @@ CONFIG_ERRORS = [
      "--steps", "100", "--column", "zz"],
     ["period", "--model", "kowalevski", "--scheme", "hk", "--h", "0.001",
      "--steps", "10", "--column", "g3"],
+    # a non-default value of a parameter the model does not read
+    [*_EULER_RUN, "--init", "1,1,1,1,0,0", "--gravity", "5,0,0"],
+    ["run", "--model", "general", "--scheme", "hk", "--h", "0.01", "--steps", "2",
+     "--init", "1,1,1,1,0,0", "--c0", "2"],
+    ["run", "--model", "lagrange", "--scheme", "bs", "--h", "0.01", "--steps", "2",
+     "--init", "0,0,1,1,0,0", "--inertia", "2,2,1"],
+    [*_KOW_RUN, "--p", "1,0,0"],
 ]
 
 # Each input exits 3: a singular solve, or a state or invariant that overflows.

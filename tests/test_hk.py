@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spintops.algebra import vec3
-from spintops.hk import assemble_system, euler_system, hk_step, hk_step_euler
+from spintops.hk import assemble_system, hk_step, hk_step_euler
 from spintops.models import BodyState, KowalevskiParams, TopParams
 
 from conftest import cramer_solve3, full_pivot_solve
@@ -146,12 +146,18 @@ class TestHkStepEuler:
         assert np.allclose(hk_step_euler(vec3(0, 0, 1.3), p, 0.1), vec3(0, 0, 1.3), atol=1e-15)
 
     def test_matches_elimination_oracle(self):
-        p = TopParams(1.0, 2.0, 3.0)
         w = vec3(1, 1, 1)
         h = 0.1
-        mat, rhs = euler_system(w, p, h)
-        expected = cramer_solve3(mat, rhs)
-        assert np.max(np.abs(hk_step_euler(w, p, h) - expected)) <= 1e-12
+        # free-top bilinear relations w'_i - w_i = a_i (w'_j w_k + w_j w'_k),
+        # written out; the step ignores gravity
+        for p in [TopParams(1.0, 2.0, 3.0), TopParams(1.0, 2.0, 3.0, vec3(0.5, 0, 1))]:
+            a1, a2, a3 = (h * (p.B - p.C) / (2 * p.A), h * (p.C - p.A) / (2 * p.B),
+                          h * (p.A - p.B) / (2 * p.C))
+            mat = np.array([[1.0, -a1 * w[2], -a1 * w[1]],
+                            [-a2 * w[2], 1.0, -a2 * w[0]],
+                            [-a3 * w[1], -a3 * w[0], 1.0]])
+            expected = cramer_solve3(mat, w)
+            assert np.max(np.abs(hk_step_euler(w, p, h) - expected)) <= 1e-12
 
     def test_matches_omega_block_of_full_step(self, rng):
         p = TopParams(1.3, 0.9, 2.2)
