@@ -5,7 +5,6 @@ from .algebra import (
     NumericalError,
     SingularSystemError,
     cross,
-    rotation_matrix,
     solve,
     vec3,
 )
@@ -31,7 +30,6 @@ from .harness import (
 )
 from .hk import hk_step, hk_step_euler
 from .kowalevski import (
-    BranchRule,
     SouthPoleError,
     bohlin_algorithm_step,
     bohlin_step,

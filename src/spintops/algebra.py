@@ -1,4 +1,4 @@
-"""Small dense linear-algebra kernels and the axis-angle rotation map.
+"""Small dense linear-algebra kernels: cross product, LU solve, Cayley update.
 
 Everything here operates on plain numpy arrays: 3-vectors of shape (3,),
 3x3 and 6x6 matrices. All functions are pure and thread-safe.
@@ -77,32 +77,6 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not det > SINGULAR_RTOL * float(np.linalg.norm(a)) ** n:
         raise SingularSystemError(f"{n}x{n} system singular to tolerance (|det|={det:.3e})")
     return np.linalg.solve(a, b)
-
-
-# Below this rotation angle the axis n = theta/|theta| is ill-defined;
-# the rotation is the identity to machine precision anyway.
-ROTATION_ANGLE_CUTOFF = 1e-12
-
-
-def rotation_matrix(theta: np.ndarray) -> np.ndarray:
-    """Rotation by angle |theta| about axis theta/|theta|.
-
-    Entry layout chosen so that for small angles
-    rotation_matrix(h*w) @ g == g + h*cross(g, w) + O(h^2).
-    """
-    t = float(np.linalg.norm(theta))
-    if t < ROTATION_ANGLE_CUTOFF:
-        return np.eye(3)
-    n1, n2, n3 = theta / t
-    c = np.cos(t)
-    s = np.sin(t)
-    return np.array(
-        [
-            [n1 * n1 + (1 - n1 * n1) * c, n1 * n2 * (1 - c) + n3 * s, n1 * n3 * (1 - c) - n2 * s],
-            [n2 * n1 * (1 - c) - n3 * s, n2 * n2 + (1 - n2 * n2) * c, n2 * n3 * (1 - c) + n1 * s],
-            [n3 * n1 * (1 - c) + n2 * s, n3 * n2 * (1 - c) - n1 * s, n3 * n3 + (1 - n3 * n3) * c],
-        ]
-    )
 
 
 def bs_solve(x: np.ndarray, v: np.ndarray, c: float) -> np.ndarray:

@@ -23,7 +23,6 @@ from .harness import (
     reversal_test,
     run,
 )
-from .kowalevski import BranchRule
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -52,7 +51,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gravity", help="x0,y0,z0 (times mg=1)", default="0,0,0")
     p.add_argument("--p", dest="vertical", help="constant vertical (lagrange)",
                    default="0,0,1")
-    p.add_argument("--branch", choices=["arg-sign", "nearest"], default="arg-sign")
     p.add_argument("--out", dest="out_path")
 
 
@@ -68,7 +66,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         gravity=_reals(args.gravity, 3),
         vertical=_reals(args.vertical, 3),
         init=np.array(_reals(args.init, 6)) if args.init else None,
-        branch_rule=BranchRule(args.branch),
         out_path=args.out_path,
     ).validated()
 

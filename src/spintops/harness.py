@@ -32,8 +32,8 @@ class ConfigError(ValueError):
 class Model:
     """A model's column names and constructors, each from a validated RunConfig:
     to y -> invariant row, and per scheme to a step function (y, h) -> y'.
-    `reads` names the model parameters (c0, inertia, gravity, vertical,
-    branch_rule) that the model uses; the others must keep their defaults."""
+    `reads` names the model parameters (c0, inertia, gravity, vertical) that
+    the model uses; the others must keep their defaults."""
 
     columns: tuple[str, ...]
     invariant_names: tuple[str, ...]
@@ -55,7 +55,6 @@ class RunConfig:
     gravity: tuple[float, float, float] = (0.0, 0.0, 0.0)
     vertical: tuple[float, float, float] = (0.0, 0.0, 1.0)
     init: np.ndarray | None = None
-    branch_rule: kowalevski.BranchRule = kowalevski.BranchRule.ARG_SIGN
     out_path: str | None = None
 
     def validated(self) -> "RunConfig":
@@ -81,7 +80,7 @@ class RunConfig:
         params = [self.c0, *self.inertia, *self.gravity, *self.vertical, *init]
         if not np.all(np.isfinite(params)) or min(self.inertia) <= 0:
             raise ConfigError("parameters and init must be finite, inertia positive")
-        for name in ("c0", "inertia", "gravity", "vertical", "branch_rule"):
+        for name in ("c0", "inertia", "gravity", "vertical"):
             unread = name not in model.reads
             if unread and not np.array_equal(getattr(self, name), getattr(RunConfig, name)):
                 raise ConfigError(f"model {self.model!r} does not read {name}")
@@ -153,9 +152,7 @@ def _free_top(m_step, p: TopParams):
 
 
 def _bohlin(c: RunConfig, gamma_step):
-    return _packed(
-        kowalevski.bohlin_algorithm_step, KowalevskiParams(c.c0), gamma_step, c.branch_rule
-    )
+    return _packed(kowalevski.bohlin_algorithm_step, KowalevskiParams(c.c0), gamma_step)
 
 
 def _body_invariants(config: RunConfig):
@@ -219,8 +216,8 @@ MODELS: dict[str, Model] = {
         "bohlin-a": lambda c: _bohlin(c, kowalevski.gamma_step_bs),
         "bohlin-b": lambda c: _bohlin(c, kowalevski.gamma_step_stereo),
         "bohlin-c": lambda c: _bohlin(c, kowalevski.gamma_step_rotation),
-        "hybrid": lambda c: _packed(kowalevski.hybrid_step, KowalevskiParams(c.c0), c.branch_rule),
-    }, reads=("c0", "branch_rule"),
+        "hybrid": lambda c: _packed(kowalevski.hybrid_step, KowalevskiParams(c.c0)),
+    }, reads=("c0",),
         default_init=np.array([2.0, 0.0, 0.0, math.sqrt(1.0 - 0.001**2), 0.0, 0.001])),
     "general": Model(_BODY_COLUMNS, _BODY_INVARIANTS, _body_invariants, _BODY_SCHEMES,
                      reads=("inertia", "gravity")),

@@ -1,29 +1,23 @@
 """Discrete steps for the reduced A=B=2, C=1 top with gravity along x.
 
 Three unit-sphere-preserving updates for gamma (midpoint solve, stereographic
-Euler substep, axis-angle rotation), an exact phase-factor update for
-xi = omega^2 - c0*gamma recovered through a complex square root with branch
-selection, and a hybrid predictor-corrector that keeps both |gamma|^2 and
-|xi|^2 exact while staying close to time-reversal symmetric.
+Euler substep, exact rotation), an exact phase-factor update for
+xi = omega^2 - c0*gamma recovered through a complex square root, keeping the
+root nearer a one-step predictor, and a hybrid predictor-corrector that keeps
+both |gamma|^2 and |xi|^2 exact while staying close to time-reversal symmetric.
 """
 
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 from typing import Callable
 
 import numpy as np
 
-from .algebra import NumericalError, bs_solve, rotation_matrix, vec3
+from .algebra import NumericalError, bs_solve, vec3
 from .hk import hk_step
 from .models import BodyState, KowalevskiParams, gamma_complex, omega_complex
-
-
-class BranchRule(enum.Enum):
-    ARG_SIGN = "arg-sign"
-    NEAREST_PREDICTOR = "nearest"
 
 
 class SouthPoleError(NumericalError):
@@ -65,8 +59,11 @@ def gamma_step_stereo(gamma: np.ndarray, omega: np.ndarray, h: float) -> np.ndar
 
 
 def gamma_step_rotation(gamma: np.ndarray, omega: np.ndarray, h: float) -> np.ndarray:
-    """gamma' = R(h*omega) gamma: instantaneous rotation over one step."""
-    return rotation_matrix(h * np.asarray(omega, dtype=float)) @ gamma
+    """gamma' = exp(-h*K(omega)) gamma: the rotation by exactly t = h|omega|,
+    written as the Cayley update bs_solve with |a| = tan(t/2)."""
+    theta = h * np.asarray(omega, dtype=float)
+    t = math.sqrt(theta @ theta)
+    return bs_solve(np.asarray(gamma, dtype=float), theta, np.tan(0.5 * t) / t if t else 0.5)
 
 
 def omega3_update(
@@ -74,11 +71,6 @@ def omega3_update(
 ) -> float:
     """Trapezoidal update w3' = w3 - (h/2) c0 (gamma2' + gamma2)."""
     return omega3 - 0.5 * h * c0 * (gamma2_next + gamma2_n)
-
-
-def _arg_sign(w: complex) -> int:
-    # Sign of atan2(im, re); zero argument counts as positive.
-    return -1 if math.atan2(w.imag, w.real) < 0.0 else 1
 
 
 def bohlin_step(
@@ -90,14 +82,13 @@ def bohlin_step(
     omega3_next: float,
     h: float,
     c0: float,
-    rule: BranchRule = BranchRule.ARG_SIGN,
 ) -> complex:
     """Recover omega' = omega_1' + i*omega_2' from the exact phase update
     xi' = exp(-i*chi) xi, chi = (h/2)(w3' + w3).
 
     Solves (omega')^2 = exp(-i*chi)(omega^2 - c0*gamma) + c0*gamma' by a
-    complex square root; the sign ambiguity is resolved against the one-step
-    explicit predictor omega - (i h/2)(w3*omega - c0*gamma3).
+    complex square root, keeping the root nearer the one-step explicit
+    predictor omega - (i h/2)(w3*omega - c0*gamma3).
     """
     chi = 0.5 * h * (omega3_next + omega3_n)
     z = cmath.exp(-1j * chi) * (omega_n * omega_n - c0 * gamma_n) + c0 * gamma_next
@@ -105,13 +96,16 @@ def bohlin_step(
     if w == 0:
         return w
     predictor = omega_n - 0.5j * h * (omega3_n * omega_n - c0 * gamma3_n)
-    if rule is BranchRule.ARG_SIGN:
-        if _arg_sign(w) != _arg_sign(predictor):
-            w = -w
-    else:
-        if abs(w - predictor) > abs(-w - predictor):
-            w = -w
+    if abs(w - predictor) > abs(-w - predictor):
+        w = -w
     return w
+
+
+def _recover_omega(s: BodyState, gam_next, w3_next: float, h: float, c0: float) -> BodyState:
+    """The last stage of both Kowalevski steps: (w1, w2) from the new gamma and w3."""
+    w_next = bohlin_step(omega_complex(s), gamma_complex(s), complex(gam_next[0], gam_next[1]),
+                         s.gamma[2], s.omega[2], w3_next, h, c0)
+    return BodyState(vec3(w_next.real, w_next.imag, w3_next), gam_next)
 
 
 def bohlin_algorithm_step(
@@ -119,7 +113,6 @@ def bohlin_algorithm_step(
     kp: KowalevskiParams,
     h: float,
     gamma_step: Callable = gamma_step_bs,
-    rule: BranchRule = BranchRule.ARG_SIGN,
 ) -> BodyState:
     """Three-stage step: gamma by gamma_step (one of the sphere-preserving
     gamma_step_bs, _stereo and _rotation), then the trapezoidal w3 update,
@@ -142,26 +135,10 @@ def bohlin_algorithm_step(
     """
     gam_next = gamma_step(s.gamma, s.omega, h)
     w3_next = omega3_update(s.omega[2], s.gamma[1], gam_next[1], h, kp.c0)
-    w_next = bohlin_step(
-        omega_complex(s),
-        gamma_complex(s),
-        complex(gam_next[0], gam_next[1]),
-        s.gamma[2],
-        s.omega[2],
-        w3_next,
-        h,
-        kp.c0,
-        rule,
-    )
-    return BodyState(vec3(w_next.real, w_next.imag, w3_next), gam_next)
+    return _recover_omega(s, gam_next, w3_next, h, kp.c0)
 
 
-def hybrid_step(
-    s: BodyState,
-    kp: KowalevskiParams,
-    h: float,
-    rule: BranchRule = BranchRule.ARG_SIGN,
-) -> BodyState:
+def hybrid_step(s: BodyState, kp: KowalevskiParams, h: float) -> BodyState:
     """Predictor-corrector step: bilinear 6x6 predictor, then a midpoint-type
     re-solve of gamma against the averaged omega, then the square-root
     recovery of (w1, w2).
@@ -171,16 +148,4 @@ def hybrid_step(
     """
     pred = hk_step(s, kp.top_params(), h)
     gam_next = bs_solve(s.gamma, pred.omega + s.omega, 0.25 * h)
-    w3_next = float(pred.omega[2])
-    w_next = bohlin_step(
-        omega_complex(s),
-        gamma_complex(s),
-        complex(gam_next[0], gam_next[1]),
-        s.gamma[2],
-        s.omega[2],
-        w3_next,
-        h,
-        kp.c0,
-        rule,
-    )
-    return BodyState(vec3(w_next.real, w_next.imag, w3_next), gam_next)
+    return _recover_omega(s, gam_next, float(pred.omega[2]), h, kp.c0)

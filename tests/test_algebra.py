@@ -5,7 +5,6 @@ from spintops.algebra import (
     SingularSystemError,
     bs_solve,
     cross,
-    rotation_matrix,
     skew_apply_matrix,
     solve,
     vec3,
@@ -110,50 +109,6 @@ class TestSolve6:
         for a in [np.ones((6, 6)), np.zeros((6, 6))]:
             with pytest.raises(SingularSystemError):
                 solve(a, np.ones(6))
-
-
-class TestRotationMatrix:
-    def test_zero_angle_is_identity(self):
-        assert np.array_equal(rotation_matrix(np.zeros(3)), np.eye(3))
-
-    def test_tiny_angle_is_identity(self):
-        assert np.array_equal(rotation_matrix(vec3(1e-13, 0, 0)), np.eye(3))
-
-    def test_quarter_turn_about_z(self):
-        # substitute n=(0,0,1), c=0, s=1 into the entry table
-        r = rotation_matrix(vec3(0, 0, np.pi / 2))
-        expected = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        assert np.allclose(r, expected, atol=1e-15)
-        assert np.allclose(r @ vec3(1, 0, 0), vec3(0, -1, 0), atol=1e-15)
-
-    def test_orthogonality(self, rng):
-        for _ in range(50):
-            r = rotation_matrix(rng.normal(size=3))
-            assert np.max(np.abs(r @ r.T - np.eye(3))) <= 1e-13
-            assert abs(np.linalg.det(r) - 1.0) <= 1e-13
-
-    def test_norm_preservation(self, rng):
-        for _ in range(50):
-            theta = rng.normal(size=3)
-            g = rng.normal(size=3)
-            assert abs(np.linalg.norm(rotation_matrix(theta) @ g) - np.linalg.norm(g)) <= 1e-13
-
-    def test_inverse_is_negated_angle(self, rng):
-        for _ in range(20):
-            theta = rng.normal(size=3)
-            r = rotation_matrix(theta) @ rotation_matrix(-theta)
-            assert np.max(np.abs(r - np.eye(3))) <= 1e-13
-
-    def test_sign_convention_first_order(self):
-        # (R(h w) g - g) / h -> g x w, first order in h
-        w = vec3(0.3, -1.1, 0.7)
-        g = vec3(0.2, 0.9, -0.4)
-        errs = []
-        for h in (1e-3, 5e-4):
-            d = (rotation_matrix(h * w) @ g - g) / h - cross(g, w)
-            errs.append(np.max(np.abs(d)))
-        assert errs[0] < 1e-2
-        assert errs[1] < 0.6 * errs[0]  # first-order decay
 
 
 class TestBsSolve:

@@ -126,6 +126,10 @@ class TestReversalTest:
         e_a = reversal_test(cfg_a, 1000)
         assert e_a >= 1e3 * max(e_hk, 1e-16)
 
+    def test_hybrid_round_trip_from_default_point(self):
+        # omega_2 = 0 at the default point; measured 7.0e-14
+        assert reversal_test(kow_cfg(scheme="hybrid", steps=1000), 1000) <= 1e-12
+
 
 class TestDriftReport:
     def test_constant_series(self):
@@ -217,6 +221,7 @@ NUMERICAL_ERRORS = [
     ["run", "--model", "kowalevski", "--scheme", "hk", "--h", "1e9", "--steps", "5"],
     [*_KOW_RUN, "--init", "1e200,0,0,1,0,0"],
     [*_EULER_RUN, "--init", "1e200,1e200,1e200,1,0,0"],
+    ["run", "--model", "kowalevski", "--scheme", "bohlin-c", "--h", "1e300", "--steps", "5"],
 ]
 
 

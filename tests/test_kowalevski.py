@@ -5,7 +5,6 @@ import pytest
 
 from spintops.algebra import cross, skew_apply_matrix, vec3
 from spintops.kowalevski import (
-    BranchRule,
     SouthPoleError,
     bohlin_algorithm_step,
     bohlin_step,
@@ -131,6 +130,34 @@ class TestGammaStepRotation:
             out = gamma_step_rotation(g, rng.normal(size=3), 0.05)
             assert abs(out @ out - 1.0) <= 1e-13
 
+    def test_exact_angle_matches_rodrigues(self, rng):
+        # Rodrigues' formula for the rotation of g by the angle t about -n,
+        # n = omega/|omega|, t = h|omega|: first order g + h g x omega.
+        for t in [1e-13, 1e-8, 1e-3, 0.5, 2.0, 3.0]:
+            for _ in range(20):
+                g, n = rng.normal(size=3), random_unit(rng)
+                h = rng.uniform(0.5, 2.0)
+                expected = g * np.cos(t) + cross(g, n) * np.sin(t) + n * (n @ g) * (1 - np.cos(t))
+                out = gamma_step_rotation(g, (t / h) * n, h)
+                assert np.max(np.abs(out - expected)) <= 1e-14 * np.linalg.norm(g), t
+
+    def test_inverse_is_negated_step(self, rng):
+        for _ in range(20):
+            g, w = rng.normal(size=3), rng.normal(size=3)
+            back = gamma_step_rotation(gamma_step_rotation(g, w, 0.7), w, -0.7)
+            assert np.max(np.abs(back - g)) <= 1e-14 * np.linalg.norm(g)
+
+    def test_sign_convention_first_order(self):
+        # (gamma' - gamma) / h -> gamma x omega, first order in h
+        w = vec3(0.3, -1.1, 0.7)
+        g = vec3(0.2, 0.9, -0.4)
+        errs = []
+        for h in (1e-3, 5e-4):
+            d = (gamma_step_rotation(g, w, h) - g) / h - cross(g, w)
+            errs.append(np.max(np.abs(d)))
+        assert errs[0] < 1e-2
+        assert errs[1] < 0.6 * errs[0]  # first-order decay
+
 
 class TestOmega3Update:
     def test_no_gamma2_no_change(self):
@@ -158,28 +185,13 @@ class TestBohlinStep:
         assert abs(out - 1j) <= 1e-13
 
     def test_xi_modulus_exact(self, rng):
-        for rule in BranchRule:
-            for _ in range(50):
-                w = complex(*rng.normal(size=2))
-                g = complex(*rng.normal(size=2))
-                gn = complex(*rng.normal(size=2))
-                w3, w3n = rng.normal(size=2)
-                out = bohlin_step(w, g, gn, rng.normal(), w3, w3n, 0.01, 1.0, rule)
-                assert abs(abs(out**2 - gn) - abs(w**2 - g)) <= 1e-13
-
-    def test_branch_rules_agree_for_close_predictor(self, rng):
-        for _ in range(100):
+        for _ in range(50):
             w = complex(*rng.normal(size=2))
             g = complex(*rng.normal(size=2))
-            gn = g + complex(*rng.normal(size=2)) * 1e-3
+            gn = complex(*rng.normal(size=2))
             w3, w3n = rng.normal(size=2)
-            a = bohlin_step(w, g, gn, 0.1, w3, w3n, 0.001, 1.0, BranchRule.ARG_SIGN)
-            b = bohlin_step(w, g, gn, 0.1, w3, w3n, 0.001, 1.0, BranchRule.NEAREST_PREDICTOR)
-            pred = w - 0.5j * 0.001 * (w3 * w - 0.1)
-            # rules only guaranteed to coincide when the predictor is well
-            # inside one branch's half plane
-            if abs(cmath.phase(a) - cmath.phase(pred)) < np.pi / 4:
-                assert a == b
+            out = bohlin_step(w, g, gn, rng.normal(), w3, w3n, 0.01, 1.0)
+            assert abs(abs(out**2 - gn) - abs(w**2 - g)) <= 1e-13
 
     def test_phase_update_matches_reference_flow(self):
         # one-step trapezoidal phase vs a tiny-step reference integration
@@ -257,28 +269,23 @@ class TestHybridStep:
             assert abs(abs(xi(s, KP)) - k0) <= 1e-13
 
     def test_round_trip_reversibility(self):
-        # calibrated: 6.4e-14 after 1000 steps with the nearest-predictor rule
+        # calibrated: 6.4e-14 after 1000 steps
         s = BENCH
-        rule = BranchRule.NEAREST_PREDICTOR
         for _ in range(1000):
-            s = hybrid_step(s, KP, 0.001, rule)
+            s = hybrid_step(s, KP, 0.001)
         for _ in range(1000):
-            s = hybrid_step(s, KP, -0.001, rule)
+            s = hybrid_step(s, KP, -0.001)
         assert np.max(np.abs(s.packed() - BENCH.packed())) <= 1e-12
 
-    def test_arg_sign_flips_when_arguments_straddle_zero(self):
-        # Known defect of the sign-comparison rule: when the root and the
-        # predictor straddle the real axis, however closely, it takes the far
-        # root. Here the predictor is exactly 2 and the root 2 - 2.5e-9j. The
-        # nearest-predictor rule keeps the root and recovers the starting state.
+    def test_root_kept_when_arguments_straddle_zero(self):
+        # The root 2 - 2.5e-9j and the predictor, exactly 2, lie on opposite
+        # sides of the real axis. A rule comparing argument signs took the far
+        # root -2 + 2.5e-9j here; the nearest root is kept.
         g = 0.3 + 0.1j
-        args = (2 + 0j, g, g - 1e-8j, 0.9, 0.5, 0.5, 0.0, 1.0)
-        near = bohlin_step(*args, BranchRule.NEAREST_PREDICTOR)
-        assert abs(near - (2 - 2.5e-9j)) <= 1e-15
-        assert bohlin_step(*args, BranchRule.ARG_SIGN) == -near
-        fwd = hybrid_step(BENCH, KP, 0.001, BranchRule.ARG_SIGN)
-        back_near = hybrid_step(fwd, KP, -0.001, BranchRule.NEAREST_PREDICTOR)
-        assert np.max(np.abs(back_near.packed() - BENCH.packed())) <= 1e-13
+        out = bohlin_step(2 + 0j, g, g - 1e-8j, 0.9, 0.5, 0.5, 0.0, 1.0)
+        assert out == 2 - 2.4999999986841104e-9j
+        back = hybrid_step(hybrid_step(BENCH, KP, 0.001), KP, -0.001)
+        assert np.max(np.abs(back.packed() - BENCH.packed())) <= 1e-13
 
     def test_second_order_accuracy(self):
         from spintops.harness import RunConfig, convergence_study
@@ -287,3 +294,33 @@ class TestHybridStep:
         rows = convergence_study(cfg, [0.02, 0.01, 0.005], 1.0)
         for _, _, order in rows[1:]:
             assert order == pytest.approx(2.0, abs=0.25)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "step",
+    [
+        lambda s, h: bohlin_algorithm_step(s, KP, h, gamma_step_bs),
+        lambda s, h: bohlin_algorithm_step(s, KP, h, gamma_step_stereo),
+        lambda s, h: bohlin_algorithm_step(s, KP, h, gamma_step_rotation),
+        lambda s, h: hybrid_step(s, KP, h),
+    ],
+    ids=["bohlin-a", "bohlin-b", "bohlin-c", "hybrid"],
+)
+def test_one_step_moves_omega_by_order_h_near_real_axis(step):
+    # w1 + i*w2 within 1e-4 of the real axis, where the root and the predictor
+    # may straddle it: taking the far root would move (w1, w2) by 2|w1|.
+    # The worst ratio of the move to its bound measured 0.436.
+    rng = np.random.default_rng(12345)
+    h = 1e-3
+    n = 0
+    while n < 5000:
+        g = random_unit(rng)
+        if g[2] <= -0.9:
+            continue
+        n += 1
+        w = rng.normal(size=3)
+        w[1] = rng.uniform(-1e-4, 1e-4)
+        out = step(BodyState(w, g), h)
+        bound = 2.0 * h * (1.0 + np.max(np.abs(w))) ** 2
+        assert np.max(np.abs(out.omega - w)) <= bound, (w, g)
