@@ -10,6 +10,8 @@ from spintops.algebra import (
     vec3,
 )
 
+from spintops.kowalevski import gamma_step_rotation
+
 from conftest import cramer_solve3, full_pivot_solve
 
 
@@ -109,6 +111,36 @@ class TestSolve6:
         for a in [np.ones((6, 6)), np.zeros((6, 6))]:
             with pytest.raises(SingularSystemError):
                 solve(a, np.ones(6))
+
+
+def rotation_matrix(theta):
+    """Matrix of g -> exp(-K(theta)) g, built column by column from the
+    rotation gamma-step with h = 1."""
+    return np.column_stack([gamma_step_rotation(e, theta, 1.0) for e in np.eye(3)])
+
+
+class TestRotationMatrix:
+    def test_zero_angle_is_identity(self):
+        assert np.array_equal(rotation_matrix(np.zeros(3)), np.eye(3))
+
+    def test_quarter_turn_about_z(self):
+        # substitute n=(0,0,1), c=0, s=1 into the entry table
+        r = rotation_matrix(vec3(0, 0, np.pi / 2))
+        expected = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.allclose(r, expected, atol=1e-15)
+        assert np.allclose(r @ vec3(1, 0, 0), vec3(0, -1, 0), atol=1e-15)
+
+    def test_orthogonality(self, rng):
+        for _ in range(50):
+            r = rotation_matrix(rng.normal(size=3))
+            assert np.max(np.abs(r @ r.T - np.eye(3))) <= 1e-13
+            assert abs(np.linalg.det(r) - 1.0) <= 1e-13
+
+    def test_norm_preservation(self, rng):
+        for _ in range(50):
+            theta = rng.normal(size=3)
+            g = rng.normal(size=3)
+            assert abs(np.linalg.norm(rotation_matrix(theta) @ g) - np.linalg.norm(g)) <= 1e-13
 
 
 class TestBsSolve:
