@@ -11,7 +11,6 @@ from .algebra import (
 from .euler_lagrange import (
     ConvergenceError,
     LagrangeParams,
-    LagrangeState,
     bs_step_euler,
     lagrange_invariants,
     lagrange_step,
@@ -42,7 +41,6 @@ from .kowalevski import (
     stereo_inverse,
 )
 from .models import (
-    BodyState,
     KowalevskiParams,
     TopParams,
     euler_poisson_rhs,

@@ -110,6 +110,18 @@ def _cmd_period(args) -> int:
     return 0
 
 
+def _join_list_values(argv: list[str]) -> list[str]:
+    """Join each comma list that starts with '-' to the flag before it, as
+    --flag=value: argparse reads a value such as -1,0,0 as an unknown option."""
+    out: list[str] = []
+    for arg in argv:
+        if arg.startswith("-") and "," in arg and out and out[-1].startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spintops",
                                      description="Discrete spinning-top schemes")
@@ -139,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_list_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ConfigError, PeriodEstimationError) as e:

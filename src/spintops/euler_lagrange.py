@@ -20,6 +20,7 @@ class ConvergenceError(NumericalError):
 
 
 MAX_FIXED_POINT_ITERATIONS = 100
+FIXED_POINT_TOL = 1e-13
 
 
 def bs_step_euler(m: np.ndarray, p: TopParams, h: float) -> np.ndarray:
@@ -31,19 +32,16 @@ def bs_step_euler(m: np.ndarray, p: TopParams, h: float) -> np.ndarray:
     return bs_solve(m, m / p.inertia, 0.5 * h)
 
 
-def symmetric_step_euler(
-    m: np.ndarray, p: TopParams, h: float, tol: float = 1e-13
-) -> np.ndarray:
+def symmetric_step_euler(m: np.ndarray, p: TopParams, h: float) -> np.ndarray:
     """Advance m by m' - m = (h/4)(m' + m) x (omega' + omega).
 
     Conserves both |m|^2 and m.omega and is symmetric under h -> -h, at the
     price of an implicit solve. Fixed-point iteration seeded by the bilinear
-    free-top step; converged when the defining relation holds to tol.
+    free-top step; converged when the defining relation holds to
+    FIXED_POINT_TOL.
     """
     from .hk import hk_step_euler
 
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     m = np.asarray(m, dtype=float)
     w = m / p.inertia
     m_next = p.inertia * hk_step_euler(w, p, h)
@@ -55,30 +53,11 @@ def symmetric_step_euler(
         res = np.max(
             np.abs(m_next - m - 0.25 * h * cross(m_next + m, w + m_next / p.inertia))
         )
-        if res <= tol * scale and stalled:
+        if res <= FIXED_POINT_TOL * scale and stalled:
             return m_next
-    if res <= tol * scale:
+    if res <= FIXED_POINT_TOL * scale:
         return m_next
     raise ConvergenceError("symmetric free-top step did not converge")
-
-
-@dataclass(frozen=True)
-class LagrangeState:
-    """Angular momentum m and body axis a, both in the inertial frame."""
-
-    m: np.ndarray
-    a: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", np.asarray(self.m, dtype=float))
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-
-    def packed(self) -> np.ndarray:
-        return np.concatenate([self.m, self.a])
-
-    @staticmethod
-    def unpacked(y: np.ndarray) -> "LagrangeState":
-        return LagrangeState(y[:3].copy(), y[3:].copy())
 
 
 @dataclass(frozen=True)
@@ -91,26 +70,27 @@ class LagrangeParams:
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
 
 
-def lagrange_step(s: LagrangeState, lp: LagrangeParams, h: float) -> LagrangeState:
-    """Two-stage explicit step:
+def lagrange_step(y: np.ndarray, lp: LagrangeParams, h: float) -> np.ndarray:
+    """Two-stage explicit step on y = (m, a):
 
         m' = m + h * p x a
         a' - a = (h/2) m' x (a' + a)   (one 3x3 solve; |a| preserved exactly)
     """
-    m_next = s.m + h * cross(lp.p, s.a)
+    m, a = y[:3], y[3:]
+    m_next = m + h * cross(lp.p, a)
     # a' + a crossed with m' from the right: reuse the norm-preserving solve
     # with v = m' and reversed sign, since m' x (a'+a) = -(a'+a) x m'.
-    a_next = bs_solve(s.a, m_next, -0.5 * h)
-    return LagrangeState(m_next, a_next)
+    return np.concatenate([m_next, bs_solve(a, m_next, -0.5 * h)])
 
 
 def lagrange_invariants(
-    s: LagrangeState, lp: LagrangeParams, h: float
+    y: np.ndarray, lp: LagrangeParams, h: float
 ) -> tuple[float, float, float, float]:
-    """(a^2, m.p, m.a, E) with the O(h) cross term in the discrete energy:
-    E = |m|^2/2 + a.p + (h/2)(a x m).p."""
-    a_sq = float(s.a @ s.a)
-    m_dot_p = float(s.m @ lp.p)
-    m_dot_a = float(s.m @ s.a)
-    energy = float(0.5 * (s.m @ s.m) + s.a @ lp.p + 0.5 * h * (cross(s.a, s.m) @ lp.p))
+    """(a^2, m.p, m.a, E) of y = (m, a), with the O(h) cross term in the
+    discrete energy: E = |m|^2/2 + a.p + (h/2)(a x m).p."""
+    m, a = y[:3], y[3:]
+    a_sq = float(a @ a)
+    m_dot_p = float(m @ lp.p)
+    m_dot_a = float(m @ a)
+    energy = float(0.5 * (m @ m) + a @ lp.p + 0.5 * h * (cross(a, m) @ lp.p))
     return a_sq, m_dot_p, m_dot_a, energy

@@ -12,10 +12,9 @@ import numpy as np
 
 from . import euler_lagrange, kowalevski
 from .algebra import NumericalError, cross, numerical_guard
-from .euler_lagrange import LagrangeParams, LagrangeState
+from .euler_lagrange import LagrangeParams
 from .hk import hk_step
 from .models import (
-    BodyState,
     KowalevskiParams,
     TopParams,
     euler_poisson_rhs,
@@ -141,18 +140,15 @@ def _rk4(rhs):
     return step
 
 
-def _packed(step, params, *rest, state=BodyState):
-    """Packed-state form of a step (s, params, h, *rest) -> s'."""
-    return lambda y, h: step(state.unpacked(y), params, h, *rest).packed()
+def _stepper(step, params, *rest):
+    """Stepper (y, h) -> y' of a step (y, params, h, *rest) -> y'."""
+    return lambda y, h: step(y, params, h, *rest)
 
 
 def _free_top(m_step, p: TopParams):
-    """Packed-state form of a step m -> m' of m = I omega; gamma rides along."""
+    """Stepper (y, h) -> y' of a free-top step m -> m' of m = I omega; gamma
+    rides along."""
     return lambda y, h: np.concatenate([m_step(p.inertia * y[:3], p, h) / p.inertia, y[3:]])
-
-
-def _bohlin(c: RunConfig, gamma_step):
-    return _packed(kowalevski.bohlin_algorithm_step, KowalevskiParams(c.c0), gamma_step)
 
 
 def _body_invariants(config: RunConfig):
@@ -161,9 +157,8 @@ def _body_invariants(config: RunConfig):
     kp = KowalevskiParams(config.c0) if config.model == "kowalevski" else None
 
     def row(y: np.ndarray) -> np.ndarray:
-        s = BodyState.unpacked(y)
-        gamma_sq, _, energy = invariants(s, p)
-        two_ell, _, k_sq = kowalevski_invariants(s, kp) if kp else (math.nan,) * 3
+        gamma_sq, _, energy = invariants(y, p)
+        two_ell, _, k_sq = kowalevski_invariants(y, kp) if kp else (math.nan,) * 3
         return np.array([gamma_sq, two_ell, energy, k_sq])
 
     return row
@@ -171,14 +166,12 @@ def _body_invariants(config: RunConfig):
 
 def _lagrange_invariants(config: RunConfig):
     lp = LagrangeParams(config.vertical)
-    return lambda y: np.array(
-        euler_lagrange.lagrange_invariants(LagrangeState.unpacked(y), lp, config.h)
-    )
+    return lambda y: np.array(euler_lagrange.lagrange_invariants(y, lp, config.h))
 
 
 def _body_reference(config: RunConfig):
     p = config.top_params()
-    return _rk4(lambda y: np.concatenate(euler_poisson_rhs(BodyState.unpacked(y), p)))
+    return _rk4(lambda y: euler_poisson_rhs(y, p))
 
 
 def _lagrange_reference(config: RunConfig):
@@ -189,7 +182,7 @@ def _lagrange_reference(config: RunConfig):
 _BODY_COLUMNS = ("w1", "w2", "w3", "g1", "g2", "g3")
 _BODY_INVARIANTS = ("gamma_sq", "two_ell", "E", "k_sq")
 _BODY_SCHEMES = {
-    "hk": lambda c: _packed(hk_step, c.top_params()),
+    "hk": lambda c: _stepper(hk_step, c.top_params()),
     "reference": _body_reference,
 }
 
@@ -204,19 +197,20 @@ MODELS: dict[str, Model] = {
     "lagrange": Model(
         ("m1", "m2", "m3", "a1", "a2", "a3"), ("a_sq", "m_dot_p", "m_dot_a", "E"),
         _lagrange_invariants, {
-            "bs": lambda c: _packed(
-                euler_lagrange.lagrange_step, LagrangeParams(c.vertical), state=LagrangeState
-            ),
+            "bs": lambda c: _stepper(euler_lagrange.lagrange_step, LagrangeParams(c.vertical)),
             "reference": _lagrange_reference,
         }, reads=("vertical",),
     ),
     # The default init is the standard test point: w = (2, 0, 0), gamma_3 = 0.001.
     "kowalevski": Model(_BODY_COLUMNS, _BODY_INVARIANTS, _body_invariants, {
         **_BODY_SCHEMES,
-        "bohlin-a": lambda c: _bohlin(c, kowalevski.gamma_step_bs),
-        "bohlin-b": lambda c: _bohlin(c, kowalevski.gamma_step_stereo),
-        "bohlin-c": lambda c: _bohlin(c, kowalevski.gamma_step_rotation),
-        "hybrid": lambda c: _packed(kowalevski.hybrid_step, KowalevskiParams(c.c0)),
+        "bohlin-a": lambda c: _stepper(kowalevski.bohlin_algorithm_step,
+                                       KowalevskiParams(c.c0), kowalevski.gamma_step_bs),
+        "bohlin-b": lambda c: _stepper(kowalevski.bohlin_algorithm_step,
+                                       KowalevskiParams(c.c0), kowalevski.gamma_step_stereo),
+        "bohlin-c": lambda c: _stepper(kowalevski.bohlin_algorithm_step,
+                                       KowalevskiParams(c.c0), kowalevski.gamma_step_rotation),
+        "hybrid": lambda c: _stepper(kowalevski.hybrid_step, KowalevskiParams(c.c0)),
     }, reads=("c0",),
         default_init=np.array([2.0, 0.0, 0.0, math.sqrt(1.0 - 0.001**2), 0.0, 0.001])),
     "general": Model(_BODY_COLUMNS, _BODY_INVARIANTS, _body_invariants, _BODY_SCHEMES,

@@ -10,12 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import solve
-from .models import BodyState, TopParams
+from .models import TopParams
 
 
-def assemble_system(s: BodyState, p: TopParams, h: float) -> tuple[np.ndarray, np.ndarray]:
+def assemble_system(y: np.ndarray, p: TopParams, h: float) -> tuple[np.ndarray, np.ndarray]:
     """6x6 matrix and right-hand side; unknown ordering (w1, w2, w3, g1, g2, g3)."""
-    w, gam = s.omega, s.gamma
+    w, gam = y[:3], y[3:]
     gv = p.g
     a1 = h * (p.B - p.C) / (2.0 * p.A)
     a2 = h * (p.C - p.A) / (2.0 * p.B)
@@ -66,15 +66,14 @@ def assemble_system(s: BodyState, p: TopParams, h: float) -> tuple[np.ndarray, n
     return mat, rhs
 
 
-def hk_step(s: BodyState, p: TopParams, h: float) -> BodyState:
-    """Advance (omega, gamma) by one bilinear step (one 6x6 solve)."""
-    mat, rhs = assemble_system(s, p, h)
-    x = solve(mat, rhs)
-    return BodyState(x[:3], x[3:])
+def hk_step(y: np.ndarray, p: TopParams, h: float) -> np.ndarray:
+    """Advance y = (omega, gamma) by one bilinear step (one 6x6 solve)."""
+    mat, rhs = assemble_system(y, p, h)
+    return solve(mat, rhs)
 
 
 def hk_step_euler(omega: np.ndarray, p: TopParams, h: float) -> np.ndarray:
     """Free-top bilinear step in omega alone: the omega block of hk_step's
     system at gamma = 0, which carries no gravity term for any p."""
-    mat, rhs = assemble_system(BodyState(omega, np.zeros(3)), p, h)
+    mat, rhs = assemble_system(np.concatenate([omega, np.zeros(3)]), p, h)
     return solve(mat[:3, :3], rhs[:3])

@@ -1,7 +1,8 @@
 """Continuous-time rigid-body models: right-hand sides and conserved quantities.
 
-The state is the pair (omega, gamma) in the body frame: angular velocity and
-the vertical unit vector. Angular momentum is m = diag(A, B, C) @ omega.
+The state is the packed 6-vector y = (omega, gamma) in the body frame: angular
+velocity and the vertical unit vector. Angular momentum is
+m = diag(A, B, C) @ omega.
 """
 
 from __future__ import annotations
@@ -33,25 +34,6 @@ class TopParams:
 
 
 @dataclass(frozen=True)
-class BodyState:
-    """(omega, gamma) pair in the body frame."""
-
-    omega: np.ndarray
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
-        object.__setattr__(self, "gamma", np.asarray(self.gamma, dtype=float))
-
-    def packed(self) -> np.ndarray:
-        return np.concatenate([self.omega, self.gamma])
-
-    @staticmethod
-    def unpacked(y: np.ndarray) -> "BodyState":
-        return BodyState(y[:3].copy(), y[3:].copy())
-
-
-@dataclass(frozen=True)
 class KowalevskiParams:
     """Reduced parameters A=B=2, C=1, gravity vector (c0, 0, 0)."""
 
@@ -61,61 +43,53 @@ class KowalevskiParams:
         return TopParams(2.0, 2.0, 1.0, vec3(self.c0, 0.0, 0.0))
 
 
-def euler_poisson_rhs(s: BodyState, p: TopParams) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivatives (d omega, d gamma) of the body-frame equations.
+def euler_poisson_rhs(y: np.ndarray, p: TopParams) -> np.ndarray:
+    """Time derivative dy = (d omega, d gamma) of the body-frame equations.
 
     m_dot = m x omega + gamma x g with m = diag(A,B,C) omega, and
     gamma_dot = gamma x omega.
     """
-    w, gam = s.omega, s.gamma
+    w, gam = y[:3], y[3:]
     m = p.inertia * w
     dm = cross(m, w) + cross(gam, p.g)
-    return dm / p.inertia, cross(gam, w)
+    return np.concatenate([dm / p.inertia, cross(gam, w)])
 
 
-def invariants(s: BodyState, p: TopParams) -> tuple[float, float, float]:
+def invariants(y: np.ndarray, p: TopParams) -> tuple[float, float, float]:
     """The three universal conserved quantities (gamma^2, m.gamma, E)."""
-    w, gam = s.omega, s.gamma
+    w, gam = y[:3], y[3:]
     m = p.inertia * w
     return float(gam @ gam), float(m @ gam), float(0.5 * (m @ w) + p.g @ gam)
 
 
-def omega_complex(s: BodyState) -> complex:
-    return complex(s.omega[0], s.omega[1])
-
-
-def gamma_complex(s: BodyState) -> complex:
-    return complex(s.gamma[0], s.gamma[1])
-
-
-def xi(s: BodyState, kp: KowalevskiParams) -> complex:
+def xi(y: np.ndarray, kp: KowalevskiParams) -> complex:
     """xi = (omega_1 + i*omega_2)^2 - c0*(gamma_1 + i*gamma_2)."""
-    return omega_complex(s) ** 2 - kp.c0 * gamma_complex(s)
+    return complex(y[0], y[1]) ** 2 - kp.c0 * complex(y[3], y[4])
 
 
-def kowalevski_invariants(s: BodyState, kp: KowalevskiParams) -> tuple[float, float, float]:
+def kowalevski_invariants(y: np.ndarray, kp: KowalevskiParams) -> tuple[float, float, float]:
     """(2*ell, E, k^2) in the reduced A=B=2, C=1 form."""
-    w, gam = s.omega, s.gamma
+    w, gam = y[:3], y[3:]
     two_ell = 2.0 * (w[0] * gam[0] + w[1] * gam[1]) + w[2] * gam[2]
     energy = w[0] ** 2 + w[1] ** 2 + 0.5 * w[2] ** 2 + kp.c0 * gam[0]
-    k_sq = abs(xi(s, kp)) ** 2
+    k_sq = abs(xi(y, kp)) ** 2
     return float(two_ell), float(energy), float(k_sq)
 
 
-def matrix_form_residual(s: BodyState, p: TopParams) -> float:
+def matrix_form_residual(y: np.ndarray, p: TopParams) -> float:
     """Max-norm residual of the two commutator identities equivalent to the
     component equations: dM/dt = [Om, M] + [G, Gam] and dGam/dt = [Om, Gam].
 
     Analytically zero for every state; useful as a consistency check of sign
     conventions.
     """
-    dw, dgam = euler_poisson_rhs(s, p)
-    m = p.inertia * s.omega
-    dm = p.inertia * dw
+    dy = euler_poisson_rhs(y, p)
+    m = p.inertia * y[:3]
+    dm = p.inertia * dy[:3]
 
     # Matrices in the layout K(v).T @ u == u x v.
     M, Om, Gam, G, dM, dGam = (
-        skew_apply_matrix(v).T for v in (m, s.omega, s.gamma, p.g, dm, dgam)
+        skew_apply_matrix(v).T for v in (m, y[:3], y[3:], p.g, dm, dy[3:])
     )
     r1 = dM - (Om @ M - M @ Om) - (G @ Gam - Gam @ G)
     r2 = dGam - (Om @ Gam - Gam @ Om)

@@ -10,10 +10,11 @@ from spintops.harness import (
     convergence_study,
     drift_report,
     estimate_period,
+    make_stepper,
     reversal_test,
     run,
 )
-from spintops.models import BodyState, KowalevskiParams, invariants, kowalevski_invariants
+from spintops.models import KowalevskiParams, invariants, kowalevski_invariants
 
 
 def kow_cfg(**kw):
@@ -73,9 +74,9 @@ class TestRun:
         traj = run(kow_cfg(steps=50))
         kp = KowalevskiParams(1.0)
         for i in range(len(traj.steps)):
-            s = BodyState(traj.states[i, :3], traj.states[i, 3:])
-            gamma_sq, _, energy = invariants(s, kp.top_params())
-            two_ell, _, k_sq = kowalevski_invariants(s, kp)
+            y = traj.states[i]
+            gamma_sq, _, energy = invariants(y, kp.top_params())
+            two_ell, _, k_sq = kowalevski_invariants(y, kp)
             row = traj.invariant_values[i]
             assert abs(row[0] - gamma_sq) <= 1e-15
             assert abs(row[1] - two_ell) <= 1e-15
@@ -110,6 +111,22 @@ class TestRun:
         run(cfg)
         assert path.read_text().splitlines()[0] == \
             "step,t,m1,m2,m3,a1,a2,a3,a_sq,m_dot_p,m_dot_a,E"
+
+    @pytest.mark.parametrize(
+        "model,scheme",
+        [(m, s) for m in MODELS for s in MODELS[m].schemes],
+        ids=lambda x: x,
+    )
+    def test_stepper_leaves_its_input_alone(self, model, scheme):
+        # Steps read views of y; each must return a new array and write nothing.
+        init = None if model == "kowalevski" else np.array([0.3, -0.2, 0.9, 0.6, 0, 0.8])
+        cfg = RunConfig(model=model, scheme=scheme, h=0.01, steps=1, init=init).validated()
+        y = cfg.init.copy()
+        y.setflags(write=False)
+        out = make_stepper(cfg)(y, cfg.h)
+        assert not np.shares_memory(out, y)
+        assert out.shape == (6,) and np.isfinite(out).all()
+        assert np.array_equal(y, cfg.init)
 
 
 class TestReversalTest:
@@ -224,6 +241,16 @@ NUMERICAL_ERRORS = [
     ["run", "--model", "kowalevski", "--scheme", "bohlin-c", "--h", "1e300", "--steps", "5"],
 ]
 
+# A comma list that starts with "-" is a flag's value, not an option: each
+# input exits 0 and prints the initial energy its value gives.
+NEGATIVE_LIST_VALUES = [
+    ([*_EULER_RUN, "--init", "-1,0,0,1,0,0"], "E: initial=0.5 "),
+    (["run", "--model", "general", "--scheme", "hk", "--h", "0.01", "--steps", "2",
+      "--init", "1,1,1,1,0,0", "--gravity", "-0.5,0,1"], "E: initial=2.5 "),
+    (["run", "--model", "lagrange", "--scheme", "bs", "--h", "0.01", "--steps", "2",
+      "--init", "0,0,1,1,0,0", "--p", "-1,0,0"], "E: initial=-0.5 "),
+]
+
 
 class TestCli:
     def test_run_writes_csv(self, tmp_path, capsys):
@@ -244,6 +271,11 @@ class TestCli:
         for argv in NUMERICAL_ERRORS:
             assert main(argv) == 3, argv
             assert "numerical failure" in capsys.readouterr().err, argv
+
+    def test_negative_comma_list_values(self, capsys):
+        for argv, energy in NEGATIVE_LIST_VALUES:
+            assert main(argv) == 0, argv
+            assert energy in capsys.readouterr().out, argv
 
     @pytest.mark.parametrize(
         "model,scheme",

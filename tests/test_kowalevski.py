@@ -16,12 +16,12 @@ from spintops.kowalevski import (
     stereo_forward,
     stereo_inverse,
 )
-from spintops.models import BodyState, KowalevskiParams, kowalevski_invariants, xi
+from spintops.models import KowalevskiParams, kowalevski_invariants, xi
 
 from conftest import bohlin_reversal_defect, cramer_solve3
 
 KP = KowalevskiParams(1.0)
-BENCH = BodyState(vec3(2, 0, 0), vec3(np.sqrt(1 - 0.001**2), 0, 0.001))
+BENCH = np.array([2, 0, 0, np.sqrt(1 - 0.001**2), 0, 0.001])
 
 
 def random_unit(rng):
@@ -92,8 +92,8 @@ class TestGammaStepStereo:
         assert np.allclose(gamma_step_stereo(g, vec3(0, 0, 5.0), 0.01), g, atol=1e-15)
 
     def test_agrees_with_bs_to_second_order(self):
-        out_b = gamma_step_stereo(BENCH.gamma, BENCH.omega, 0.001)
-        out_a = gamma_step_bs(BENCH.gamma, BENCH.omega, 0.001)
+        out_b = gamma_step_stereo(BENCH[3:], BENCH[:3], 0.001)
+        out_a = gamma_step_bs(BENCH[3:], BENCH[:3], 0.001)
         assert np.max(np.abs(out_b - out_a)) <= 1e-5
 
     def test_unit_norm_exact(self, rng):
@@ -120,8 +120,8 @@ class TestGammaStepRotation:
         assert np.allclose(gamma_step_rotation(vec3(1, 0, 0), w, h), vec3(0, -1, 0), atol=1e-15)
 
     def test_agrees_with_bs_to_second_order(self):
-        out_c = gamma_step_rotation(BENCH.gamma, BENCH.omega, 0.001)
-        out_a = gamma_step_bs(BENCH.gamma, BENCH.omega, 0.001)
+        out_c = gamma_step_rotation(BENCH[3:], BENCH[:3], 0.001)
+        out_a = gamma_step_bs(BENCH[3:], BENCH[:3], 0.001)
         assert np.max(np.abs(out_c - out_a)) <= 1e-5
 
     def test_norm_preserved(self, rng):
@@ -199,10 +199,9 @@ class TestBohlinStep:
 
         h = 0.001
         cfg = RunConfig(model="kowalevski", scheme="reference", h=h / 100, steps=100, stride=100)
-        end = run(cfg).final_state()
-        s_ref = BodyState(end[:3], end[3:])
-        xi_ref = xi(s_ref, KP)
-        chi = 0.5 * h * (s_ref.omega[2] + BENCH.omega[2])
+        y_ref = run(cfg).final_state()
+        xi_ref = xi(y_ref, KP)
+        chi = 0.5 * h * (y_ref[2] + BENCH[2])
         xi_trap = cmath.exp(-1j * chi) * xi(BENCH, KP)
         assert abs(xi_trap - xi_ref) <= 5.0 * h**3
 
@@ -210,19 +209,19 @@ class TestBohlinStep:
 class TestBohlinAlgorithmStep:
     def test_zero_step_is_identity(self):
         out = bohlin_algorithm_step(BENCH, KP, 0.0)
-        assert np.max(np.abs(out.packed() - BENCH.packed())) <= 1e-15
+        assert np.max(np.abs(out - BENCH)) <= 1e-15
 
     @pytest.mark.parametrize(
         "gamma_step", [gamma_step_bs, gamma_step_stereo, gamma_step_rotation],
         ids=lambda f: f.__name__,
     )
     def test_invariants_per_step(self, gamma_step, rng):
-        s = BENCH
-        k0 = abs(xi(s, KP))
+        y = BENCH
+        k0 = abs(xi(y, KP))
         for _ in range(200):
-            s = bohlin_algorithm_step(s, KP, 0.001, gamma_step)
-            assert abs(s.gamma @ s.gamma - 1.0) <= 1e-12
-            assert abs(abs(xi(s, KP)) - k0) <= 1e-12
+            y = bohlin_algorithm_step(y, KP, 0.001, gamma_step)
+            assert abs(y[3:] @ y[3:] - 1.0) <= 1e-12
+            assert abs(abs(xi(y, KP)) - k0) <= 1e-12
 
     def test_first_order_accuracy(self):
         from spintops.harness import RunConfig, convergence_study
@@ -239,14 +238,14 @@ class TestBohlinAlgorithmStep:
         while len(states) < 300:
             w = rng.normal(size=3)
             if abs(complex(w[0], w[1])) >= 0.5:
-                states.append(BodyState(w, random_unit(rng)))
+                states.append(np.concatenate([w, random_unit(rng)]))
 
         def worst_rel(h):
             worst = 0.0
-            for s in states:
-                fwd = bohlin_algorithm_step(s, KP, h)
-                pair = bohlin_algorithm_step(fwd, KP, -h).packed() - s.packed()
-                lead = h * h * bohlin_reversal_defect(s.omega, s.gamma, KP.c0)
+            for y in states:
+                fwd = bohlin_algorithm_step(y, KP, h)
+                pair = bohlin_algorithm_step(fwd, KP, -h) - y
+                lead = h * h * bohlin_reversal_defect(y[:3], y[3:], KP.c0)
                 worst = max(worst, np.linalg.norm(pair - lead) / np.linalg.norm(lead))
             return worst
 
@@ -258,24 +257,24 @@ class TestBohlinAlgorithmStep:
 class TestHybridStep:
     def test_zero_step_is_identity(self):
         out = hybrid_step(BENCH, KP, 0.0)
-        assert np.max(np.abs(out.packed() - BENCH.packed())) <= 1e-15
+        assert np.max(np.abs(out - BENCH)) <= 1e-15
 
     def test_invariants_per_step(self):
-        s = BENCH
-        k0 = abs(xi(s, KP))
+        y = BENCH
+        k0 = abs(xi(y, KP))
         for _ in range(200):
-            s = hybrid_step(s, KP, 0.001)
-            assert abs(s.gamma @ s.gamma - 1.0) <= 1e-13
-            assert abs(abs(xi(s, KP)) - k0) <= 1e-13
+            y = hybrid_step(y, KP, 0.001)
+            assert abs(y[3:] @ y[3:] - 1.0) <= 1e-13
+            assert abs(abs(xi(y, KP)) - k0) <= 1e-13
 
     def test_round_trip_reversibility(self):
         # calibrated: 6.4e-14 after 1000 steps
-        s = BENCH
+        y = BENCH
         for _ in range(1000):
-            s = hybrid_step(s, KP, 0.001)
+            y = hybrid_step(y, KP, 0.001)
         for _ in range(1000):
-            s = hybrid_step(s, KP, -0.001)
-        assert np.max(np.abs(s.packed() - BENCH.packed())) <= 1e-12
+            y = hybrid_step(y, KP, -0.001)
+        assert np.max(np.abs(y - BENCH)) <= 1e-12
 
     def test_root_kept_when_arguments_straddle_zero(self):
         # The root 2 - 2.5e-9j and the predictor, exactly 2, lie on opposite
@@ -285,7 +284,7 @@ class TestHybridStep:
         out = bohlin_step(2 + 0j, g, g - 1e-8j, 0.9, 0.5, 0.5, 0.0, 1.0)
         assert out == 2 - 2.4999999986841104e-9j
         back = hybrid_step(hybrid_step(BENCH, KP, 0.001), KP, -0.001)
-        assert np.max(np.abs(back.packed() - BENCH.packed())) <= 1e-13
+        assert np.max(np.abs(back - BENCH)) <= 1e-13
 
     def test_second_order_accuracy(self):
         from spintops.harness import RunConfig, convergence_study
@@ -300,10 +299,10 @@ class TestHybridStep:
 @pytest.mark.parametrize(
     "step",
     [
-        lambda s, h: bohlin_algorithm_step(s, KP, h, gamma_step_bs),
-        lambda s, h: bohlin_algorithm_step(s, KP, h, gamma_step_stereo),
-        lambda s, h: bohlin_algorithm_step(s, KP, h, gamma_step_rotation),
-        lambda s, h: hybrid_step(s, KP, h),
+        lambda y, h: bohlin_algorithm_step(y, KP, h, gamma_step_bs),
+        lambda y, h: bohlin_algorithm_step(y, KP, h, gamma_step_stereo),
+        lambda y, h: bohlin_algorithm_step(y, KP, h, gamma_step_rotation),
+        lambda y, h: hybrid_step(y, KP, h),
     ],
     ids=["bohlin-a", "bohlin-b", "bohlin-c", "hybrid"],
 )
@@ -321,6 +320,6 @@ def test_one_step_moves_omega_by_order_h_near_real_axis(step):
         n += 1
         w = rng.normal(size=3)
         w[1] = rng.uniform(-1e-4, 1e-4)
-        out = step(BodyState(w, g), h)
+        out = step(np.concatenate([w, g]), h)
         bound = 2.0 * h * (1.0 + np.max(np.abs(w))) ** 2
-        assert np.max(np.abs(out.omega - w)) <= bound, (w, g)
+        assert np.max(np.abs(out[:3] - w)) <= bound, (w, g)

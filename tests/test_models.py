@@ -3,7 +3,6 @@ import pytest
 
 from spintops.algebra import vec3
 from spintops.models import (
-    BodyState,
     KowalevskiParams,
     TopParams,
     euler_poisson_rhs,
@@ -14,14 +13,13 @@ from spintops.models import (
 )
 
 # The reduced-top test point used throughout (w1=2, gamma_3=0.001).
-KOW_INIT = BodyState(vec3(2, 0, 0), vec3(0.9999995, 0, 0.001))
+KOW_INIT = np.array([2, 0, 0, 0.9999995, 0, 0.001])
 KP = KowalevskiParams(1.0)
 
 
-def componentwise_rhs(s, p):
+def componentwise_rhs(y, p):
     """Independent oracle: the six scalar equations written out directly."""
-    w1, w2, w3 = s.omega
-    g1, g2, g3 = s.gamma
+    w1, w2, w3, g1, g2, g3 = y
     x0, y0, z0 = p.g  # gravity vector already carries the mg factor
     dw1 = ((p.B - p.C) * w2 * w3 + (g2 * z0 - g3 * y0)) / p.A
     dw2 = ((p.C - p.A) * w3 * w1 + (g3 * x0 - g1 * z0)) / p.B
@@ -29,56 +27,50 @@ def componentwise_rhs(s, p):
     dg1 = g2 * w3 - g3 * w2
     dg2 = g3 * w1 - g1 * w3
     dg3 = g1 * w2 - g2 * w1
-    return np.array([dw1, dw2, dw3]), np.array([dg1, dg2, dg3])
+    return np.array([dw1, dw2, dw3, dg1, dg2, dg3])
 
 
-def rk4(s, p, h):
-    def f(y):
-        dw, dg = euler_poisson_rhs(BodyState(y[:3], y[3:]), p)
-        return np.concatenate([dw, dg])
-
-    y = s.packed()
-    k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    y = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return BodyState(y[:3], y[3:])
+def rk4(y, p, h):
+    k1 = euler_poisson_rhs(y, p)
+    k2 = euler_poisson_rhs(y + 0.5 * h * k1, p)
+    k3 = euler_poisson_rhs(y + 0.5 * h * k2, p)
+    k4 = euler_poisson_rhs(y + h * k3, p)
+    return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 class TestRhs:
     def test_principal_axis_rotation_is_steady(self):
         p = TopParams(1.0, 2.5, 0.7)
-        s = BodyState(vec3(0, 0, 3.0), vec3(0, 0, 1))
-        dw, _ = euler_poisson_rhs(s, p)
+        y = np.array([0, 0, 3.0, 0, 0, 1])
+        dw = euler_poisson_rhs(y, p)[:3]
         assert np.array_equal(dw, np.zeros(3))
 
     def test_kowalevski_point(self):
-        dw, dg = euler_poisson_rhs(KOW_INIT, KP.top_params())
-        assert np.allclose(dw, vec3(0, 0.0005, 0), atol=1e-18)
-        assert np.allclose(dg, vec3(0, 0.002, 0), atol=1e-18)
+        dy = euler_poisson_rhs(KOW_INIT, KP.top_params())
+        assert np.allclose(dy[:3], vec3(0, 0.0005, 0), atol=1e-18)
+        assert np.allclose(dy[3:], vec3(0, 0.002, 0), atol=1e-18)
 
     def test_matches_componentwise_oracle(self, rng):
         for _ in range(100):
-            s = BodyState(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+            y = np.concatenate([rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)])
             p = TopParams(*rng.uniform(0.5, 2.0, 3), rng.uniform(-1, 1, 3))
-            dw, dg = euler_poisson_rhs(s, p)
-            ow, og = componentwise_rhs(s, p)
-            assert np.max(np.abs(dw - ow)) <= 1e-15
-            assert np.max(np.abs(dg - og)) <= 1e-15
+            dy = euler_poisson_rhs(y, p)
+            oy = componentwise_rhs(y, p)
+            assert np.max(np.abs(dy[:3] - oy[:3])) <= 1e-15
+            assert np.max(np.abs(dy[3:] - oy[3:])) <= 1e-15
 
     def test_gamma_tangency(self, rng):
         for _ in range(50):
-            s = BodyState(rng.normal(size=3), rng.normal(size=3))
+            y = np.concatenate([rng.normal(size=3), rng.normal(size=3)])
             p = TopParams(*rng.uniform(0.5, 3.0, 3), rng.normal(size=3))
-            _, dg = euler_poisson_rhs(s, p)
-            assert abs(s.gamma @ dg) <= 1e-14
+            dg = euler_poisson_rhs(y, p)[3:]
+            assert abs(y[3:] @ dg) <= 1e-14
 
 
 class TestInvariants:
     def test_rest_state(self):
         p = TopParams(1.0, 2.0, 3.0)
-        assert invariants(BodyState(vec3(0, 0, 0), vec3(0, 0, 1)), p) == (1.0, 0.0, 0.0)
+        assert invariants(np.array([0, 0, 0, 0, 0, 1.0]), p) == (1.0, 0.0, 0.0)
 
     def test_kowalevski_point_values(self):
         gamma_sq, _, energy = invariants(KOW_INIT, KP.top_params())
@@ -99,10 +91,10 @@ class TestInvariants:
         # finite difference along a high-order reference step
         delta = 1e-3
         for _ in range(10):
-            s = BodyState(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+            y = np.concatenate([rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)])
             p = TopParams(*rng.uniform(0.5, 2.0, 3), rng.uniform(-1, 1, 3))
-            plus = invariants(rk4(s, p, delta), p)
-            minus = invariants(rk4(s, p, -delta), p)
+            plus = invariants(rk4(y, p, delta), p)
+            minus = invariants(rk4(y, p, -delta), p)
             for name, a, b in zip(("gamma_sq", "m_dot_gamma", "energy"), plus, minus):
                 assert abs((a - b) / (2 * delta)) <= 1e-12, name
 
@@ -121,8 +113,8 @@ class TestKowalevskiInvariants:
         assert abs(k_sq - 9.00000300000025) <= 1e-12
 
     def test_rest_on_x_axis(self):
-        s = BodyState(vec3(0, 0, 0), vec3(1, 0, 0))
-        two_ell, energy, k_sq = kowalevski_invariants(s, KP)
+        y = np.array([0, 0, 0, 1, 0, 0.0])
+        two_ell, energy, k_sq = kowalevski_invariants(y, KP)
         assert (two_ell, energy, k_sq) == (0.0, 1.0, 1.0)
 
 
@@ -131,35 +123,35 @@ class TestXi:
         assert xi(KOW_INIT, KP) == pytest.approx(3.0000005 + 0j, abs=1e-15)
 
     def test_pure_imaginary_omega(self):
-        s = BodyState(vec3(0, 1, 0), vec3(0, 0, 0))
-        assert xi(s, KP) == -1 + 0j
+        y = np.array([0, 1, 0, 0, 0, 0.0])
+        assert xi(y, KP) == -1 + 0j
 
     def test_abs_squared_equals_k_sq(self, rng):
         for _ in range(50):
-            s = BodyState(rng.normal(size=3), rng.normal(size=3))
-            _, _, k_sq = kowalevski_invariants(s, KP)
-            assert abs(abs(xi(s, KP)) ** 2 - k_sq) <= 1e-15 * max(1.0, k_sq)
+            y = np.concatenate([rng.normal(size=3), rng.normal(size=3)])
+            _, _, k_sq = kowalevski_invariants(y, KP)
+            assert abs(abs(xi(y, KP)) ** 2 - k_sq) <= 1e-15 * max(1.0, k_sq)
 
     def test_chain_rule_phase_evolution(self, rng):
         # d(xi)/dt along the flow equals -i * w3 * xi
         for _ in range(50):
-            s = BodyState(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-            dw, dg = euler_poisson_rhs(s, KP.top_params())
-            w_c = complex(s.omega[0], s.omega[1])
-            dxi = 2 * w_c * complex(dw[0], dw[1]) - KP.c0 * complex(dg[0], dg[1])
-            assert abs(dxi - (-1j * s.omega[2] * xi(s, KP))) <= 1e-13
+            y = np.concatenate([rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)])
+            dy = euler_poisson_rhs(y, KP.top_params())
+            w_c = complex(y[0], y[1])
+            dxi = 2 * w_c * complex(dy[0], dy[1]) - KP.c0 * complex(dy[3], dy[4])
+            assert abs(dxi - (-1j * y[2] * xi(y, KP))) <= 1e-13
 
 
 class TestMatrixFormResidual:
     def test_zero_state(self):
         p = TopParams(1.0, 2.0, 3.0)
-        assert matrix_form_residual(BodyState(np.zeros(3), np.zeros(3)), p) == 0.0
+        assert matrix_form_residual(np.zeros(6), p) == 0.0
 
     def test_kowalevski_point(self):
         assert matrix_form_residual(KOW_INIT, KP.top_params()) <= 1e-13
 
     def test_random_states(self, rng):
         for _ in range(100):
-            s = BodyState(rng.normal(size=3), rng.normal(size=3))
+            y = np.concatenate([rng.normal(size=3), rng.normal(size=3)])
             p = TopParams(*rng.uniform(0.5, 3.0, 3), rng.normal(size=3))
-            assert matrix_form_residual(s, p) <= 1e-13
+            assert matrix_form_residual(y, p) <= 1e-13
