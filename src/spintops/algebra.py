@@ -1,11 +1,15 @@
-"""Small dense linear-algebra kernels: cross product, LU solve, Cayley update.
+"""Small kernels: the numerical guard, the cross product, a 3x3 Cramer solve
+and the Cayley update.
 
-Everything here operates on plain numpy arrays: 3-vectors of shape (3,),
-3x3 and 6x6 matrices. All functions are pure and thread-safe.
+`cross` and `skew_apply_matrix` act on numpy 3-vectors. The two solve kernels
+run inside every step, so they work on Python floats: a vector is any sequence
+of three numbers and a matrix three rows of three, and they return tuples.
+All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -22,11 +26,17 @@ class SingularSystemError(NumericalError):
 @contextmanager
 def numerical_guard(what: str):
     """Raise NumericalError when a float operation in the block overflows or
-    is invalid (such as inf - inf), in numpy or in a Python power."""
+    is invalid: in numpy (such as inf - inf), in a Python power or abs that
+    overflows, or in a math or cmath call outside its domain, which raises a
+    plain ValueError (math.tan(inf)). Python float arithmetic itself raises
+    nothing: it yields inf or nan, which the callers check for. Subclasses of
+    ValueError are configuration errors and pass through."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except (FloatingPointError, OverflowError) as e:
+    except (ArithmeticError, ValueError) as e:
+        if isinstance(e, ValueError) and type(e) is not ValueError:
+            raise
         raise NumericalError(f"{what}: {e}") from e
 
 
@@ -36,50 +46,55 @@ def vec3(x, y, z) -> np.ndarray:
 
 def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Cross product u x v."""
-    return np.array(
-        [
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        ]
-    )
+    return np.array([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]])
 
 
 def skew_apply_matrix(v: np.ndarray) -> np.ndarray:
     """Matrix K(v) with K(v) @ x == cross(v, x)."""
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
 
 
 # Relative singularity cutoff: a system counts as singular when
-# |det| < SINGULAR_RTOL * ||a||_F ** n.
+# |det| <= SINGULAR_RTOL * ||a||_F ** n.
 SINGULAR_RTOL = 1e-14
 
 
-def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the n x n system a @ x = b by LAPACK's LU solve.
+def solve3(a, b, cutoff: float | None = None) -> tuple[float, float, float]:
+    """Solve the 3x3 system a x = b by Cramer's rule: x_j = sum_i (C_ij/det) b_i
+    with C the cofactors of a.
 
-    Raises SingularSystemError when |det(a)| falls below the relative cutoff,
-    a zero matrix included.
+    Raises SingularSystemError when |det| is not above `cutoff`, by default
+    SINGULAR_RTOL * ||a||_F^3; a zero matrix and a NaN determinant included.
+    Dividing each cofactor by det before the sum keeps a unit row exact: where
+    row k of a is e_k, x_k = b_k.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or b.shape != (n,):
-        raise ValueError(f"shape mismatch: a {a.shape}, b {b.shape}")
-    det = abs(float(np.linalg.det(a)))
-    # "not >" also rejects det = 0 at a zero scale, and a NaN determinant.
-    if not det > SINGULAR_RTOL * float(np.linalg.norm(a)) ** n:
-        raise SingularSystemError(f"{n}x{n} system singular to tolerance (|det|={det:.3e})")
-    return np.linalg.solve(a, b)
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    c00 = a11 * a22 - a12 * a21
+    c01 = a12 * a20 - a10 * a22
+    c02 = a10 * a21 - a11 * a20
+    det = a00 * c00 + a01 * c01 + a02 * c02
+    if cutoff is None:
+        fro_sq = sum(v * v for row in a for v in row)
+        cutoff = SINGULAR_RTOL * fro_sq * math.sqrt(fro_sq)
+    if not abs(det) > cutoff:
+        raise SingularSystemError(f"system singular to tolerance (|det|={abs(det):.3e}, "
+                                  f"cutoff {cutoff:.3e})")
+    c10 = a02 * a21 - a01 * a22
+    c11 = a00 * a22 - a02 * a20
+    c12 = a01 * a20 - a00 * a21
+    c20 = a01 * a12 - a02 * a11
+    c21 = a02 * a10 - a00 * a12
+    c22 = a00 * a11 - a01 * a10
+    b0, b1, b2 = b
+    return (
+        c00 / det * b0 + c10 / det * b1 + c20 / det * b2,
+        c01 / det * b0 + c11 / det * b1 + c21 / det * b2,
+        c02 / det * b0 + c12 / det * b1 + c22 / det * b2,
+    )
 
 
-def bs_solve(x: np.ndarray, v: np.ndarray, c: float) -> np.ndarray:
+def bs_solve(x, v, c: float) -> tuple[float, float, float]:
     """Solve x' - x = c * (x' + x) x v for x'.
 
     With a = c*v this is (I + K(a)) x' = (I - K(a)) x, the Cayley transform of
@@ -88,6 +103,15 @@ def bs_solve(x: np.ndarray, v: np.ndarray, c: float) -> np.ndarray:
     det(I + K(a)) = 1 + |a|^2 >= 1, so the update is never singular, and it
     preserves |x|^2 exactly in exact arithmetic since (x'+x).(x'-x) = 0.
     """
-    a = c * np.asarray(v, dtype=float)
-    ax = cross(a, x)
-    return x + (2.0 / (1.0 + a @ a)) * (cross(a, ax) - ax)
+    x0, x1, x2 = x
+    v0, v1, v2 = v
+    a0, a1, a2 = c * v0, c * v1, c * v2
+    t0 = a1 * x2 - a2 * x1
+    t1 = a2 * x0 - a0 * x2
+    t2 = a0 * x1 - a1 * x0
+    k = 2.0 / (1.0 + (a0 * a0 + a1 * a1 + a2 * a2))
+    return (
+        x0 + k * ((a1 * t2 - a2 * t1) - t0),
+        x1 + k * ((a2 * t0 - a0 * t2) - t1),
+        x2 + k * ((a0 * t1 - a1 * t0) - t2),
+    )

@@ -30,7 +30,8 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Model:
     """A model's column names and constructors, each from a validated RunConfig:
-    to y -> invariant row, and per scheme to a step function (y, h) -> y'.
+    to states (n, 6) -> invariant columns (n, k), and per scheme to a step
+    function (y, h) -> y'.
     `reads` names the model parameters (c0, inertia, gravity, vertical) that
     the model uses; the others must keep their defaults."""
 
@@ -61,9 +62,7 @@ class RunConfig:
         if model is None:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.scheme not in model.schemes:
-            raise ConfigError(
-                f"scheme {self.scheme!r} not valid for model {self.model!r}"
-            )
+            raise ConfigError(f"scheme {self.scheme!r} not valid for model {self.model!r}")
         if not (0 < self.h < math.inf):
             raise ConfigError("h must be positive and finite")
         if self.steps < 0:
@@ -116,17 +115,11 @@ class Trajectory:
         names = ("step", "t") + MODELS[self.model].columns + self.invariant_names
         with open(path, "w", newline="\n") as f:
             f.write(",".join(names) + "\n")
-            for i in range(len(self.steps)):
-                vals = [f"{v:.17g}" for v in self.states[i]]
-                invs = [
-                    "" if math.isnan(v) else f"{v:.17g}"
-                    for v in self.invariant_values[i]
-                ]
-                f.write(
-                    f"{int(self.steps[i])},{self.t[i]:.17g},"
-                    + ",".join(vals + invs)
-                    + "\n"
-                )
+            for n, t, state, invs in zip(self.steps.tolist(), self.t.tolist(),
+                                         self.states.tolist(), self.invariant_values.tolist()):
+                cells = [f"{v:.17g}" for v in state]
+                cells += ["" if math.isnan(v) else f"{v:.17g}" for v in invs]
+                f.write(f"{n},{t:.17g}," + ",".join(cells) + "\n")
 
 
 def _rk4(rhs):
@@ -152,21 +145,22 @@ def _free_top(m_step, p: TopParams):
 
 
 def _body_invariants(config: RunConfig):
-    """y -> (gamma_sq, two_ell, E, k_sq); two_ell, k_sq NaN (blank) off kowalevski."""
+    """states -> columns (gamma_sq, two_ell, E, k_sq); two_ell, k_sq NaN (blank) off kowalevski."""
     p = config.top_params()
     kp = KowalevskiParams(config.c0) if config.model == "kowalevski" else None
 
-    def row(y: np.ndarray) -> np.ndarray:
-        gamma_sq, _, energy = invariants(y, p)
-        two_ell, _, k_sq = kowalevski_invariants(y, kp) if kp else (math.nan,) * 3
-        return np.array([gamma_sq, two_ell, energy, k_sq])
+    def columns(states: np.ndarray) -> np.ndarray:
+        gamma_sq, _, energy = invariants(states, p)
+        blank = np.full(len(states), np.nan)
+        two_ell, _, k_sq = kowalevski_invariants(states, kp) if kp else (blank, blank, blank)
+        return np.column_stack([gamma_sq, two_ell, energy, k_sq])
 
-    return row
+    return columns
 
 
 def _lagrange_invariants(config: RunConfig):
     lp = LagrangeParams(config.vertical)
-    return lambda y: np.array(euler_lagrange.lagrange_invariants(y, lp, config.h))
+    return lambda states: np.column_stack(euler_lagrange.lagrange_invariants(states, lp, config.h))
 
 
 def _body_reference(config: RunConfig):
@@ -224,30 +218,35 @@ def make_stepper(config: RunConfig):
 
 
 def run(config: RunConfig) -> Trajectory:
-    """Iterate the configured scheme, sampling every stride-th step. Raises
-    NumericalError when a sampled state is non-finite or anything overflows."""
+    """Iterate the configured scheme, sampling every stride-th step, then
+    compute the invariant columns of the samples. Raises NumericalError when a
+    sample or the final state is non-finite or anything overflows."""
     config = config.validated()
     model, y = MODELS[config.model], config.init
-    step, invariant_row = make_stepper(config), model.invariants(config)
+    step = make_stepper(config)
     with numerical_guard(f"{config.model}/{config.scheme} run"):
-        rows_steps, rows_states, rows_inv = [0], [y.copy()], [invariant_row(y)]
+        rows_steps, rows_states = [0], [y]
         for n in range(1, config.steps + 1):
             y = step(y, config.h)
             if n % config.stride == 0:
-                if not np.isfinite(y).all():
-                    raise NumericalError(f"non-finite state at step {n}")
                 rows_steps.append(n)
-                rows_states.append(y.copy())
-                rows_inv.append(invariant_row(y))
+                rows_states.append(y)
+        states = np.array(rows_states)
+        finite = np.isfinite(states).all(axis=1)
+        if not finite.all():
+            raise NumericalError(f"non-finite state at step {rows_steps[int(np.argmin(finite))]}")
+        if not np.isfinite(y).all():
+            raise NumericalError(f"non-finite state at step {config.steps}")
+        invariant_values = model.invariants(config)(states)
     steps_arr = np.array(rows_steps)
     traj = Trajectory(
         model=config.model,
         h=config.h,
         steps=steps_arr,
         t=steps_arr * config.h,
-        states=np.array(rows_states),
+        states=states,
         invariant_names=model.invariant_names,
-        invariant_values=np.array(rows_inv),
+        invariant_values=invariant_values,
     )
     if config.out_path:
         traj.to_csv(config.out_path)
@@ -336,12 +335,14 @@ def convergence_study(
         raise ConfigError("need at least 3 step sizes")
     if not all(0 < x < math.inf for x in [*h_list, t_end]):
         raise ConfigError("step sizes and t_end must be positive and finite")
+    h_ref = min(h_list) / 20.0
+    if t_end < h_ref:
+        raise ConfigError(f"t_end={t_end:g} is shorter than the reference step min(h)/20={h_ref:g}")
     for h in h_list:
         n = t_end / h
-        if abs(n - round(n)) > 1e-9:
-            raise ConfigError(f"t_end/h not integral for h={h}")
+        if round(n) < 1 or abs(n - round(n)) > 1e-9:
+            raise ConfigError(f"t_end/h not a positive integer for h={h}")
 
-    h_ref = min(h_list) / 20.0
     n_ref = round(t_end / h_ref)
     ref_cfg = replace(config, scheme="reference", h=h_ref, steps=n_ref, stride=n_ref)
     y_ref = run(ref_cfg).final_state()

@@ -1,79 +1,84 @@
 """Bilinear one-step discretization of the full body-frame equations.
 
-Each step is linear in the new (omega, gamma), so the update is a single 6x6
-linear solve. The defining relations are invariant under h -> -h with the two
-time levels exchanged, which makes the scheme time-reversal symmetric.
+Each step is linear in the new (omega, gamma), so the update is one 6x6 linear
+system. The defining relations are invariant under h -> -h with the two time
+levels exchanged, which makes the scheme time-reversal symmetric.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import solve
+from .algebra import SINGULAR_RTOL, solve3
 from .models import TopParams
 
 
-def assemble_system(y: np.ndarray, p: TopParams, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """6x6 matrix and right-hand side; unknown ordering (w1, w2, w3, g1, g2, g3)."""
-    w, gam = y[:3], y[3:]
-    gv = p.g
-    a1 = h * (p.B - p.C) / (2.0 * p.A)
-    a2 = h * (p.C - p.A) / (2.0 * p.B)
-    a3 = h * (p.A - p.B) / (2.0 * p.C)
-    b1 = h / (2.0 * p.A)
-    b2 = h / (2.0 * p.B)
-    b3 = h / (2.0 * p.C)
+def hk_solve(y, inertia, g, h: float) -> tuple[float, ...]:
+    """(omega', gamma') of one bilinear step from y = (omega, gamma), as six
+    floats, for inertia (A, B, C) and gravity-moment vector g.
+
+    The omega rows read P omega' + diag(b) g x gamma' = r: P carries the
+    new-level partners of the products omega_j omega_k, b_i = h/(2 I_i), and r
+    the old-level terms. The gamma rows read
+    (I + K(s)) gamma' = gamma + (h/2) gamma x omega' with s = (h/2) omega, and
+    (I + K(s))^-1 = q (I - K(s) + s s^T), q = 1/(1 + |s|^2). Eliminating
+    gamma' leaves one 3x3 system in omega', solved by Cramer's rule, with
+    det6 = det3 / q. The system counts as singular when
+    |det6| <= SINGULAR_RTOL * ||M||_F^6, with ||M||_F the Frobenius norm of
+    the 6x6 matrix written out in scalars.
+    """
+    w0, w1, w2, g0, g1, g2 = y
+    A, B, C = inertia
+    e0, e1, e2 = g
     hh = 0.5 * h
+    k0, k1, k2 = h * (B - C) / (2.0 * A), h * (C - A) / (2.0 * B), h * (A - B) / (2.0 * C)
+    b0, b1, b2 = h / (2.0 * A), h / (2.0 * B), h / (2.0 * C)
+    s0, s1, s2 = hh * w0, hh * w1, hh * w2
+    s_sq = s0 * s0 + s1 * s1 + s2 * s2
+    q = 1.0 / (1.0 + s_sq)
 
-    mat = np.eye(6)
-    # omega rows: new-level bilinear partners and averaged gravity terms.
-    mat[0, 1] = -a1 * w[2]
-    mat[0, 2] = -a1 * w[1]
-    mat[0, 4] = -b1 * gv[2]
-    mat[0, 5] = +b1 * gv[1]
-    mat[1, 0] = -a2 * w[2]
-    mat[1, 2] = -a2 * w[0]
-    mat[1, 3] = +b2 * gv[2]
-    mat[1, 5] = -b2 * gv[0]
-    mat[2, 0] = -a3 * w[1]
-    mat[2, 1] = -a3 * w[0]
-    mat[2, 3] = -b3 * gv[1]
-    mat[2, 4] = +b3 * gv[0]
-    # gamma rows: every product pairs one old with one new factor.
-    mat[3, 1] = +hh * gam[2]
-    mat[3, 2] = -hh * gam[1]
-    mat[3, 4] = -hh * w[2]
-    mat[3, 5] = +hh * w[1]
-    mat[4, 0] = -hh * gam[2]
-    mat[4, 2] = +hh * gam[0]
-    mat[4, 3] = +hh * w[2]
-    mat[4, 5] = -hh * w[0]
-    mat[5, 0] = +hh * gam[1]
-    mat[5, 1] = -hh * gam[0]
-    mat[5, 3] = -hh * w[1]
-    mat[5, 4] = +hh * w[0]
+    # Row i of diag(b) K(g) (I + K(s))^-1 is q b_i v^T with v = u + s x u +
+    # (s.u) s, u = (i-th unit vector) x g; it enters the omega rows through
+    # gamma' as (h/2) q b_i (v x gamma) . omega' + q b_i v . gamma.
+    rows, rhs = [], []
+    for (u0, u1, u2), bi, (p0, p1, p2), ri in zip(
+        ((0.0, -e2, e1), (e2, 0.0, -e0), (-e1, e0, 0.0)),
+        (b0, b1, b2),
+        ((1.0, -k0 * w2, -k0 * w1), (-k1 * w2, 1.0, -k1 * w0), (-k2 * w1, -k2 * w0, 1.0)),
+        (w0 + b0 * (e2 * g1 - e1 * g2), w1 + b1 * (e0 * g2 - e2 * g0),
+         w2 + b2 * (e1 * g0 - e0 * g1)),
+    ):
+        su = s0 * u0 + s1 * u1 + s2 * u2
+        v0 = u0 + (s1 * u2 - s2 * u1) + su * s0
+        v1 = u1 + (s2 * u0 - s0 * u2) + su * s1
+        v2 = u2 + (s0 * u1 - s1 * u0) + su * s2
+        c = q * bi
+        rows.append((p0 + hh * c * (v1 * g2 - v2 * g1), p1 + hh * c * (v2 * g0 - v0 * g2),
+                     p2 + hh * c * (v0 * g1 - v1 * g0)))
+        rhs.append(ri - c * (v0 * g0 + v1 * g1 + v2 * g2))
 
-    rhs = np.array(
-        [
-            w[0] + b1 * (gv[2] * gam[1] - gv[1] * gam[2]),
-            w[1] + b2 * (gv[0] * gam[2] - gv[2] * gam[0]),
-            w[2] + b3 * (gv[1] * gam[0] - gv[0] * gam[1]),
-            gam[0],
-            gam[1],
-            gam[2],
-        ]
-    )
-    return mat, rhs
+    fro_sq = (6.0 + k0 * k0 * (w1 * w1 + w2 * w2) + k1 * k1 * (w0 * w0 + w2 * w2)
+              + k2 * k2 * (w0 * w0 + w1 * w1) + b0 * b0 * (e1 * e1 + e2 * e2)
+              + b1 * b1 * (e0 * e0 + e2 * e2) + b2 * b2 * (e0 * e0 + e1 * e1)
+              + 2.0 * (hh * hh * (g0 * g0 + g1 * g1 + g2 * g2) + s_sq))
+    o0, o1, o2 = solve3(rows, rhs, q * SINGULAR_RTOL * fro_sq * fro_sq * fro_sq)
+
+    # gamma' = q (z - s x z + (s.z) s) with z = gamma + (h/2) gamma x omega'.
+    z0 = g0 + hh * (g1 * o2 - g2 * o1)
+    z1 = g1 + hh * (g2 * o0 - g0 * o2)
+    z2 = g2 + hh * (g0 * o1 - g1 * o0)
+    sz = s0 * z0 + s1 * z1 + s2 * z2
+    return (o0, o1, o2, q * (z0 - (s1 * z2 - s2 * z1) + sz * s0),
+            q * (z1 - (s2 * z0 - s0 * z2) + sz * s1), q * (z2 - (s0 * z1 - s1 * z0) + sz * s2))
 
 
 def hk_step(y: np.ndarray, p: TopParams, h: float) -> np.ndarray:
-    """Advance y = (omega, gamma) by one bilinear step (one 6x6 solve)."""
-    mat, rhs = assemble_system(y, p, h)
-    return solve(mat, rhs)
+    """Advance y = (omega, gamma) by one bilinear step."""
+    return np.array(hk_solve(y.tolist(), (p.A, p.B, p.C), p.g.tolist(), h))
 
 
-def hk_step_euler(omega: np.ndarray, p: TopParams, h: float) -> np.ndarray:
+def hk_step_euler(omega, p: TopParams, h: float) -> np.ndarray:
     """Free-top bilinear step in omega alone: the omega block of hk_step's
     system at gamma = 0, which carries no gravity term for any p."""
-    mat, rhs = assemble_system(np.concatenate([omega, np.zeros(3)]), p, h)
-    return solve(mat[:3, :3], rhs[:3])
+    y = (*map(float, omega), 0.0, 0.0, 0.0)
+    return np.array(hk_solve(y, (p.A, p.B, p.C), (0.0, 0.0, 0.0), h)[:3])

@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algebra import NumericalError, bs_solve, vec3
-from .hk import hk_step
+from .algebra import NumericalError, bs_solve
+from .hk import hk_solve
 from .models import KowalevskiParams
 
 
@@ -24,28 +24,29 @@ class SouthPoleError(NumericalError):
     """Stereographic chart breaks down at gamma_3 = -1."""
 
 
-def gamma_step_bs(gamma: np.ndarray, omega: np.ndarray, h: float) -> np.ndarray:
+def gamma_step_bs(gamma, omega, h: float) -> tuple[float, float, float]:
     """gamma' - gamma = (h/2)(gamma' + gamma) x omega; preserves |gamma|."""
-    return bs_solve(np.asarray(gamma, dtype=float), np.asarray(omega, dtype=float), 0.5 * h)
+    return bs_solve(gamma, omega, 0.5 * h)
 
 
 SOUTH_POLE_TOL = 1e-12
 
 
-def stereo_forward(gamma: np.ndarray) -> complex:
+def stereo_forward(gamma) -> complex:
     """z = (gamma_1 + i*gamma_2) / (1 + gamma_3)."""
-    if 1.0 + gamma[2] < SOUTH_POLE_TOL:
+    g0, g1, g2 = gamma
+    if 1.0 + g2 < SOUTH_POLE_TOL:
         raise SouthPoleError("gamma_3 too close to -1 for the stereographic chart")
-    return complex(gamma[0], gamma[1]) / (1.0 + gamma[2])
+    return complex(g0, g1) / (1.0 + g2)
 
 
-def stereo_inverse(z: complex) -> np.ndarray:
+def stereo_inverse(z: complex) -> tuple[float, float, float]:
     """Unit vector with gamma_1 + i*gamma_2 = 2z/(1+|z|^2), gamma_3 = (1-|z|^2)/(1+|z|^2)."""
     d = 1.0 + abs(z) ** 2
-    return vec3(2.0 * z.real / d, 2.0 * z.imag / d, (1.0 - abs(z) ** 2) / d)
+    return 2.0 * z.real / d, 2.0 * z.imag / d, (1.0 - abs(z) ** 2) / d
 
 
-def gamma_step_stereo(gamma: np.ndarray, omega: np.ndarray, h: float) -> np.ndarray:
+def gamma_step_stereo(gamma, omega, h: float) -> tuple[float, float, float]:
     """One explicit Euler substep of dz/dt = (i/2)(w - 2*w3*z - conj(w)*z^2)
     in the stereographic variable, mapped back to the sphere.
 
@@ -53,36 +54,28 @@ def gamma_step_stereo(gamma: np.ndarray, omega: np.ndarray, h: float) -> np.ndar
     regardless of the substep error.
     """
     z = stereo_forward(gamma)
-    w = complex(omega[0], omega[1])
-    dz = 0.5j * (w - 2.0 * omega[2] * z - w.conjugate() * z * z)
+    w0, w1, w2 = omega
+    w = complex(w0, w1)
+    dz = 0.5j * (w - 2.0 * w2 * z - w.conjugate() * z * z)
     return stereo_inverse(z + h * dz)
 
 
-def gamma_step_rotation(gamma: np.ndarray, omega: np.ndarray, h: float) -> np.ndarray:
+def gamma_step_rotation(gamma, omega, h: float) -> tuple[float, float, float]:
     """gamma' = exp(-h*K(omega)) gamma: the rotation by exactly t = h|omega|,
     written as the Cayley update bs_solve with |a| = tan(t/2)."""
-    theta = h * np.asarray(omega, dtype=float)
-    t = math.sqrt(theta @ theta)
-    return bs_solve(np.asarray(gamma, dtype=float), theta, np.tan(0.5 * t) / t if t else 0.5)
+    w0, w1, w2 = omega
+    t0, t1, t2 = h * w0, h * w1, h * w2
+    t = math.sqrt(t0 * t0 + t1 * t1 + t2 * t2)
+    return bs_solve(gamma, (t0, t1, t2), math.tan(0.5 * t) / t if t else 0.5)
 
 
-def omega3_update(
-    omega3: float, gamma2_n: float, gamma2_next: float, h: float, c0: float
-) -> float:
+def omega3_update(omega3: float, gamma2_n: float, gamma2_next: float, h: float, c0: float) -> float:
     """Trapezoidal update w3' = w3 - (h/2) c0 (gamma2' + gamma2)."""
     return omega3 - 0.5 * h * c0 * (gamma2_next + gamma2_n)
 
 
-def bohlin_step(
-    omega_n: complex,
-    gamma_n: complex,
-    gamma_next: complex,
-    gamma3_n: float,
-    omega3_n: float,
-    omega3_next: float,
-    h: float,
-    c0: float,
-) -> complex:
+def bohlin_step(omega_n: complex, gamma_n: complex, gamma_next: complex, gamma3_n: float,
+                omega3_n: float, omega3_next: float, h: float, c0: float) -> complex:
     """Recover omega' = omega_1' + i*omega_2' from the exact phase update
     xi' = exp(-i*chi) xi, chi = (h/2)(w3' + w3).
 
@@ -101,19 +94,17 @@ def bohlin_step(
     return w
 
 
-def _recover_omega(y: np.ndarray, gam_next, w3_next: float, h: float, c0: float) -> np.ndarray:
-    """The last stage of both Kowalevski steps: (w1, w2) from the new gamma and w3."""
-    w_next = bohlin_step(complex(y[0], y[1]), complex(y[3], y[4]),
-                         complex(gam_next[0], gam_next[1]), y[5], y[2], w3_next, h, c0)
-    return np.concatenate([vec3(w_next.real, w_next.imag, w3_next), gam_next])
+def _recover_omega(y: list[float], gam_next, w3_next: float, h: float, c0: float) -> np.ndarray:
+    """The last stage of both Kowalevski steps: (w1, w2) from the new gamma and
+    w3, packed with them into the new state. y holds the old state's floats."""
+    w0, w1, w2, g0, g1, g2 = y
+    n0, n1, n2 = gam_next
+    w = bohlin_step(complex(w0, w1), complex(g0, g1), complex(n0, n1), g2, w2, w3_next, h, c0)
+    return np.array([w.real, w.imag, w3_next, n0, n1, n2])
 
 
-def bohlin_algorithm_step(
-    y: np.ndarray,
-    kp: KowalevskiParams,
-    h: float,
-    gamma_step: Callable = gamma_step_bs,
-) -> np.ndarray:
+def bohlin_algorithm_step(y: np.ndarray, kp: KowalevskiParams, h: float,
+                          gamma_step: Callable = gamma_step_bs) -> np.ndarray:
     """Three-stage step on y = (omega, gamma): gamma by gamma_step (one of the
     sphere-preserving gamma_step_bs, _stereo and _rotation), then the
     trapezoidal w3 update, then the square-root recovery of (w1, w2).
@@ -133,6 +124,7 @@ def bohlin_algorithm_step(
     |d| = 5.0e-4 there, against a median of order 1 over random states; this is
     why the 1000-step round trip at h = 1e-3 is only 9.3e-7.
     """
+    y = y.tolist()
     gam_next = gamma_step(y[3:], y[:3], h)
     w3_next = omega3_update(y[2], y[4], gam_next[1], h, kp.c0)
     return _recover_omega(y, gam_next, w3_next, h, kp.c0)
@@ -151,6 +143,7 @@ def hybrid_step(y: np.ndarray, kp: KowalevskiParams, h: float) -> np.ndarray:
     the default point, omega_2 = 0, is the 1000-step round trip at h = 1e-3
     as small as 7.0e-14.
     """
-    pred = hk_step(y, kp.top_params(), h)
-    gam_next = bs_solve(y[3:], pred[:3] + y[:3], 0.25 * h)
-    return _recover_omega(y, gam_next, float(pred[2]), h, kp.c0)
+    y = y.tolist()
+    p0, p1, p2 = hk_solve(y, kp.inertia, (kp.c0, 0.0, 0.0), h)[:3]
+    gam_next = bs_solve(y[3:], (p0 + y[0], p1 + y[1], p2 + y[2]), 0.25 * h)
+    return _recover_omega(y, gam_next, p2, h, kp.c0)

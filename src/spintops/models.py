@@ -38,9 +38,15 @@ class KowalevskiParams:
     """Reduced parameters A=B=2, C=1, gravity vector (c0, 0, 0)."""
 
     c0: float = 1.0
+    inertia = (2.0, 2.0, 1.0)  # a class constant, not a field
 
     def top_params(self) -> TopParams:
-        return TopParams(2.0, 2.0, 1.0, vec3(self.c0, 0.0, 0.0))
+        return TopParams(*self.inertia, vec3(self.c0, 0.0, 0.0))
+
+
+def _values(*values):
+    """Floats for one state, or arrays of them for a stack of states."""
+    return tuple(float(v) if np.ndim(v) == 0 else v for v in values)
 
 
 def euler_poisson_rhs(y: np.ndarray, p: TopParams) -> np.ndarray:
@@ -55,25 +61,31 @@ def euler_poisson_rhs(y: np.ndarray, p: TopParams) -> np.ndarray:
     return np.concatenate([dm / p.inertia, cross(gam, w)])
 
 
-def invariants(y: np.ndarray, p: TopParams) -> tuple[float, float, float]:
-    """The three universal conserved quantities (gamma^2, m.gamma, E)."""
-    w, gam = y[:3], y[3:]
+def invariants(y: np.ndarray, p: TopParams) -> tuple:
+    """The three universal conserved quantities (gamma^2, m.gamma, E) of a
+    state y, or of each row of a stack of states (n, 6)."""
+    w, gam = y[..., :3], y[..., 3:]
     m = p.inertia * w
-    return float(gam @ gam), float(m @ gam), float(0.5 * (m @ w) + p.g @ gam)
+    return _values(np.vecdot(gam, gam), np.vecdot(m, gam),
+                   0.5 * np.vecdot(m, w) + np.vecdot(p.g, gam))
 
 
 def xi(y: np.ndarray, kp: KowalevskiParams) -> complex:
-    """xi = (omega_1 + i*omega_2)^2 - c0*(gamma_1 + i*gamma_2)."""
-    return complex(y[0], y[1]) ** 2 - kp.c0 * complex(y[3], y[4])
+    """xi = (omega_1 + i*omega_2)^2 - c0*(gamma_1 + i*gamma_2), of a state y
+    or of each row of a stack of states, formed from its real and imaginary
+    parts as Python's complex arithmetic rounds them."""
+    w0, w1, g0, g1 = y[..., 0], y[..., 1], y[..., 3], y[..., 4]
+    return (w0 * w0 - w1 * w1 - kp.c0 * g0) + 1j * (w0 * w1 + w1 * w0 - kp.c0 * g1)
 
 
-def kowalevski_invariants(y: np.ndarray, kp: KowalevskiParams) -> tuple[float, float, float]:
-    """(2*ell, E, k^2) in the reduced A=B=2, C=1 form."""
-    w, gam = y[:3], y[3:]
-    two_ell = 2.0 * (w[0] * gam[0] + w[1] * gam[1]) + w[2] * gam[2]
-    energy = w[0] ** 2 + w[1] ** 2 + 0.5 * w[2] ** 2 + kp.c0 * gam[0]
-    k_sq = abs(xi(y, kp)) ** 2
-    return float(two_ell), float(energy), float(k_sq)
+def kowalevski_invariants(y: np.ndarray, kp: KowalevskiParams) -> tuple:
+    """(2*ell, E, k^2) in the reduced A=B=2, C=1 form, of a state y or of each
+    row of a stack of states (n, 6)."""
+    w0, w1, w2, g0 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
+    two_ell = 2.0 * (w0 * g0 + w1 * y[..., 4]) + w2 * y[..., 5]
+    energy = w0 * w0 + w1 * w1 + 0.5 * (w2 * w2) + kp.c0 * g0
+    z = xi(y, kp)
+    return _values(two_ell, energy, np.hypot(z.real, z.imag) ** 2)
 
 
 def matrix_form_residual(y: np.ndarray, p: TopParams) -> float:

@@ -1,8 +1,8 @@
 """Shared independent oracles for the test suite.
 
 These deliberately re-derive results through different algorithms than the
-package (Cramer's rule, complete-pivot elimination) so that agreement is a
-real cross-check.
+package (Cramer's rule, complete-pivot elimination, the dense 6x6 assembly of
+the hk step) so that agreement is a real cross-check.
 """
 
 import numpy as np
@@ -56,6 +56,60 @@ def full_pivot_solve(a, b):
     for k in range(n):
         x[col_perm[k]] = y[k]
     return x
+
+
+def assemble_system(y, p, h):
+    """Dense 6x6 matrix and right-hand side of the bilinear hk step, unknowns
+    ordered (w1, w2, w3, g1, g2, g3): the oracle for the block solve."""
+    w, gam = y[:3], y[3:]
+    gv = p.g
+    a1 = h * (p.B - p.C) / (2.0 * p.A)
+    a2 = h * (p.C - p.A) / (2.0 * p.B)
+    a3 = h * (p.A - p.B) / (2.0 * p.C)
+    b1 = h / (2.0 * p.A)
+    b2 = h / (2.0 * p.B)
+    b3 = h / (2.0 * p.C)
+    hh = 0.5 * h
+
+    mat = np.eye(6)
+    # omega rows: new-level bilinear partners and averaged gravity terms.
+    mat[0, 1] = -a1 * w[2]
+    mat[0, 2] = -a1 * w[1]
+    mat[0, 4] = -b1 * gv[2]
+    mat[0, 5] = +b1 * gv[1]
+    mat[1, 0] = -a2 * w[2]
+    mat[1, 2] = -a2 * w[0]
+    mat[1, 3] = +b2 * gv[2]
+    mat[1, 5] = -b2 * gv[0]
+    mat[2, 0] = -a3 * w[1]
+    mat[2, 1] = -a3 * w[0]
+    mat[2, 3] = -b3 * gv[1]
+    mat[2, 4] = +b3 * gv[0]
+    # gamma rows: every product pairs one old with one new factor.
+    mat[3, 1] = +hh * gam[2]
+    mat[3, 2] = -hh * gam[1]
+    mat[3, 4] = -hh * w[2]
+    mat[3, 5] = +hh * w[1]
+    mat[4, 0] = -hh * gam[2]
+    mat[4, 2] = +hh * gam[0]
+    mat[4, 3] = +hh * w[2]
+    mat[4, 5] = -hh * w[0]
+    mat[5, 0] = +hh * gam[1]
+    mat[5, 1] = -hh * gam[0]
+    mat[5, 3] = -hh * w[1]
+    mat[5, 4] = +hh * w[0]
+
+    rhs = np.array(
+        [
+            w[0] + b1 * (gv[2] * gam[1] - gv[1] * gam[2]),
+            w[1] + b2 * (gv[0] * gam[2] - gv[2] * gam[0]),
+            w[2] + b3 * (gv[1] * gam[0] - gv[0] * gam[1]),
+            gam[0],
+            gam[1],
+            gam[2],
+        ]
+    )
+    return mat, rhs
 
 
 def bohlin_reversal_defect(omega, gamma, c0):

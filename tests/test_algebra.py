@@ -6,13 +6,14 @@ from spintops.algebra import (
     bs_solve,
     cross,
     skew_apply_matrix,
-    solve,
+    solve3,
     vec3,
 )
-
+from spintops.hk import hk_solve
 from spintops.kowalevski import gamma_step_rotation
+from spintops.models import KowalevskiParams, TopParams
 
-from conftest import cramer_solve3, full_pivot_solve
+from conftest import assemble_system, cramer_solve3, full_pivot_solve
 
 
 class TestCross:
@@ -61,10 +62,10 @@ class TestCross:
 
 class TestSolve3:
     def test_identity(self):
-        assert np.array_equal(solve(np.eye(3), vec3(1, 2, 3)), vec3(1, 2, 3))
+        assert np.array_equal(solve3(np.eye(3), vec3(1, 2, 3)), vec3(1, 2, 3))
 
     def test_diagonal(self):
-        assert np.array_equal(solve(np.diag([2.0, 4.0, 8.0]), vec3(2, 4, 8)), np.ones(3))
+        assert np.array_equal(solve3(np.diag([2.0, 4.0, 8.0]), vec3(2, 4, 8)), np.ones(3))
 
     def test_matches_cramer_oracle(self, rng):
         for _ in range(100):
@@ -72,7 +73,7 @@ class TestSolve3:
             if abs(np.linalg.det(a)) < 0.1:
                 continue
             b = rng.normal(size=3)
-            x = solve(a, b)
+            x = np.array(solve3(a.tolist(), b.tolist()))
             assert np.allclose(x, cramer_solve3(a, b), atol=1e-11)
             assert np.max(np.abs(a @ x - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
 
@@ -80,37 +81,57 @@ class TestSolve3:
         rank_2 = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]])
         for a in [rank_2, np.zeros((3, 3))]:
             with pytest.raises(SingularSystemError):
-                solve(a, vec3(1, 1, 1))
+                solve3(a.tolist(), [1.0, 1.0, 1.0])
+
+
+def random_top(rng):
+    """Inertia, gravity and state of a random general top, as float lists."""
+    return (rng.uniform(0.5, 3.0, 3).tolist(), rng.normal(size=3).tolist(),
+            rng.normal(size=6).tolist())
 
 
 class TestSolve6:
+    # The 6x6 kernel is hk_solve: the block elimination of the hk system
+    # assembled densely by conftest.assemble_system.
+
     def test_identity(self, rng):
-        b = rng.normal(size=6)
-        assert np.array_equal(solve(np.eye(6), b), b)
+        # at h = 0 the system is I x = y
+        inertia, g, y = random_top(rng)
+        assert np.array_equal(hk_solve(y, inertia, g, 0.0), y)
 
     def test_block_diagonal_matches_solve3(self, rng):
-        a1 = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
-        a2 = np.eye(3) + 0.3 * rng.normal(size=(3, 3))
-        b = rng.normal(size=6)
-        a = np.zeros((6, 6))
-        a[:3, :3] = a1
-        a[3:, 3:] = a2
-        x = solve(a, b)
-        assert np.allclose(x[:3], solve(a1, b[:3]), atol=1e-13)
-        assert np.allclose(x[3:], solve(a2, b[3:]), atol=1e-13)
+        # Without gravity the omega rows decouple from gamma': the omega block
+        # solves alone, and the gamma block then solves with the new omega.
+        for _ in range(20):
+            inertia, _, y = random_top(rng)
+            h = rng.uniform(0.01, 0.5)
+            mat, rhs = assemble_system(np.array(y), TopParams(*inertia), h)
+            x = hk_solve(y, inertia, (0.0, 0.0, 0.0), h)
+            omega = solve3(mat[:3, :3].tolist(), rhs[:3].tolist())
+            gamma = solve3(mat[3:, 3:].tolist(), (rhs[3:] - mat[3:, :3] @ omega).tolist())
+            assert np.allclose(x[:3], omega, atol=1e-13)
+            assert np.allclose(x[3:], gamma, atol=1e-13)
 
     def test_matches_full_pivot_oracle(self, rng):
         for _ in range(50):
-            a = np.eye(6) + 0.3 * rng.normal(size=(6, 6))
-            b = rng.normal(size=6)
-            x = solve(a, b)
-            assert np.allclose(x, full_pivot_solve(a, b), atol=1e-12)
-            assert np.max(np.abs(a @ x - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
+            inertia, g, y = random_top(rng)
+            h = rng.uniform(0.01, 0.5)
+            mat, rhs = assemble_system(np.array(y), TopParams(*inertia, g), h)
+            x = np.array(hk_solve(y, inertia, g, h))
+            assert np.allclose(x, full_pivot_solve(mat, rhs), atol=1e-12)
+            assert np.max(np.abs(mat @ x - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
     def test_singular_raises(self):
-        for a in [np.ones((6, 6)), np.zeros((6, 6))]:
+        # A free top with inertia (3, 2, 1) spinning about its middle axis at
+        # |w2| = sqrt(3), h = 2: the omega block has det 1 - h^2 w2^2 / 12 = 0.
+        # And the Kowalevski system at h = 1e9, far below the relative cutoff.
+        kp = KowalevskiParams(1.0)
+        for y, inertia, g, h in [
+            ((0.0, 3.0 ** 0.5, 0.0, 0.0, 0.0, 1.0), (3.0, 2.0, 1.0), (0.0, 0.0, 0.0), 2.0),
+            ((2.0, 0.0, 0.0, 1.0, 0.0, 0.001), kp.inertia, (kp.c0, 0.0, 0.0), 1e9),
+        ]:
             with pytest.raises(SingularSystemError):
-                solve(a, np.ones(6))
+                hk_solve(y, inertia, g, h)
 
 
 def rotation_matrix(theta):
@@ -153,7 +174,7 @@ class TestBsSolve:
             for _ in range(50):
                 x = rng.normal(size=3)
                 v = rng.normal(size=3)
-                xn = bs_solve(x, v, cv / np.linalg.norm(v))
+                xn = np.array(bs_solve(x, v, cv / np.linalg.norm(v)))
                 assert abs(xn @ xn - x @ x) <= 1e-13 * max(1.0, x @ x), cv
 
     def test_defining_relation(self, rng):
@@ -162,6 +183,6 @@ class TestBsSolve:
                 x = rng.normal(size=3)
                 v = rng.normal(size=3)
                 c = cv / np.linalg.norm(v)
-                xn = bs_solve(x, v, c)
+                xn = np.array(bs_solve(x, v, c))
                 scale = max(1.0, cv) * np.linalg.norm(x)
                 assert np.max(np.abs(xn - x - c * cross(xn + x, v))) <= 1e-14 * scale, cv

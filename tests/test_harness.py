@@ -193,6 +193,11 @@ class TestConvergenceStudy:
         for _, _, order in rows[1:]:
             assert order == pytest.approx(2.0, abs=0.25)
 
+    def test_t_end_shorter_than_reference_step(self):
+        # zero reference steps would otherwise fail as "stride must be >= 1"
+        with pytest.raises(ConfigError, match=r"t_end.*min\(h\)/20"):
+            convergence_study(kow_cfg(), [0.02, 0.01, 0.005], 1e-300)
+
     def test_zero_error_leaves_order_undefined(self, capsys):
         # a free top at rest is a fixed point of every scheme: every error is 0
         rc = main(["converge", "--model", "euler", "--scheme", "bs", "--h", "0.01",
@@ -239,6 +244,13 @@ NUMERICAL_ERRORS = [
     [*_KOW_RUN, "--init", "1e200,0,0,1,0,0"],
     [*_EULER_RUN, "--init", "1e200,1e200,1e200,1,0,0"],
     ["run", "--model", "kowalevski", "--scheme", "bohlin-c", "--h", "1e300", "--steps", "5"],
+    # math.tan(inf) in the rotation, outside numpy
+    ["reverse", "--model", "kowalevski", "--scheme", "bohlin-c", "--h", "1e300", "--n", "2"],
+    ["run", "--model", "kowalevski", "--scheme", "hybrid", "--h", "1e200", "--steps", "3"],
+    ["run", "--model", "kowalevski", "--scheme", "bohlin-b", "--h", "1e200", "--steps", "3"],
+    # the final state is not a sample at stride 10, and is checked all the same
+    ["run", "--model", "kowalevski", "--scheme", "bohlin-a", "--h", "1e200", "--steps", "3",
+     "--stride", "10"],
 ]
 
 # A comma list that starts with "-" is a flag's value, not an option: each
@@ -271,6 +283,30 @@ class TestCli:
         for argv in NUMERICAL_ERRORS:
             assert main(argv) == 3, argv
             assert "numerical failure" in capsys.readouterr().err, argv
+
+    @pytest.mark.slow
+    @pytest.mark.filterwarnings("error")
+    def test_extreme_inputs_exit_cleanly(self, capsys):
+        # run and reverse for every (model, scheme) pair at extreme step sizes
+        # and inits: exit 0, 2 or 3, never a traceback or a warning, and no
+        # non-finite number in a report that exits 0.
+        inits = [None, "1e200,1e200,1e200,1e200,1e200,1e200",
+                 "1e300,1e300,1e300,1e300,1e300,1e300", "-1e300,-1e300,-1e300,-1e300,-1e300,-1e300",
+                 "1e-300,1e300,1e-300,1e300,1e-300,1e300"]
+        for model in MODELS:
+            for scheme in MODELS[model].schemes:
+                for h in ["1e5", "0.01", "1e300"]:
+                    for init in inits:
+                        head = ["--model", model, "--scheme", scheme, "--h", h]
+                        tail = ["--init", init] if init else []
+                        for argv in (["run", *head, "--steps", "3", *tail],
+                                     ["reverse", *head, "--n", "3", *tail]):
+                            code = main(argv)
+                            out, err = capsys.readouterr()
+                            assert code in (0, 2, 3), argv
+                            assert "Traceback" not in err, argv
+                            if code == 0:
+                                assert "nan" not in out and "inf" not in out, (argv, out)
 
     def test_negative_comma_list_values(self, capsys):
         for argv, energy in NEGATIVE_LIST_VALUES:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from spintops.algebra import vec3
-from spintops.hk import assemble_system, hk_step, hk_step_euler
+from spintops import hk
+from spintops.algebra import SingularSystemError, vec3
+from spintops.hk import hk_step, hk_step_euler
 from spintops.models import KowalevskiParams, TopParams
 
-from conftest import cramer_solve3, full_pivot_solve
+from conftest import assemble_system, cramer_solve3, full_pivot_solve
 
 KP = KowalevskiParams(1.0)
 BENCH = np.array([2, 0, 0, np.sqrt(1 - 0.001**2), 0, 0.001])
@@ -132,6 +133,61 @@ class TestHkStep:
         y = np.concatenate([rng.normal(size=3), rng.normal(size=3)])
         out = hk_step(y, p, 0.02)
         assert out[2] == y[2]
+        # and over random C, gravity and h (a Cramer solve that divides
+        # after summing loses the exact w3 in about 1 % of these)
+        for _ in range(2000):
+            p = TopParams(2.0, 2.0, rng.uniform(0.5, 3.0), vec3(0, 0, rng.normal()))
+            y = rng.normal(size=6)
+            assert hk_step(y, p, rng.uniform(0.001, 0.5))[2] == y[2]
+
+
+def random_system(rng):
+    """A general heavy top, a state and a step size h in [-0.05, 1]."""
+    p = TopParams(*rng.uniform(0.5, 3.0, 3), rng.normal(size=3))
+    return rng.normal(size=6), p, rng.uniform(-0.05, 1.0)
+
+
+class TestBlockSolve:
+    # hk_step eliminates gamma' in closed form and solves one 3x3 system; the
+    # oracle solves the dense 6x6 by complete pivoting.
+
+    def test_matches_dense_oracle(self, rng):
+        # measured worst 7.3e-15
+        for _ in range(2000):
+            y, p, h = random_system(rng)
+            want = full_pivot_solve(*assemble_system(y, p, h))
+            assert np.max(np.abs(hk_step(y, p, h) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_det6_is_det3_over_q(self, rng):
+        # det of the 6x6 = det of the omega Schur complement * (1 + |s|^2),
+        # s = (h/2) omega; measured worst relative difference 9.1e-16
+        for _ in range(200):
+            y, p, h = random_system(rng)
+            mat, _ = assemble_system(y, p, h)
+            s = 0.5 * h * y[:3]
+            schur = mat[:3, :3] - mat[:3, 3:] @ np.linalg.solve(mat[3:, 3:], mat[3:, :3])
+            det6 = np.linalg.det(mat)
+            assert abs(np.linalg.det(schur) * (1.0 + s @ s) - det6) <= 1e-13 * abs(det6)
+
+    def test_singular_cutoff_is_the_dense_one(self, rng, monkeypatch):
+        # Move the relative cutoff to the median of |det6| / ||M||_F^6 over
+        # the sampled systems: the block solve must raise for exactly the half
+        # that the dense 6x6 criterion calls singular.
+        systems = [random_system(rng) for _ in range(400)]
+        ratios = []
+        for y, p, h in systems:
+            mat, _ = assemble_system(y, p, h)
+            ratios.append(abs(np.linalg.det(mat)) / np.linalg.norm(mat) ** 6)
+        rtol = float(np.median(ratios))
+        monkeypatch.setattr(hk, "SINGULAR_RTOL", rtol)
+        for (y, p, h), ratio in zip(systems, ratios):
+            if abs(ratio / rtol - 1.0) <= 1e-9:
+                continue
+            if ratio > rtol:
+                hk_step(y, p, h)
+            else:
+                with pytest.raises(SingularSystemError):
+                    hk_step(y, p, h)
 
 
 class TestHkStepEuler:

@@ -49,7 +49,7 @@ class TestGammaStepBs:
     def test_norm_preserved_random(self, rng):
         for _ in range(50):
             g = random_unit(rng)
-            out = gamma_step_bs(g, rng.normal(size=3), 0.05)
+            out = np.array(gamma_step_bs(g, rng.normal(size=3), 0.05))
             assert abs(out @ out - 1.0) <= 1e-13
 
 
@@ -74,7 +74,7 @@ class TestStereo:
     def test_inverse_lands_on_sphere(self, rng):
         for _ in range(50):
             z = complex(*rng.normal(size=2) * 3)
-            g = stereo_inverse(z)
+            g = np.array(stereo_inverse(z))
             assert abs(g @ g - 1.0) <= 1e-15
 
     def test_south_pole_error(self):
@@ -92,8 +92,8 @@ class TestGammaStepStereo:
         assert np.allclose(gamma_step_stereo(g, vec3(0, 0, 5.0), 0.01), g, atol=1e-15)
 
     def test_agrees_with_bs_to_second_order(self):
-        out_b = gamma_step_stereo(BENCH[3:], BENCH[:3], 0.001)
-        out_a = gamma_step_bs(BENCH[3:], BENCH[:3], 0.001)
+        out_b = np.array(gamma_step_stereo(BENCH[3:], BENCH[:3], 0.001))
+        out_a = np.array(gamma_step_bs(BENCH[3:], BENCH[:3], 0.001))
         assert np.max(np.abs(out_b - out_a)) <= 1e-5
 
     def test_unit_norm_exact(self, rng):
@@ -101,7 +101,7 @@ class TestGammaStepStereo:
             g = random_unit(rng)
             if g[2] <= -0.9:
                 continue
-            out = gamma_step_stereo(g, rng.normal(size=3), 0.05)
+            out = np.array(gamma_step_stereo(g, rng.normal(size=3), 0.05))
             assert abs(out @ out - 1.0) <= 1e-14
 
     def test_south_pole_error(self):
@@ -120,14 +120,14 @@ class TestGammaStepRotation:
         assert np.allclose(gamma_step_rotation(vec3(1, 0, 0), w, h), vec3(0, -1, 0), atol=1e-15)
 
     def test_agrees_with_bs_to_second_order(self):
-        out_c = gamma_step_rotation(BENCH[3:], BENCH[:3], 0.001)
-        out_a = gamma_step_bs(BENCH[3:], BENCH[:3], 0.001)
+        out_c = np.array(gamma_step_rotation(BENCH[3:], BENCH[:3], 0.001))
+        out_a = np.array(gamma_step_bs(BENCH[3:], BENCH[:3], 0.001))
         assert np.max(np.abs(out_c - out_a)) <= 1e-5
 
     def test_norm_preserved(self, rng):
         for _ in range(50):
             g = random_unit(rng)
-            out = gamma_step_rotation(g, rng.normal(size=3), 0.05)
+            out = np.array(gamma_step_rotation(g, rng.normal(size=3), 0.05))
             assert abs(out @ out - 1.0) <= 1e-13
 
     def test_exact_angle_matches_rodrigues(self, rng):
