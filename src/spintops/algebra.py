@@ -1,9 +1,10 @@
 """Small kernels: the numerical guard, the cross product, a 3x3 Cramer solve
 and the Cayley update.
 
-`cross` and `skew_apply_matrix` act on numpy 3-vectors. The two solve kernels
-run inside every step, so they work on Python floats: a vector is any sequence
-of three numbers and a matrix three rows of three, and they return tuples.
+`cross` and `skew_apply_matrix` act on numpy 3-vectors. Every step carries its
+state as six Python floats, and the two solve kernels it calls work on floats
+too: a vector is any sequence of three numbers and a matrix three rows of
+three, and they return tuples.
 All functions are pure and thread-safe.
 """
 

@@ -1,8 +1,10 @@
 """Norm-preserving and fully symmetric free-top steps, and the two-stage
 explicit inertial-frame solver for the symmetric heavy top.
 
-Free-top steps act on the angular momentum m; omega = m / diag(A, B, C).
-The inertial-frame solver advances (m, a) with a fixed vertical p.
+Free-top steps take the packed state (omega, gamma), advance the angular
+momentum m = diag(A, B, C) omega and return omega' with gamma unchanged. The
+inertial-frame solver advances (m, a) with a fixed vertical p. Each step takes
+any sequence of six floats and returns a tuple of six.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import NumericalError, bs_solve, vec3
-from .hk import hk_step_euler
-from .models import TopParams, _values
+from .hk import hk_step
+from .models import _values
 
 
 class ConvergenceError(NumericalError):
@@ -24,27 +26,31 @@ MAX_FIXED_POINT_ITERATIONS = 100
 FIXED_POINT_TOL = 1e-13
 
 
-def bs_step_euler(m, p: TopParams, h: float) -> np.ndarray:
-    """Advance m by m' - m = (h/2)(m' + m) x omega, omega taken at the old
-    level: a single linear solve. |m|^2 is preserved to roundoff, but the step
-    is not symmetric under h -> -h.
+def bs_step_euler(y, inertia, h: float) -> tuple[float, ...]:
+    """Advance m = I omega by m' - m = (h/2)(m' + m) x omega, omega taken at
+    the old level: a single linear solve. |m|^2 is preserved to roundoff, but
+    the step is not symmetric under h -> -h.
     """
-    m0, m1, m2 = (float(v) for v in m)
-    return np.array(bs_solve((m0, m1, m2), (m0 / p.A, m1 / p.B, m2 / p.C), 0.5 * h))
+    w0, w1, w2, g0, g1, g2 = y
+    A, B, C = inertia
+    m0, m1, m2 = A * w0, B * w1, C * w2
+    n0, n1, n2 = bs_solve((m0, m1, m2), (m0 / A, m1 / B, m2 / C), 0.5 * h)
+    return n0 / A, n1 / B, n2 / C, g0, g1, g2
 
 
-def symmetric_step_euler(m, p: TopParams, h: float) -> np.ndarray:
-    """Advance m by m' - m = (h/4)(m' + m) x (omega' + omega).
+def symmetric_step_euler(y, inertia, h: float) -> tuple[float, ...]:
+    """Advance m = I omega by m' - m = (h/4)(m' + m) x (omega' + omega).
 
     Conserves both |m|^2 and m.omega and is symmetric under h -> -h, at the
     price of an implicit solve. Fixed-point iteration seeded by the bilinear
-    free-top step; converged when the defining relation holds to
-    FIXED_POINT_TOL.
+    free-top step (hk_step at gamma = 0, g = 0); converged when the defining
+    relation holds to FIXED_POINT_TOL.
     """
-    A, B, C = p.A, p.B, p.C
-    m0, m1, m2 = m = tuple(float(v) for v in m)
+    A, B, C = inertia
+    m0, m1, m2 = m = A * y[0], B * y[1], C * y[2]
     w0, w1, w2 = m0 / A, m1 / B, m2 / C
-    n0, n1, n2 = (p.inertia * hk_step_euler((w0, w1, w2), p, h)).tolist()
+    o0, o1, o2 = hk_step((w0, w1, w2, 0.0, 0.0, 0.0), inertia, (0.0, 0.0, 0.0), h)[:3]
+    n0, n1, n2 = A * o0, B * o1, C * o2
     scale = max(1.0, abs(m0), abs(m1), abs(m2))
     tol, c = FIXED_POINT_TOL * scale, 0.25 * h
     for _ in range(MAX_FIXED_POINT_ITERATIONS):
@@ -60,7 +66,7 @@ def symmetric_step_euler(m, p: TopParams, h: float) -> np.ndarray:
             break
     if not converged:
         raise ConvergenceError("symmetric free-top step did not converge")
-    return np.array([n0, n1, n2])
+    return n0 / A, n1 / B, n2 / C, y[3], y[4], y[5]
 
 
 @dataclass(frozen=True)
@@ -73,19 +79,19 @@ class LagrangeParams:
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
 
 
-def lagrange_step(y: np.ndarray, lp: LagrangeParams, h: float) -> np.ndarray:
-    """Two-stage explicit step on y = (m, a):
+def lagrange_step(y, p, h: float) -> tuple[float, ...]:
+    """Two-stage explicit step on y = (m, a) with vertical p (three floats):
 
         m' = m + h * p x a
         a' - a = (h/2) m' x (a' + a)   (one 3x3 solve; |a| preserved exactly)
     """
-    m0, m1, m2, a0, a1, a2 = y.tolist()
-    p0, p1, p2 = lp.p.tolist()
+    m0, m1, m2, a0, a1, a2 = y
+    p0, p1, p2 = p
     m_next = (m0 + h * (p1 * a2 - p2 * a1), m1 + h * (p2 * a0 - p0 * a2),
               m2 + h * (p0 * a1 - p1 * a0))
     # a' + a crossed with m' from the right: reuse the norm-preserving solve
     # with v = m' and reversed sign, since m' x (a'+a) = -(a'+a) x m'.
-    return np.array([*m_next, *bs_solve((a0, a1, a2), m_next, -0.5 * h)])
+    return (*m_next, *bs_solve((a0, a1, a2), m_next, -0.5 * h))
 
 
 def lagrange_invariants(y: np.ndarray, lp: LagrangeParams, h: float) -> tuple:

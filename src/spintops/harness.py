@@ -138,10 +138,11 @@ def _stepper(step, params, *rest):
     return lambda y, h: step(y, params, h, *rest)
 
 
-def _free_top(m_step, p: TopParams):
-    """Stepper (y, h) -> y' of a free-top step m -> m' of m = I omega; gamma
-    rides along."""
-    return lambda y, h: np.concatenate([m_step(p.inertia * y[:3], p, h) / p.inertia, y[3:]])
+def _hk(config: RunConfig):
+    """Stepper of hk_step, the top's inertia and gravity bound as floats."""
+    p = config.top_params()
+    inertia, g = tuple(p.inertia.tolist()), tuple(p.g.tolist())
+    return lambda y, h: hk_step(y, inertia, g, h)
 
 
 def _body_invariants(config: RunConfig):
@@ -176,7 +177,7 @@ def _lagrange_reference(config: RunConfig):
 _BODY_COLUMNS = ("w1", "w2", "w3", "g1", "g2", "g3")
 _BODY_INVARIANTS = ("gamma_sq", "two_ell", "E", "k_sq")
 _BODY_SCHEMES = {
-    "hk": lambda c: _stepper(hk_step, c.top_params()),
+    "hk": _hk,
     "reference": _body_reference,
 }
 
@@ -185,13 +186,14 @@ _BODY_SCHEMES = {
 MODELS: dict[str, Model] = {
     "euler": Model(_BODY_COLUMNS, _BODY_INVARIANTS, _body_invariants, {
         **_BODY_SCHEMES,
-        "bs": lambda c: _free_top(euler_lagrange.bs_step_euler, c.top_params()),
-        "symmetric": lambda c: _free_top(euler_lagrange.symmetric_step_euler, c.top_params()),
+        "bs": lambda c: _stepper(euler_lagrange.bs_step_euler, tuple(map(float, c.inertia))),
+        "symmetric": lambda c: _stepper(euler_lagrange.symmetric_step_euler,
+                                        tuple(map(float, c.inertia))),
     }, reads=("inertia",)),
     "lagrange": Model(
         ("m1", "m2", "m3", "a1", "a2", "a3"), ("a_sq", "m_dot_p", "m_dot_a", "E"),
         _lagrange_invariants, {
-            "bs": lambda c: _stepper(euler_lagrange.lagrange_step, LagrangeParams(c.vertical)),
+            "bs": lambda c: _stepper(euler_lagrange.lagrange_step, tuple(map(float, c.vertical))),
             "reference": _lagrange_reference,
         }, reads=("vertical",),
     ),
@@ -218,25 +220,26 @@ def make_stepper(config: RunConfig):
 
 
 def run(config: RunConfig) -> Trajectory:
-    """Iterate the configured scheme, sampling every stride-th step, then
-    compute the invariant columns of the samples. Raises NumericalError when a
-    sample or the final state is non-finite or anything overflows."""
+    """Iterate the configured scheme from the init as six floats, sampling
+    every stride-th step, then compute the invariant columns of the samples.
+    Raises NumericalError naming the first step whose state is non-finite, or
+    when anything overflows."""
     config = config.validated()
-    model, y = MODELS[config.model], config.init
+    model, y, h = MODELS[config.model], tuple(config.init.tolist()), config.h
     step = make_stepper(config)
     with numerical_guard(f"{config.model}/{config.scheme} run"):
         rows_steps, rows_states = [0], [y]
         for n in range(1, config.steps + 1):
-            y = step(y, config.h)
+            y = step(y, h)
+            # A finite norm proves every component finite; a state of norm
+            # above 1.8e308 can be finite too, so only then check each one.
+            # hypot raises nothing on the reference's numpy rows either.
+            if not math.isfinite(math.hypot(*y)) and not all(map(math.isfinite, y)):
+                raise NumericalError(f"non-finite state at step {n}")
             if n % config.stride == 0:
                 rows_steps.append(n)
                 rows_states.append(y)
         states = np.array(rows_states)
-        finite = np.isfinite(states).all(axis=1)
-        if not finite.all():
-            raise NumericalError(f"non-finite state at step {rows_steps[int(np.argmin(finite))]}")
-        if not np.isfinite(y).all():
-            raise NumericalError(f"non-finite state at step {config.steps}")
         invariant_values = model.invariants(config)(states)
     steps_arr = np.array(rows_steps)
     traj = Trajectory(
@@ -255,18 +258,17 @@ def run(config: RunConfig) -> Trajectory:
 
 def reversal_test(config: RunConfig, n: int) -> float:
     """Forward n steps with +h then n steps with -h; max-norm distance from
-    the starting state."""
+    the starting state. Raises NumericalError naming the first step of the
+    round trip whose state is non-finite."""
     config = config.validated()
     if n < 0:
         raise ConfigError("n must be nonnegative")
-    step, y = make_stepper(config), config.init
+    step, y = make_stepper(config), tuple(config.init.tolist())
     with numerical_guard(f"{config.model}/{config.scheme} round trip"):
-        for _ in range(n):
-            y = step(y, config.h)
-        for _ in range(n):
-            y = step(y, -config.h)
-        if not np.isfinite(y).all():
-            raise NumericalError("non-finite state after the round trip")
+        for k, h in enumerate([config.h] * n + [-config.h] * n, 1):
+            y = step(y, h)
+            if not math.isfinite(math.hypot(*y)) and not all(map(math.isfinite, y)):
+                raise NumericalError(f"non-finite state at step {k} of the round trip")
         return float(np.max(np.abs(y - config.init)))
 
 

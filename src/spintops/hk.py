@@ -2,20 +2,20 @@
 
 Each step is linear in the new (omega, gamma), so the update is one 6x6 linear
 system. The defining relations are invariant under h -> -h with the two time
-levels exchanged, which makes the scheme time-reversal symmetric.
+levels exchanged, which makes the scheme time-reversal symmetric. The step
+takes any sequence of six floats and returns a tuple of six.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .algebra import SINGULAR_RTOL, solve3
-from .models import TopParams
 
 
-def hk_solve(y, inertia, g, h: float) -> tuple[float, ...]:
-    """(omega', gamma') of one bilinear step from y = (omega, gamma), as six
-    floats, for inertia (A, B, C) and gravity-moment vector g.
+def hk_step(y, inertia, g, h: float) -> tuple[float, ...]:
+    """Advance y = (omega, gamma) by one bilinear step: (omega', gamma') as six
+    floats, for inertia (A, B, C) and gravity-moment vector g, each a
+    sequence of floats. At gamma = 0 and g = 0 the omega block is the
+    free-top step in omega alone.
 
     The omega rows read P omega' + diag(b) g x gamma' = r: P carries the
     new-level partners of the products omega_j omega_k, b_i = h/(2 I_i), and r
@@ -70,15 +70,3 @@ def hk_solve(y, inertia, g, h: float) -> tuple[float, ...]:
     sz = s0 * z0 + s1 * z1 + s2 * z2
     return (o0, o1, o2, q * (z0 - (s1 * z2 - s2 * z1) + sz * s0),
             q * (z1 - (s2 * z0 - s0 * z2) + sz * s1), q * (z2 - (s0 * z1 - s1 * z0) + sz * s2))
-
-
-def hk_step(y: np.ndarray, p: TopParams, h: float) -> np.ndarray:
-    """Advance y = (omega, gamma) by one bilinear step."""
-    return np.array(hk_solve(y.tolist(), (p.A, p.B, p.C), p.g.tolist(), h))
-
-
-def hk_step_euler(omega, p: TopParams, h: float) -> np.ndarray:
-    """Free-top bilinear step in omega alone: the omega block of hk_step's
-    system at gamma = 0, which carries no gravity term for any p."""
-    y = (*map(float, omega), 0.0, 0.0, 0.0)
-    return np.array(hk_solve(y, (p.A, p.B, p.C), (0.0, 0.0, 0.0), h)[:3])

@@ -4,7 +4,9 @@ Three unit-sphere-preserving updates for gamma (midpoint solve, stereographic
 Euler substep, exact rotation), an exact phase-factor update for
 xi = omega^2 - c0*gamma recovered through a complex square root, keeping the
 root nearer a one-step predictor, and a hybrid predictor-corrector that keeps
-both |gamma|^2 and |xi|^2 exact but is not time-reversal symmetric.
+both |gamma|^2 and |xi|^2 exact but is not time-reversal symmetric. A step
+takes the packed state (omega, gamma) as any sequence of six floats and
+returns a tuple of six.
 """
 
 from __future__ import annotations
@@ -13,10 +15,8 @@ import cmath
 import math
 from typing import Callable
 
-import numpy as np
-
 from .algebra import NumericalError, bs_solve
-from .hk import hk_solve
+from .hk import hk_step
 from .models import KowalevskiParams
 
 
@@ -94,17 +94,17 @@ def bohlin_step(omega_n: complex, gamma_n: complex, gamma_next: complex, gamma3_
     return w
 
 
-def _recover_omega(y: list[float], gam_next, w3_next: float, h: float, c0: float) -> np.ndarray:
+def _recover_omega(y, gam_next, w3_next: float, h: float, c0: float) -> tuple[float, ...]:
     """The last stage of both Kowalevski steps: (w1, w2) from the new gamma and
-    w3, packed with them into the new state. y holds the old state's floats."""
+    w3, packed with them into the new state."""
     w0, w1, w2, g0, g1, g2 = y
     n0, n1, n2 = gam_next
     w = bohlin_step(complex(w0, w1), complex(g0, g1), complex(n0, n1), g2, w2, w3_next, h, c0)
-    return np.array([w.real, w.imag, w3_next, n0, n1, n2])
+    return w.real, w.imag, w3_next, n0, n1, n2
 
 
-def bohlin_algorithm_step(y: np.ndarray, kp: KowalevskiParams, h: float,
-                          gamma_step: Callable = gamma_step_bs) -> np.ndarray:
+def bohlin_algorithm_step(y, kp: KowalevskiParams, h: float,
+                          gamma_step: Callable = gamma_step_bs) -> tuple[float, ...]:
     """Three-stage step on y = (omega, gamma): gamma by gamma_step (one of the
     sphere-preserving gamma_step_bs, _stereo and _rotation), then the
     trapezoidal w3 update, then the square-root recovery of (w1, w2).
@@ -124,13 +124,12 @@ def bohlin_algorithm_step(y: np.ndarray, kp: KowalevskiParams, h: float,
     |d| = 5.0e-4 there, against a median of order 1 over random states; this is
     why the 1000-step round trip at h = 1e-3 is only 9.3e-7.
     """
-    y = y.tolist()
     gam_next = gamma_step(y[3:], y[:3], h)
     w3_next = omega3_update(y[2], y[4], gam_next[1], h, kp.c0)
     return _recover_omega(y, gam_next, w3_next, h, kp.c0)
 
 
-def hybrid_step(y: np.ndarray, kp: KowalevskiParams, h: float) -> np.ndarray:
+def hybrid_step(y, kp: KowalevskiParams, h: float) -> tuple[float, ...]:
     """Predictor-corrector step: bilinear 6x6 predictor, then a midpoint-type
     re-solve of gamma against the averaged omega, then the square-root
     recovery of (w1, w2).
@@ -143,7 +142,6 @@ def hybrid_step(y: np.ndarray, kp: KowalevskiParams, h: float) -> np.ndarray:
     the default point, omega_2 = 0, is the 1000-step round trip at h = 1e-3
     as small as 7.0e-14.
     """
-    y = y.tolist()
-    p0, p1, p2 = hk_solve(y, kp.inertia, (kp.c0, 0.0, 0.0), h)[:3]
+    p0, p1, p2 = hk_step(y, kp.inertia, (kp.c0, 0.0, 0.0), h)[:3]
     gam_next = bs_solve(y[3:], (p0 + y[0], p1 + y[1], p2 + y[2]), 0.25 * h)
     return _recover_omega(y, gam_next, p2, h, kp.c0)

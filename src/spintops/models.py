@@ -1,8 +1,9 @@
 """Continuous-time rigid-body models: right-hand sides and conserved quantities.
 
-The state is the packed 6-vector y = (omega, gamma) in the body frame: angular
+The state is the packed y = (omega, gamma) in the body frame: angular
 velocity and the vertical unit vector. Angular momentum is
-m = diag(A, B, C) @ omega.
+m = diag(A, B, C) @ omega. Steps take and return the state as six floats;
+the functions here take it as a 6-vector, or as an (n, 6) stack where noted.
 """
 
 from __future__ import annotations

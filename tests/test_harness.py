@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
+from spintops.algebra import bs_solve
 from spintops.cli import main
+from spintops.euler_lagrange import FIXED_POINT_TOL, MAX_FIXED_POINT_ITERATIONS
 from spintops.harness import (
     MODELS,
     ConfigError,
@@ -14,6 +18,7 @@ from spintops.harness import (
     reversal_test,
     run,
 )
+from spintops.hk import hk_step
 from spintops.models import KowalevskiParams, invariants, kowalevski_invariants
 
 
@@ -118,15 +123,48 @@ class TestRun:
         ids=lambda x: x,
     )
     def test_stepper_leaves_its_input_alone(self, model, scheme):
-        # Steps read views of y; each must return a new array and write nothing.
+        # A stepper takes any sequence of six floats and returns six: from a
+        # tuple, as run passes it, and from a read-only array, which it must
+        # not write and which gives the same result.
         init = None if model == "kowalevski" else np.array([0.3, -0.2, 0.9, 0.6, 0, 0.8])
         cfg = RunConfig(model=model, scheme=scheme, h=0.01, steps=1, init=init).validated()
+        step = make_stepper(cfg)
+        out = step(tuple(cfg.init.tolist()), cfg.h)
+        assert len(out) == 6
+        assert all(isinstance(v, float) and math.isfinite(v) for v in out)
         y = cfg.init.copy()
         y.setflags(write=False)
-        out = make_stepper(cfg)(y, cfg.h)
-        assert not np.shares_memory(out, y)
-        assert out.shape == (6,) and np.isfinite(out).all()
+        assert np.array_equal(step(y, cfg.h), out)
         assert np.array_equal(y, cfg.init)
+
+    @pytest.mark.parametrize("scheme", ["bs", "symmetric"])
+    def test_free_top_steppers_match_the_momentum_form(self, scheme, rng):
+        # The free-top steppers advance the packed (omega, gamma): gamma comes
+        # back bit for bit, and omega' bit for bit as the momentum-form step
+        # m -> m' written out below, with m = I omega and omega' = m' / I.
+        def momentum_step(m, inertia, h):
+            w = m / inertia
+            if scheme == "bs":
+                return np.array(bs_solve(m.tolist(), w.tolist(), 0.5 * h))
+            n = inertia * np.array(hk_step((*w, 0.0, 0.0, 0.0), inertia, (0.0, 0.0, 0.0), h)[:3])
+            scale, c = max(1.0, *np.abs(m)), 0.25 * h
+            for _ in range(MAX_FIXED_POINT_ITERATIONS):
+                x = np.array(bs_solve(m.tolist(), (w + n / inertia).tolist(), c))
+                stalled = np.max(np.abs(x - n)) <= 1e-16 * scale
+                n = x
+                residual = n - m - c * np.cross(n + m, w + n / inertia)
+                if stalled and np.max(np.abs(residual)) <= FIXED_POINT_TOL * scale:
+                    return n
+            raise AssertionError("momentum-form step did not converge")
+
+        for _ in range(200):
+            inertia = rng.uniform(0.5, 3.0, 3)
+            cfg = RunConfig(model="euler", scheme=scheme, h=0.01, steps=1,
+                            inertia=tuple(inertia.tolist()), init=np.zeros(6))
+            y, h = rng.normal(size=6), rng.uniform(-0.05, 0.05)
+            out = make_stepper(cfg)(tuple(y.tolist()), h)
+            assert out[3:] == tuple(y[3:].tolist())
+            assert np.array_equal(out[:3], momentum_step(inertia * y[:3], inertia, h) / inertia)
 
 
 class TestReversalTest:
@@ -273,6 +311,15 @@ class TestCli:
         assert rc == 0
         assert out.exists()
         assert "k_sq" in capsys.readouterr().out
+
+    def test_non_finite_state_named_at_its_step(self, capsys):
+        # h = 1e200 takes the state past the float range in step 1: run and
+        # reverse stop there and name that step, not the next sample.
+        head = ["--model", "kowalevski", "--scheme", "bohlin-a", "--h", "1e200"]
+        for argv, where in [(["run", *head, "--steps", "50000", "--stride", "50000"], "step 1\n"),
+                            (["reverse", *head, "--n", "1000"], "step 1 of the round trip\n")]:
+            assert main(argv) == 3, argv
+            assert capsys.readouterr().err.endswith(f"non-finite state at {where}"), argv
 
     def test_config_error_exit_code(self, capsys):
         for argv in CONFIG_ERRORS:

@@ -3,7 +3,7 @@ import pytest
 
 from spintops import hk
 from spintops.algebra import SingularSystemError, vec3
-from spintops.hk import hk_step, hk_step_euler
+from spintops.hk import hk_step
 from spintops.models import KowalevskiParams, TopParams
 
 from conftest import assemble_system, cramer_solve3, full_pivot_solve
@@ -61,20 +61,20 @@ def assemble_by_probing(y, p, h):
 class TestHkStep:
     def test_zero_step_is_identity(self):
         y = np.array([0.4, -1.2, 0.3, 0.1, 0.2, 0.9])
-        out = hk_step(y, KP.top_params(), 0.0)
+        out = hk_step(y, KP.inertia, (KP.c0, 0.0, 0.0), 0.0)
         assert np.array_equal(out, y)
 
     def test_free_principal_rotation_fixes_omega(self):
         p = TopParams(1.0, 2.0, 3.0)
         y = np.array([0, 0, 1.7, 0.3, 0.1, 0.94])
-        out = hk_step(y, p, 0.05)
+        out = hk_step(y, p.inertia, p.g, 0.05)
         assert np.allclose(out[:3], y[:3], atol=1e-15)
         assert bilinear_residual(y, out, p, 0.05) <= 1e-14
 
     def test_matches_independent_assembly_and_oracle(self):
         h = 0.001
         p = KP.top_params()
-        out = hk_step(BENCH, p, h)
+        out = hk_step(BENCH, p.inertia, p.g, h)
         mat, rhs = assemble_by_probing(BENCH, p, h)
         expected = full_pivot_solve(mat, rhs)
         assert np.max(np.abs(out - expected)) <= 1e-12
@@ -83,7 +83,7 @@ class TestHkStep:
         for _ in range(20):
             y = np.concatenate([rng.normal(size=3), rng.normal(size=3)])
             p = TopParams(*rng.uniform(0.5, 3.0, 3), rng.normal(size=3))
-            out = hk_step(y, p, 0.01)
+            out = hk_step(y, p.inertia, p.g, 0.01)
             assert bilinear_residual(y, out, p, 0.01) <= 1e-12
 
     def test_assembly_matches_probing(self, rng):
@@ -98,7 +98,7 @@ class TestHkStep:
     def test_single_step_reversal(self):
         h = 0.001
         p = KP.top_params()
-        back = hk_step(hk_step(BENCH, p, h), p, -h)
+        back = hk_step(hk_step(BENCH, p.inertia, p.g, h), p.inertia, p.g, -h)
         assert np.max(np.abs(back - BENCH)) <= 1e-10
 
     def test_accumulated_reversal_1000_steps(self):
@@ -106,9 +106,9 @@ class TestHkStep:
         p = KP.top_params()
         y = BENCH
         for _ in range(1000):
-            y = hk_step(y, p, h)
+            y = hk_step(y, p.inertia, p.g, h)
         for _ in range(1000):
-            y = hk_step(y, p, -h)
+            y = hk_step(y, p.inertia, p.g, -h)
         assert np.max(np.abs(y - BENCH)) <= 1e-9
 
     def test_second_order_consistency(self):
@@ -119,8 +119,8 @@ class TestHkStep:
         def endpoint(h):
             y = BENCH
             for _ in range(round(t_end / h)):
-                y = hk_step(y, p, h)
-            return y
+                y = hk_step(y, p.inertia, p.g, h)
+            return np.array(y)
 
         ref = endpoint(1e-4)
         e1 = np.max(np.abs(endpoint(0.01) - ref))
@@ -131,14 +131,14 @@ class TestHkStep:
         # A=B, x0=y0=0: the third omega relation degenerates to w3'=w3
         p = TopParams(2.0, 2.0, 1.0, vec3(0, 0, 0.8))
         y = np.concatenate([rng.normal(size=3), rng.normal(size=3)])
-        out = hk_step(y, p, 0.02)
+        out = hk_step(y, p.inertia, p.g, 0.02)
         assert out[2] == y[2]
         # and over random C, gravity and h (a Cramer solve that divides
         # after summing loses the exact w3 in about 1 % of these)
         for _ in range(2000):
             p = TopParams(2.0, 2.0, rng.uniform(0.5, 3.0), vec3(0, 0, rng.normal()))
             y = rng.normal(size=6)
-            assert hk_step(y, p, rng.uniform(0.001, 0.5))[2] == y[2]
+            assert hk_step(y, p.inertia, p.g, rng.uniform(0.001, 0.5))[2] == y[2]
 
 
 def random_system(rng):
@@ -156,7 +156,8 @@ class TestBlockSolve:
         for _ in range(2000):
             y, p, h = random_system(rng)
             want = full_pivot_solve(*assemble_system(y, p, h))
-            assert np.max(np.abs(hk_step(y, p, h) - want)) <= 1e-13 * np.max(np.abs(want))
+            got = hk_step(y, p.inertia, p.g, h)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_det6_is_det3_over_q(self, rng):
         # det of the 6x6 = det of the omega Schur complement * (1 + |s|^2),
@@ -184,21 +185,27 @@ class TestBlockSolve:
             if abs(ratio / rtol - 1.0) <= 1e-9:
                 continue
             if ratio > rtol:
-                hk_step(y, p, h)
+                hk_step(y, p.inertia, p.g, h)
             else:
                 with pytest.raises(SingularSystemError):
-                    hk_step(y, p, h)
+                    hk_step(y, p.inertia, p.g, h)
+
+
+def free_step(w, p, h):
+    """hk_step at gamma = 0 and g = 0: the free-top bilinear step in omega
+    alone, which reads no gravity from p."""
+    return np.array(hk_step((*w, 0.0, 0.0, 0.0), p.inertia, (0.0, 0.0, 0.0), h)[:3])
 
 
 class TestHkStepEuler:
     def test_spherical_top_fixed(self, rng):
         p = TopParams(2.0, 2.0, 2.0)
         w = rng.normal(size=3)
-        assert np.allclose(hk_step_euler(w, p, 0.1), w, atol=1e-15)
+        assert np.allclose(free_step(w, p, 0.1), w, atol=1e-15)
 
     def test_principal_axis_fixed_point(self):
         p = TopParams(1.0, 2.0, 3.0)
-        assert np.allclose(hk_step_euler(vec3(0, 0, 1.3), p, 0.1), vec3(0, 0, 1.3), atol=1e-15)
+        assert np.allclose(free_step(vec3(0, 0, 1.3), p, 0.1), vec3(0, 0, 1.3), atol=1e-15)
 
     def test_matches_elimination_oracle(self):
         w = vec3(1, 1, 1)
@@ -212,14 +219,14 @@ class TestHkStepEuler:
                             [-a2 * w[2], 1.0, -a2 * w[0]],
                             [-a3 * w[1], -a3 * w[0], 1.0]])
             expected = cramer_solve3(mat, w)
-            assert np.max(np.abs(hk_step_euler(w, p, h) - expected)) <= 1e-12
+            assert np.max(np.abs(free_step(w, p, h) - expected)) <= 1e-12
 
     def test_matches_omega_block_of_full_step(self, rng):
         p = TopParams(1.3, 0.9, 2.2)
         w = rng.normal(size=3)
         y = np.concatenate([w, rng.normal(size=3)])
-        full = hk_step(y, p, 0.03)
-        assert np.allclose(hk_step_euler(w, p, 0.03), full[:3], atol=1e-13)
+        full = hk_step(y, p.inertia, p.g, 0.03)
+        assert np.allclose(free_step(w, p, 0.03), full[:3], atol=1e-13)
 
     def test_m_sq_drift_is_nonzero_and_second_order(self):
         # the free-top step breaks |m|^2; drift shrinks ~4x when h halves
@@ -231,7 +238,7 @@ class TestHkStepEuler:
             m0 = float((inertia * w) @ (inertia * w))
             worst = 0.0
             for _ in range(round(t_end / h)):
-                w = hk_step_euler(w, p, h)
+                w = free_step(w, p, h)
                 m = inertia * w
                 worst = max(worst, abs(float(m @ m) - m0))
             return worst
@@ -259,7 +266,7 @@ class TestHkStepEuler:
         w = vec3(1, 1, 1)
         values = [integrals(w)]
         for _ in range(2000):
-            w = hk_step_euler(w, p, h)
+            w = free_step(w, p, h)
             values.append(integrals(w))
         spread = np.ptp(np.array(values), axis=0)
         assert np.all(spread <= 1e-13), spread

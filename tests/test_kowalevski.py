@@ -219,7 +219,7 @@ class TestBohlinAlgorithmStep:
         y = BENCH
         k0 = abs(xi(y, KP))
         for _ in range(200):
-            y = bohlin_algorithm_step(y, KP, 0.001, gamma_step)
+            y = np.array(bohlin_algorithm_step(y, KP, 0.001, gamma_step))
             assert abs(y[3:] @ y[3:] - 1.0) <= 1e-12
             assert abs(abs(xi(y, KP)) - k0) <= 1e-12
 
@@ -263,7 +263,7 @@ class TestHybridStep:
         y = BENCH
         k0 = abs(xi(y, KP))
         for _ in range(200):
-            y = hybrid_step(y, KP, 0.001)
+            y = np.array(hybrid_step(y, KP, 0.001))
             assert abs(y[3:] @ y[3:] - 1.0) <= 1e-13
             assert abs(abs(xi(y, KP)) - k0) <= 1e-13
 

@@ -1,11 +1,15 @@
-"""The README's Library example runs against the current API."""
+"""The README's Library section matches the current API."""
 
 import ast
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+import spintops
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,3 +21,17 @@ def test_library_example_runs(capsys):
     exec(compile(block, "README.md", "exec"), {})
     two_ell, energy, k_sq = ast.literal_eval(capsys.readouterr().out.strip())
     assert k_sq == pytest.approx((4.0 - np.sqrt(1 - 1e-6)) ** 2, abs=1e-12)
+
+
+def test_library_names_resolve():
+    # A backticked snake_case or digit-bearing identifier in the Library
+    # section names something in spintops, so a rename cannot leave it stale.
+    text = README.read_text()
+    library = text[text.index("## Library"):]
+    modules = [spintops] + [importlib.import_module(f"spintops.{m.name}")
+                            for m in pkgutil.iter_modules(spintops.__path__)]
+    names = {name for name in re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", library)
+             if re.search(r"[_0-9]", name)}
+    assert names
+    missing = sorted(n for n in names if not any(hasattr(m, n) for m in modules))
+    assert not missing, missing
