@@ -2,16 +2,16 @@
 Kowalevski tops."""
 
 from .algebra import NumericalError, SingularSystemError, cross, solve3, vec3
-from .euler_lagrange import (ConvergenceError, LagrangeParams, bs_step_euler,
-                             lagrange_invariants, lagrange_step, symmetric_step_euler)
+from .euler_lagrange import (ConvergenceError, bs_step_euler, lagrange_invariants,
+                             lagrange_step, symmetric_step_euler)
 from .harness import (ConfigError, DriftReport, RunConfig, Trajectory, convergence_study,
                       drift_report, estimate_period, reversal_test, run)
 from .hk import hk_step
 from .kowalevski import (SouthPoleError, bohlin_algorithm_step, bohlin_step, gamma_step_bs,
                          gamma_step_rotation, gamma_step_stereo, hybrid_step, omega3_update,
                          stereo_forward, stereo_inverse)
-from .models import (KowalevskiParams, TopParams, euler_poisson_rhs, invariants,
-                     kowalevski_invariants, matrix_form_residual, xi)
+from .models import (KOWALEVSKI_INERTIA, euler_poisson_rhs, invariants, kowalevski_invariants,
+                     matrix_form_residual, xi)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

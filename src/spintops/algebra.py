@@ -30,11 +30,16 @@ def numerical_guard(what: str):
     is invalid: in numpy (such as inf - inf), in a Python power or abs that
     overflows, or in a math or cmath call outside its domain, which raises a
     plain ValueError (math.tan(inf)). Python float arithmetic itself raises
-    nothing: it yields inf or nan, which the callers check for. Subclasses of
-    ValueError are configuration errors and pass through."""
+    nothing: it yields inf or nan, which the callers check for. A
+    NumericalError raised in the block keeps its type, and its message gets
+    the prefix `what` too. Subclasses of ValueError are configuration errors
+    and pass through."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
+    except NumericalError as e:
+        e.args = (f"{what}: {e}",)
+        raise
     except (ArithmeticError, ValueError) as e:
         if isinstance(e, ValueError) and type(e) is not ValueError:
             raise

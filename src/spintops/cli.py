@@ -9,8 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .algebra import NumericalError
 from .harness import (
     MODELS,
@@ -28,10 +26,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _reals(text: str, n: int | None = None) -> tuple[float, ...]:
+def _reals(text: str) -> tuple[float, ...]:
     parts = [p.strip() for p in text.split(",")]
-    if n is not None and len(parts) != n:
-        raise ConfigError(f"expected {n} comma-separated reals, got {text!r}")
     try:
         return tuple(float(p) for p in parts)
     except ValueError as e:
@@ -62,10 +58,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         steps=args.steps,
         stride=args.stride,
         c0=args.c0,
-        inertia=_reals(args.inertia, 3),
-        gravity=_reals(args.gravity, 3),
-        vertical=_reals(args.vertical, 3),
-        init=np.array(_reals(args.init, 6)) if args.init else None,
+        inertia=_reals(args.inertia),
+        gravity=_reals(args.gravity),
+        vertical=_reals(args.vertical),
+        init=_reals(args.init) if args.init else None,
         out_path=args.out_path,
     ).validated()
 

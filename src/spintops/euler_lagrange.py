@@ -4,16 +4,15 @@ explicit inertial-frame solver for the symmetric heavy top.
 Free-top steps take the packed state (omega, gamma), advance the angular
 momentum m = diag(A, B, C) omega and return omega' with gamma unchanged. The
 inertial-frame solver advances (m, a) with a fixed vertical p. Each step takes
-any sequence of six floats and returns a tuple of six.
+any sequence of six floats and returns a tuple of six; the inertia and the
+vertical arrive as three floats each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .algebra import NumericalError, bs_solve, vec3
+from .algebra import NumericalError, bs_solve
 from .hk import hk_step
 from .models import _values
 
@@ -69,16 +68,6 @@ def symmetric_step_euler(y, inertia, h: float) -> tuple[float, ...]:
     return n0 / A, n1 / B, n2 / C, y[3], y[4], y[5]
 
 
-@dataclass(frozen=True)
-class LagrangeParams:
-    """Constant vertical vector p (dimensionless form)."""
-
-    p: np.ndarray = field(default_factory=lambda: vec3(0.0, 0.0, 1.0))
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-
-
 def lagrange_step(y, p, h: float) -> tuple[float, ...]:
     """Two-stage explicit step on y = (m, a) with vertical p (three floats):
 
@@ -94,11 +83,11 @@ def lagrange_step(y, p, h: float) -> tuple[float, ...]:
     return (*m_next, *bs_solve((a0, a1, a2), m_next, -0.5 * h))
 
 
-def lagrange_invariants(y: np.ndarray, lp: LagrangeParams, h: float) -> tuple:
+def lagrange_invariants(y: np.ndarray, p, h: float) -> tuple:
     """(a^2, m.p, m.a, E) of y = (m, a), or of each row of a stack of states
     (n, 6), with the O(h) cross term in the discrete energy:
     E = |m|^2/2 + a.p + (h/2)(a x m).p."""
     m, a = y[..., :3], y[..., 3:]
-    energy = (0.5 * np.vecdot(m, m) + np.vecdot(a, lp.p)
-              + 0.5 * h * np.vecdot(np.cross(a, m), lp.p))
-    return _values(np.vecdot(a, a), np.vecdot(m, lp.p), np.vecdot(m, a), energy)
+    energy = (0.5 * np.vecdot(m, m) + np.vecdot(a, p)
+              + 0.5 * h * np.vecdot(np.cross(a, m), p))
+    return _values(np.vecdot(a, a), np.vecdot(m, p), np.vecdot(m, a), energy)

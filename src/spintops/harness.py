@@ -12,15 +12,8 @@ import numpy as np
 
 from . import euler_lagrange, kowalevski
 from .algebra import NumericalError, cross, numerical_guard
-from .euler_lagrange import LagrangeParams
 from .hk import hk_step
-from .models import (
-    KowalevskiParams,
-    TopParams,
-    euler_poisson_rhs,
-    invariants,
-    kowalevski_invariants,
-)
+from .models import KOWALEVSKI_INERTIA, euler_poisson_rhs, invariants, kowalevski_invariants
 
 
 class ConfigError(ValueError):
@@ -75,19 +68,25 @@ class RunConfig:
         init = np.array(init, dtype=float)
         if init.shape != (6,):
             raise ConfigError("init must have 6 components")
+        vectors = ("inertia", "gravity", "vertical")
+        for name in vectors:
+            if np.shape(getattr(self, name)) != (3,):
+                raise ConfigError(f"{name} must have 3 components")
         params = [self.c0, *self.inertia, *self.gravity, *self.vertical, *init]
         if not np.all(np.isfinite(params)) or min(self.inertia) <= 0:
             raise ConfigError("parameters and init must be finite, inertia positive")
-        for name in ("c0", "inertia", "gravity", "vertical"):
+        for name in ("c0", *vectors):
             unread = name not in model.reads
             if unread and not np.array_equal(getattr(self, name), getattr(RunConfig, name)):
                 raise ConfigError(f"model {self.model!r} does not read {name}")
-        return replace(self, init=init)
+        return replace(self, c0=float(self.c0), init=init,
+                       **{name: tuple(float(v) for v in getattr(self, name)) for name in vectors})
 
-    def top_params(self) -> TopParams:
+    def body(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The inertia and gravity vector of a body-frame model."""
         if self.model == "kowalevski":
-            return KowalevskiParams(self.c0).top_params()
-        return TopParams(*self.inertia, self.gravity)
+            return KOWALEVSKI_INERTIA, (self.c0, 0.0, 0.0)
+        return self.inertia, self.gravity
 
 
 @dataclass
@@ -133,84 +132,85 @@ def _rk4(rhs):
     return step
 
 
-def _stepper(step, params, *rest):
-    """Stepper (y, h) -> y' of a step (y, params, h, *rest) -> y'."""
-    return lambda y, h: step(y, params, h, *rest)
+def _stepper(step, params, options):
+    """Stepper (y, h) -> y' of step(y, *params, h, *options). The arguments are
+    bound once; each shape in use is written out, so a call passes them as
+    plain positional arguments and unpacks nothing per step."""
+    if len(params) == 2:
+        a, b = params
+        return lambda y, h: step(y, a, b, h)
+    (a,) = params
+    if options:
+        (o,) = options
+        return lambda y, h: step(y, a, h, o)
+    return lambda y, h: step(y, a, h)
 
 
-def _hk(config: RunConfig):
-    """Stepper of hk_step, the top's inertia and gravity bound as floats."""
-    p = config.top_params()
-    inertia, g = tuple(p.inertia.tolist()), tuple(p.g.tolist())
-    return lambda y, h: hk_step(y, inertia, g, h)
-
-
-def _body_invariants(config: RunConfig):
-    """states -> columns (gamma_sq, two_ell, E, k_sq); two_ell, k_sq NaN (blank) off kowalevski."""
-    p = config.top_params()
-    kp = KowalevskiParams(config.c0) if config.model == "kowalevski" else None
+def _body_invariants(config: RunConfig, c0: float | None):
+    """states -> columns (gamma_sq, two_ell, E, k_sq); two_ell and k_sq are NaN
+    (blank) unless the Kowalevski c0 is given."""
+    inertia, g = config.body()
 
     def columns(states: np.ndarray) -> np.ndarray:
-        gamma_sq, _, energy = invariants(states, p)
+        gamma_sq, _, energy = invariants(states, inertia, g)
         blank = np.full(len(states), np.nan)
-        two_ell, _, k_sq = kowalevski_invariants(states, kp) if kp else (blank, blank, blank)
+        two_ell, _, k_sq = kowalevski_invariants(states, c0) if c0 is not None else (blank,) * 3
         return np.column_stack([gamma_sq, two_ell, energy, k_sq])
 
     return columns
 
 
 def _lagrange_invariants(config: RunConfig):
-    lp = LagrangeParams(config.vertical)
-    return lambda states: np.column_stack(euler_lagrange.lagrange_invariants(states, lp, config.h))
+    return lambda states: np.column_stack(
+        euler_lagrange.lagrange_invariants(states, config.vertical, config.h))
 
 
 def _body_reference(config: RunConfig):
-    p = config.top_params()
-    return _rk4(lambda y: euler_poisson_rhs(y, p))
+    inertia, g = config.body()
+    return _rk4(lambda y: euler_poisson_rhs(y, inertia, g))
 
 
 def _lagrange_reference(config: RunConfig):
-    p = LagrangeParams(config.vertical).p
+    p = config.vertical
     return _rk4(lambda y: np.concatenate([cross(p, y[3:]), cross(y[:3], y[3:])]))
 
 
 _BODY_COLUMNS = ("w1", "w2", "w3", "g1", "g2", "g3")
 _BODY_INVARIANTS = ("gamma_sq", "two_ell", "E", "k_sq")
 _BODY_SCHEMES = {
-    "hk": _hk,
+    "hk": lambda c: _stepper(hk_step, c.body(), ()),
     "reference": _body_reference,
 }
 
 # The one list of models and of the schemes each runs. Step functions are
 # looked up when a stepper is built, not when this table is.
 MODELS: dict[str, Model] = {
-    "euler": Model(_BODY_COLUMNS, _BODY_INVARIANTS, _body_invariants, {
+    "euler": Model(_BODY_COLUMNS, _BODY_INVARIANTS, lambda c: _body_invariants(c, None), {
         **_BODY_SCHEMES,
-        "bs": lambda c: _stepper(euler_lagrange.bs_step_euler, tuple(map(float, c.inertia))),
-        "symmetric": lambda c: _stepper(euler_lagrange.symmetric_step_euler,
-                                        tuple(map(float, c.inertia))),
+        "bs": lambda c: _stepper(euler_lagrange.bs_step_euler, (c.inertia,), ()),
+        "symmetric": lambda c: _stepper(euler_lagrange.symmetric_step_euler, (c.inertia,), ()),
     }, reads=("inertia",)),
     "lagrange": Model(
         ("m1", "m2", "m3", "a1", "a2", "a3"), ("a_sq", "m_dot_p", "m_dot_a", "E"),
         _lagrange_invariants, {
-            "bs": lambda c: _stepper(euler_lagrange.lagrange_step, tuple(map(float, c.vertical))),
+            "bs": lambda c: _stepper(euler_lagrange.lagrange_step, (c.vertical,), ()),
             "reference": _lagrange_reference,
         }, reads=("vertical",),
     ),
     # The default init is the standard test point: w = (2, 0, 0), gamma_3 = 0.001.
-    "kowalevski": Model(_BODY_COLUMNS, _BODY_INVARIANTS, _body_invariants, {
+    "kowalevski": Model(_BODY_COLUMNS, _BODY_INVARIANTS, lambda c: _body_invariants(c, c.c0), {
         **_BODY_SCHEMES,
-        "bohlin-a": lambda c: _stepper(kowalevski.bohlin_algorithm_step,
-                                       KowalevskiParams(c.c0), kowalevski.gamma_step_bs),
-        "bohlin-b": lambda c: _stepper(kowalevski.bohlin_algorithm_step,
-                                       KowalevskiParams(c.c0), kowalevski.gamma_step_stereo),
-        "bohlin-c": lambda c: _stepper(kowalevski.bohlin_algorithm_step,
-                                       KowalevskiParams(c.c0), kowalevski.gamma_step_rotation),
-        "hybrid": lambda c: _stepper(kowalevski.hybrid_step, KowalevskiParams(c.c0)),
+        "bohlin-a": lambda c: _stepper(kowalevski.bohlin_algorithm_step, (c.c0,),
+                                       (kowalevski.gamma_step_bs,)),
+        "bohlin-b": lambda c: _stepper(kowalevski.bohlin_algorithm_step, (c.c0,),
+                                       (kowalevski.gamma_step_stereo,)),
+        "bohlin-c": lambda c: _stepper(kowalevski.bohlin_algorithm_step, (c.c0,),
+                                       (kowalevski.gamma_step_rotation,)),
+        "hybrid": lambda c: _stepper(kowalevski.hybrid_step, (c.c0,), ()),
     }, reads=("c0",),
         default_init=np.array([2.0, 0.0, 0.0, math.sqrt(1.0 - 0.001**2), 0.0, 0.001])),
-    "general": Model(_BODY_COLUMNS, _BODY_INVARIANTS, _body_invariants, _BODY_SCHEMES,
-                     reads=("inertia", "gravity")),
+    "general": Model(_BODY_COLUMNS, _BODY_INVARIANTS, lambda c: _body_invariants(c, None),
+                     _BODY_SCHEMES, reads=("inertia", "gravity")),
 }
 
 

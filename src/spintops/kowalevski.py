@@ -6,7 +6,7 @@ xi = omega^2 - c0*gamma recovered through a complex square root, keeping the
 root nearer a one-step predictor, and a hybrid predictor-corrector that keeps
 both |gamma|^2 and |xi|^2 exact but is not time-reversal symmetric. A step
 takes the packed state (omega, gamma) as any sequence of six floats and
-returns a tuple of six.
+returns a tuple of six; its one parameter is the float c0.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable
 
 from .algebra import NumericalError, bs_solve
 from .hk import hk_step
-from .models import KowalevskiParams
+from .models import KOWALEVSKI_INERTIA
 
 
 class SouthPoleError(NumericalError):
@@ -103,7 +103,7 @@ def _recover_omega(y, gam_next, w3_next: float, h: float, c0: float) -> tuple[fl
     return w.real, w.imag, w3_next, n0, n1, n2
 
 
-def bohlin_algorithm_step(y, kp: KowalevskiParams, h: float,
+def bohlin_algorithm_step(y, c0: float, h: float,
                           gamma_step: Callable = gamma_step_bs) -> tuple[float, ...]:
     """Three-stage step on y = (omega, gamma): gamma by gamma_step (one of the
     sphere-preserving gamma_step_bs, _stereo and _rotation), then the
@@ -125,11 +125,11 @@ def bohlin_algorithm_step(y, kp: KowalevskiParams, h: float,
     why the 1000-step round trip at h = 1e-3 is only 9.3e-7.
     """
     gam_next = gamma_step(y[3:], y[:3], h)
-    w3_next = omega3_update(y[2], y[4], gam_next[1], h, kp.c0)
-    return _recover_omega(y, gam_next, w3_next, h, kp.c0)
+    w3_next = omega3_update(y[2], y[4], gam_next[1], h, c0)
+    return _recover_omega(y, gam_next, w3_next, h, c0)
 
 
-def hybrid_step(y, kp: KowalevskiParams, h: float) -> tuple[float, ...]:
+def hybrid_step(y, c0: float, h: float) -> tuple[float, ...]:
     """Predictor-corrector step: bilinear 6x6 predictor, then a midpoint-type
     re-solve of gamma against the averaged omega, then the square-root
     recovery of (w1, w2).
@@ -142,6 +142,6 @@ def hybrid_step(y, kp: KowalevskiParams, h: float) -> tuple[float, ...]:
     the default point, omega_2 = 0, is the 1000-step round trip at h = 1e-3
     as small as 7.0e-14.
     """
-    p0, p1, p2 = hk_step(y, kp.inertia, (kp.c0, 0.0, 0.0), h)[:3]
+    p0, p1, p2 = hk_step(y, KOWALEVSKI_INERTIA, (c0, 0.0, 0.0), h)[:3]
     gam_next = bs_solve(y[3:], (p0 + y[0], p1 + y[1], p2 + y[2]), 0.25 * h)
-    return _recover_omega(y, gam_next, p2, h, kp.c0)
+    return _recover_omega(y, gam_next, p2, h, c0)

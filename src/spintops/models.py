@@ -4,45 +4,18 @@ The state is the packed y = (omega, gamma) in the body frame: angular
 velocity and the vertical unit vector. Angular momentum is
 m = diag(A, B, C) @ omega. Steps take and return the state as six floats;
 the functions here take it as a 6-vector, or as an (n, 6) stack where noted.
+Parameters are floats: the inertia (A, B, C) and the gravity-moment vector
+g = mg*(x0, y0, z0) as three each, and the Kowalevski c0 as one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .algebra import cross, skew_apply_matrix, vec3
+from .algebra import cross, skew_apply_matrix
 
-
-@dataclass(frozen=True)
-class TopParams:
-    """Moments of inertia (A, B, C) and gravity-moment vector g = mg*(x0, y0, z0)."""
-
-    A: float
-    B: float
-    C: float
-    g: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        if not (self.A > 0 and self.B > 0 and self.C > 0):
-            raise ValueError("moments of inertia must be positive")
-        object.__setattr__(self, "g", np.asarray(self.g, dtype=float))
-
-    @property
-    def inertia(self) -> np.ndarray:
-        return np.array([self.A, self.B, self.C])
-
-
-@dataclass(frozen=True)
-class KowalevskiParams:
-    """Reduced parameters A=B=2, C=1, gravity vector (c0, 0, 0)."""
-
-    c0: float = 1.0
-    inertia = (2.0, 2.0, 1.0)  # a class constant, not a field
-
-    def top_params(self) -> TopParams:
-        return TopParams(*self.inertia, vec3(self.c0, 0.0, 0.0))
+# The reduced Kowalevski top: A = B = 2, C = 1, gravity vector (c0, 0, 0).
+KOWALEVSKI_INERTIA = (2.0, 2.0, 1.0)
 
 
 def _values(*values):
@@ -50,59 +23,59 @@ def _values(*values):
     return tuple(float(v) if np.ndim(v) == 0 else v for v in values)
 
 
-def euler_poisson_rhs(y: np.ndarray, p: TopParams) -> np.ndarray:
+def euler_poisson_rhs(y: np.ndarray, inertia, g) -> np.ndarray:
     """Time derivative dy = (d omega, d gamma) of the body-frame equations.
 
     m_dot = m x omega + gamma x g with m = diag(A,B,C) omega, and
     gamma_dot = gamma x omega.
     """
-    w, gam = y[:3], y[3:]
-    m = p.inertia * w
-    dm = cross(m, w) + cross(gam, p.g)
-    return np.concatenate([dm / p.inertia, cross(gam, w)])
+    inertia, w, gam = np.asarray(inertia), y[:3], y[3:]
+    m = inertia * w
+    dm = cross(m, w) + cross(gam, g)
+    return np.concatenate([dm / inertia, cross(gam, w)])
 
 
-def invariants(y: np.ndarray, p: TopParams) -> tuple:
+def invariants(y: np.ndarray, inertia, g) -> tuple:
     """The three universal conserved quantities (gamma^2, m.gamma, E) of a
     state y, or of each row of a stack of states (n, 6)."""
     w, gam = y[..., :3], y[..., 3:]
-    m = p.inertia * w
+    m = inertia * w
     return _values(np.vecdot(gam, gam), np.vecdot(m, gam),
-                   0.5 * np.vecdot(m, w) + np.vecdot(p.g, gam))
+                   0.5 * np.vecdot(m, w) + np.vecdot(g, gam))
 
 
-def xi(y: np.ndarray, kp: KowalevskiParams) -> complex:
+def xi(y: np.ndarray, c0: float) -> complex:
     """xi = (omega_1 + i*omega_2)^2 - c0*(gamma_1 + i*gamma_2), of a state y
     or of each row of a stack of states, formed from its real and imaginary
     parts as Python's complex arithmetic rounds them."""
     w0, w1, g0, g1 = y[..., 0], y[..., 1], y[..., 3], y[..., 4]
-    return (w0 * w0 - w1 * w1 - kp.c0 * g0) + 1j * (w0 * w1 + w1 * w0 - kp.c0 * g1)
+    return (w0 * w0 - w1 * w1 - c0 * g0) + 1j * (w0 * w1 + w1 * w0 - c0 * g1)
 
 
-def kowalevski_invariants(y: np.ndarray, kp: KowalevskiParams) -> tuple:
+def kowalevski_invariants(y: np.ndarray, c0: float) -> tuple:
     """(2*ell, E, k^2) in the reduced A=B=2, C=1 form, of a state y or of each
     row of a stack of states (n, 6)."""
     w0, w1, w2, g0 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
     two_ell = 2.0 * (w0 * g0 + w1 * y[..., 4]) + w2 * y[..., 5]
-    energy = w0 * w0 + w1 * w1 + 0.5 * (w2 * w2) + kp.c0 * g0
-    z = xi(y, kp)
+    energy = w0 * w0 + w1 * w1 + 0.5 * (w2 * w2) + c0 * g0
+    z = xi(y, c0)
     return _values(two_ell, energy, np.hypot(z.real, z.imag) ** 2)
 
 
-def matrix_form_residual(y: np.ndarray, p: TopParams) -> float:
+def matrix_form_residual(y: np.ndarray, inertia, g) -> float:
     """Max-norm residual of the two commutator identities equivalent to the
     component equations: dM/dt = [Om, M] + [G, Gam] and dGam/dt = [Om, Gam].
 
     Analytically zero for every state; useful as a consistency check of sign
     conventions.
     """
-    dy = euler_poisson_rhs(y, p)
-    m = p.inertia * y[:3]
-    dm = p.inertia * dy[:3]
+    dy = euler_poisson_rhs(y, inertia, g)
+    m = inertia * y[:3]
+    dm = inertia * dy[:3]
 
     # Matrices in the layout K(v).T @ u == u x v.
     M, Om, Gam, G, dM, dGam = (
-        skew_apply_matrix(v).T for v in (m, y[:3], y[3:], p.g, dm, dy[3:])
+        skew_apply_matrix(v).T for v in (m, y[:3], y[3:], g, dm, dy[3:])
     )
     r1 = dM - (Om @ M - M @ Om) - (G @ Gam - Gam @ G)
     r2 = dGam - (Om @ Gam - Gam @ Om)

@@ -58,17 +58,18 @@ def full_pivot_solve(a, b):
     return x
 
 
-def assemble_system(y, p, h):
+def assemble_system(y, inertia, g, h):
     """Dense 6x6 matrix and right-hand side of the bilinear hk step, unknowns
     ordered (w1, w2, w3, g1, g2, g3): the oracle for the block solve."""
     w, gam = y[:3], y[3:]
-    gv = p.g
-    a1 = h * (p.B - p.C) / (2.0 * p.A)
-    a2 = h * (p.C - p.A) / (2.0 * p.B)
-    a3 = h * (p.A - p.B) / (2.0 * p.C)
-    b1 = h / (2.0 * p.A)
-    b2 = h / (2.0 * p.B)
-    b3 = h / (2.0 * p.C)
+    A, B, C = inertia
+    gv = g
+    a1 = h * (B - C) / (2.0 * A)
+    a2 = h * (C - A) / (2.0 * B)
+    a3 = h * (A - B) / (2.0 * C)
+    b1 = h / (2.0 * A)
+    b2 = h / (2.0 * B)
+    b3 = h / (2.0 * C)
     hh = 0.5 * h
 
     mat = np.eye(6)

@@ -11,7 +11,7 @@ from spintops.algebra import (
 )
 from spintops.hk import hk_step
 from spintops.kowalevski import gamma_step_rotation
-from spintops.models import KowalevskiParams, TopParams
+from spintops.models import KOWALEVSKI_INERTIA
 
 from conftest import assemble_system, cramer_solve3, full_pivot_solve
 
@@ -105,7 +105,7 @@ class TestSolve6:
         for _ in range(20):
             inertia, _, y = random_top(rng)
             h = rng.uniform(0.01, 0.5)
-            mat, rhs = assemble_system(np.array(y), TopParams(*inertia), h)
+            mat, rhs = assemble_system(np.array(y), inertia, (0.0, 0.0, 0.0), h)
             x = hk_step(y, inertia, (0.0, 0.0, 0.0), h)
             omega = solve3(mat[:3, :3].tolist(), rhs[:3].tolist())
             gamma = solve3(mat[3:, 3:].tolist(), (rhs[3:] - mat[3:, :3] @ omega).tolist())
@@ -116,7 +116,7 @@ class TestSolve6:
         for _ in range(50):
             inertia, g, y = random_top(rng)
             h = rng.uniform(0.01, 0.5)
-            mat, rhs = assemble_system(np.array(y), TopParams(*inertia, g), h)
+            mat, rhs = assemble_system(np.array(y), inertia, g, h)
             x = np.array(hk_step(y, inertia, g, h))
             assert np.allclose(x, full_pivot_solve(mat, rhs), atol=1e-12)
             assert np.max(np.abs(mat @ x - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
@@ -125,10 +125,9 @@ class TestSolve6:
         # A free top with inertia (3, 2, 1) spinning about its middle axis at
         # |w2| = sqrt(3), h = 2: the omega block has det 1 - h^2 w2^2 / 12 = 0.
         # And the Kowalevski system at h = 1e9, far below the relative cutoff.
-        kp = KowalevskiParams(1.0)
         for y, inertia, g, h in [
             ((0.0, 3.0 ** 0.5, 0.0, 0.0, 0.0, 1.0), (3.0, 2.0, 1.0), (0.0, 0.0, 0.0), 2.0),
-            ((2.0, 0.0, 0.0, 1.0, 0.0, 0.001), kp.inertia, (kp.c0, 0.0, 0.0), 1e9),
+            ((2.0, 0.0, 0.0, 1.0, 0.0, 0.001), KOWALEVSKI_INERTIA, (1.0, 0.0, 0.0), 1e9),
         ]:
             with pytest.raises(SingularSystemError):
                 hk_step(y, inertia, g, h)

@@ -19,7 +19,7 @@ from spintops.harness import (
     run,
 )
 from spintops.hk import hk_step
-from spintops.models import KowalevskiParams, invariants, kowalevski_invariants
+from spintops.models import KOWALEVSKI_INERTIA, invariants, kowalevski_invariants
 
 
 def kow_cfg(**kw):
@@ -54,6 +54,18 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError):
             kow_cfg(init=np.zeros(4)).validated()
 
+    @pytest.mark.parametrize("model, scheme, name, value", [
+        ("euler", "bs", "inertia", (1.0, 2.0)),
+        ("euler", "hk", "inertia", (1.0, 2.0, 3.0, 4.0)),
+        ("general", "reference", "gravity", (0.5, 1.0)),
+        ("lagrange", "bs", "vertical", 1.0),
+    ])
+    def test_wrong_parameter_vector_length(self, model, scheme, name, value):
+        cfg = RunConfig(model=model, scheme=scheme, h=0.01, steps=1, init=np.ones(6),
+                        **{name: value})
+        with pytest.raises(ConfigError, match=f"{name} must have 3 components"):
+            cfg.validated()
+
     def test_default_kowalevski_init(self):
         cfg = kow_cfg().validated()
         assert cfg.init[0] == 2.0
@@ -77,11 +89,10 @@ class TestRun:
 
     def test_invariant_columns_self_consistent(self):
         traj = run(kow_cfg(steps=50))
-        kp = KowalevskiParams(1.0)
         for i in range(len(traj.steps)):
             y = traj.states[i]
-            gamma_sq, _, energy = invariants(y, kp.top_params())
-            two_ell, _, k_sq = kowalevski_invariants(y, kp)
+            gamma_sq, _, energy = invariants(y, KOWALEVSKI_INERTIA, (1.0, 0.0, 0.0))
+            two_ell, _, k_sq = kowalevski_invariants(y, 1.0)
             row = traj.invariant_values[i]
             assert abs(row[0] - gamma_sq) <= 1e-15
             assert abs(row[1] - two_ell) <= 1e-15
@@ -329,7 +340,10 @@ class TestCli:
     def test_numerical_error_exit_code(self, capsys):
         for argv in NUMERICAL_ERRORS:
             assert main(argv) == 3, argv
-            assert "numerical failure" in capsys.readouterr().err, argv
+            err = capsys.readouterr().err
+            assert "numerical failure" in err, argv
+            model, scheme = argv[argv.index("--model") + 1], argv[argv.index("--scheme") + 1]
+            assert f"{model}/{scheme} " in err, (argv, err)
 
     @pytest.mark.slow
     @pytest.mark.filterwarnings("error")

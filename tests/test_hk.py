@@ -4,49 +4,51 @@ import pytest
 from spintops import hk
 from spintops.algebra import SingularSystemError, vec3
 from spintops.hk import hk_step
-from spintops.models import KowalevskiParams, TopParams
+from spintops.models import KOWALEVSKI_INERTIA
 
 from conftest import assemble_system, cramer_solve3, full_pivot_solve
 
-KP = KowalevskiParams(1.0)
+C0 = 1.0
+KOW_G = (C0, 0.0, 0.0)
+NO_G = (0.0, 0.0, 0.0)
 BENCH = np.array([2, 0, 0, np.sqrt(1 - 0.001**2), 0, 0.001])
 
 
-def bilinear_residual(y, y_next, p, h):
+def bilinear_residual(y, y_next, inertia, gv, h):
     """The six defining relations evaluated directly (independent of the
     matrix assembly); max-abs residual."""
     w, g = y[:3], y[3:]
     wn, gn = y_next[:3], y_next[3:]
-    gv = p.g
+    A, B, C = inertia
     r = np.empty(6)
-    r[0] = (wn[0] - w[0]) - h * (p.B - p.C) / (2 * p.A) * (wn[1] * w[2] + w[1] * wn[2]) \
-        - h / (2 * p.A) * (gv[2] * (gn[1] + g[1]) - gv[1] * (gn[2] + g[2]))
-    r[1] = (wn[1] - w[1]) - h * (p.C - p.A) / (2 * p.B) * (wn[2] * w[0] + w[2] * wn[0]) \
-        - h / (2 * p.B) * (gv[0] * (gn[2] + g[2]) - gv[2] * (gn[0] + g[0]))
-    r[2] = (wn[2] - w[2]) - h * (p.A - p.B) / (2 * p.C) * (wn[0] * w[1] + w[0] * wn[1]) \
-        - h / (2 * p.C) * (gv[1] * (gn[0] + g[0]) - gv[0] * (gn[1] + g[1]))
+    r[0] = (wn[0] - w[0]) - h * (B - C) / (2 * A) * (wn[1] * w[2] + w[1] * wn[2]) \
+        - h / (2 * A) * (gv[2] * (gn[1] + g[1]) - gv[1] * (gn[2] + g[2]))
+    r[1] = (wn[1] - w[1]) - h * (C - A) / (2 * B) * (wn[2] * w[0] + w[2] * wn[0]) \
+        - h / (2 * B) * (gv[0] * (gn[2] + g[2]) - gv[2] * (gn[0] + g[0]))
+    r[2] = (wn[2] - w[2]) - h * (A - B) / (2 * C) * (wn[0] * w[1] + w[0] * wn[1]) \
+        - h / (2 * C) * (gv[1] * (gn[0] + g[0]) - gv[0] * (gn[1] + g[1]))
     r[3] = (gn[0] - g[0]) - h / 2 * (gn[1] * w[2] + g[1] * wn[2] - gn[2] * w[1] - g[2] * wn[1])
     r[4] = (gn[1] - g[1]) - h / 2 * (gn[2] * w[0] + g[2] * wn[0] - gn[0] * w[2] - g[0] * wn[2])
     r[5] = (gn[2] - g[2]) - h / 2 * (gn[0] * w[1] + g[0] * wn[1] - gn[1] * w[0] - g[1] * wn[0])
     return float(np.max(np.abs(r)))
 
 
-def assemble_by_probing(y, p, h):
+def assemble_by_probing(y, inertia, gv, h):
     """Independent assembly: the relations are affine in the new state, so the
     matrix columns come from probing unit vectors."""
+    A, B, C = inertia
 
     def res_vec(x):
         w, g = y[:3], y[3:]
         wn, gn = x[:3], x[3:]
-        gv = p.g
         return np.array(
             [
-                (wn[0] - w[0]) - h * (p.B - p.C) / (2 * p.A) * (wn[1] * w[2] + w[1] * wn[2])
-                - h / (2 * p.A) * (gv[2] * (gn[1] + g[1]) - gv[1] * (gn[2] + g[2])),
-                (wn[1] - w[1]) - h * (p.C - p.A) / (2 * p.B) * (wn[2] * w[0] + w[2] * wn[0])
-                - h / (2 * p.B) * (gv[0] * (gn[2] + g[2]) - gv[2] * (gn[0] + g[0])),
-                (wn[2] - w[2]) - h * (p.A - p.B) / (2 * p.C) * (wn[0] * w[1] + w[0] * wn[1])
-                - h / (2 * p.C) * (gv[1] * (gn[0] + g[0]) - gv[0] * (gn[1] + g[1])),
+                (wn[0] - w[0]) - h * (B - C) / (2 * A) * (wn[1] * w[2] + w[1] * wn[2])
+                - h / (2 * A) * (gv[2] * (gn[1] + g[1]) - gv[1] * (gn[2] + g[2])),
+                (wn[1] - w[1]) - h * (C - A) / (2 * B) * (wn[2] * w[0] + w[2] * wn[0])
+                - h / (2 * B) * (gv[0] * (gn[2] + g[2]) - gv[2] * (gn[0] + g[0])),
+                (wn[2] - w[2]) - h * (A - B) / (2 * C) * (wn[0] * w[1] + w[0] * wn[1])
+                - h / (2 * C) * (gv[1] * (gn[0] + g[0]) - gv[0] * (gn[1] + g[1])),
                 (gn[0] - g[0]) - h / 2 * (gn[1] * w[2] + g[1] * wn[2] - gn[2] * w[1] - g[2] * wn[1]),
                 (gn[1] - g[1]) - h / 2 * (gn[2] * w[0] + g[2] * wn[0] - gn[0] * w[2] - g[0] * wn[2]),
                 (gn[2] - g[2]) - h / 2 * (gn[0] * w[1] + g[0] * wn[1] - gn[1] * w[0] - g[1] * wn[0]),
@@ -61,65 +63,61 @@ def assemble_by_probing(y, p, h):
 class TestHkStep:
     def test_zero_step_is_identity(self):
         y = np.array([0.4, -1.2, 0.3, 0.1, 0.2, 0.9])
-        out = hk_step(y, KP.inertia, (KP.c0, 0.0, 0.0), 0.0)
+        out = hk_step(y, KOWALEVSKI_INERTIA, KOW_G, 0.0)
         assert np.array_equal(out, y)
 
     def test_free_principal_rotation_fixes_omega(self):
-        p = TopParams(1.0, 2.0, 3.0)
+        inertia = (1.0, 2.0, 3.0)
         y = np.array([0, 0, 1.7, 0.3, 0.1, 0.94])
-        out = hk_step(y, p.inertia, p.g, 0.05)
+        out = hk_step(y, inertia, NO_G, 0.05)
         assert np.allclose(out[:3], y[:3], atol=1e-15)
-        assert bilinear_residual(y, out, p, 0.05) <= 1e-14
+        assert bilinear_residual(y, out, inertia, NO_G, 0.05) <= 1e-14
 
     def test_matches_independent_assembly_and_oracle(self):
         h = 0.001
-        p = KP.top_params()
-        out = hk_step(BENCH, p.inertia, p.g, h)
-        mat, rhs = assemble_by_probing(BENCH, p, h)
+        out = hk_step(BENCH, KOWALEVSKI_INERTIA, KOW_G, h)
+        mat, rhs = assemble_by_probing(BENCH, KOWALEVSKI_INERTIA, KOW_G, h)
         expected = full_pivot_solve(mat, rhs)
         assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_defining_relations_satisfied(self, rng):
         for _ in range(20):
             y = np.concatenate([rng.normal(size=3), rng.normal(size=3)])
-            p = TopParams(*rng.uniform(0.5, 3.0, 3), rng.normal(size=3))
-            out = hk_step(y, p.inertia, p.g, 0.01)
-            assert bilinear_residual(y, out, p, 0.01) <= 1e-12
+            inertia, g = rng.uniform(0.5, 3.0, 3), rng.normal(size=3)
+            out = hk_step(y, inertia, g, 0.01)
+            assert bilinear_residual(y, out, inertia, g, 0.01) <= 1e-12
 
     def test_assembly_matches_probing(self, rng):
         for _ in range(10):
             y = np.concatenate([rng.normal(size=3), rng.normal(size=3)])
-            p = TopParams(*rng.uniform(0.5, 3.0, 3), rng.normal(size=3))
-            mat, rhs = assemble_system(y, p, 0.02)
-            mat2, rhs2 = assemble_by_probing(y, p, 0.02)
+            inertia, g = rng.uniform(0.5, 3.0, 3), rng.normal(size=3)
+            mat, rhs = assemble_system(y, inertia, g, 0.02)
+            mat2, rhs2 = assemble_by_probing(y, inertia, g, 0.02)
             assert np.allclose(mat, mat2, atol=1e-14)
             assert np.allclose(rhs, rhs2, atol=1e-14)
 
     def test_single_step_reversal(self):
         h = 0.001
-        p = KP.top_params()
-        back = hk_step(hk_step(BENCH, p.inertia, p.g, h), p.inertia, p.g, -h)
+        back = hk_step(hk_step(BENCH, KOWALEVSKI_INERTIA, KOW_G, h), KOWALEVSKI_INERTIA, KOW_G, -h)
         assert np.max(np.abs(back - BENCH)) <= 1e-10
 
     def test_accumulated_reversal_1000_steps(self):
         h = 0.001
-        p = KP.top_params()
         y = BENCH
         for _ in range(1000):
-            y = hk_step(y, p.inertia, p.g, h)
+            y = hk_step(y, KOWALEVSKI_INERTIA, KOW_G, h)
         for _ in range(1000):
-            y = hk_step(y, p.inertia, p.g, -h)
+            y = hk_step(y, KOWALEVSKI_INERTIA, KOW_G, -h)
         assert np.max(np.abs(y - BENCH)) <= 1e-9
 
     def test_second_order_consistency(self):
         # endpoint error vs a tiny-step run of the same scheme
-        p = KP.top_params()
         t_end = 0.5
 
         def endpoint(h):
             y = BENCH
             for _ in range(round(t_end / h)):
-                y = hk_step(y, p.inertia, p.g, h)
+                y = hk_step(y, KOWALEVSKI_INERTIA, KOW_G, h)
             return np.array(y)
 
         ref = endpoint(1e-4)
@@ -129,22 +127,21 @@ class TestHkStep:
 
     def test_lagrange_params_conserve_omega3_exactly(self, rng):
         # A=B, x0=y0=0: the third omega relation degenerates to w3'=w3
-        p = TopParams(2.0, 2.0, 1.0, vec3(0, 0, 0.8))
         y = np.concatenate([rng.normal(size=3), rng.normal(size=3)])
-        out = hk_step(y, p.inertia, p.g, 0.02)
+        out = hk_step(y, (2.0, 2.0, 1.0), vec3(0, 0, 0.8), 0.02)
         assert out[2] == y[2]
         # and over random C, gravity and h (a Cramer solve that divides
         # after summing loses the exact w3 in about 1 % of these)
         for _ in range(2000):
-            p = TopParams(2.0, 2.0, rng.uniform(0.5, 3.0), vec3(0, 0, rng.normal()))
+            inertia, g = (2.0, 2.0, rng.uniform(0.5, 3.0)), vec3(0, 0, rng.normal())
             y = rng.normal(size=6)
-            assert hk_step(y, p.inertia, p.g, rng.uniform(0.001, 0.5))[2] == y[2]
+            assert hk_step(y, inertia, g, rng.uniform(0.001, 0.5))[2] == y[2]
 
 
 def random_system(rng):
-    """A general heavy top, a state and a step size h in [-0.05, 1]."""
-    p = TopParams(*rng.uniform(0.5, 3.0, 3), rng.normal(size=3))
-    return rng.normal(size=6), p, rng.uniform(-0.05, 1.0)
+    """A state, a general heavy top (inertia, g) and a step size h in [-0.05, 1]."""
+    inertia, g = rng.uniform(0.5, 3.0, 3), rng.normal(size=3)
+    return rng.normal(size=6), inertia, g, rng.uniform(-0.05, 1.0)
 
 
 class TestBlockSolve:
@@ -154,17 +151,17 @@ class TestBlockSolve:
     def test_matches_dense_oracle(self, rng):
         # measured worst 7.3e-15
         for _ in range(2000):
-            y, p, h = random_system(rng)
-            want = full_pivot_solve(*assemble_system(y, p, h))
-            got = hk_step(y, p.inertia, p.g, h)
+            y, inertia, g, h = random_system(rng)
+            want = full_pivot_solve(*assemble_system(y, inertia, g, h))
+            got = hk_step(y, inertia, g, h)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_det6_is_det3_over_q(self, rng):
         # det of the 6x6 = det of the omega Schur complement * (1 + |s|^2),
         # s = (h/2) omega; measured worst relative difference 9.1e-16
         for _ in range(200):
-            y, p, h = random_system(rng)
-            mat, _ = assemble_system(y, p, h)
+            y, inertia, g, h = random_system(rng)
+            mat, _ = assemble_system(y, inertia, g, h)
             s = 0.5 * h * y[:3]
             schur = mat[:3, :3] - mat[:3, 3:] @ np.linalg.solve(mat[3:, 3:], mat[3:, :3])
             det6 = np.linalg.det(mat)
@@ -176,69 +173,66 @@ class TestBlockSolve:
         # that the dense 6x6 criterion calls singular.
         systems = [random_system(rng) for _ in range(400)]
         ratios = []
-        for y, p, h in systems:
-            mat, _ = assemble_system(y, p, h)
+        for y, inertia, g, h in systems:
+            mat, _ = assemble_system(y, inertia, g, h)
             ratios.append(abs(np.linalg.det(mat)) / np.linalg.norm(mat) ** 6)
         rtol = float(np.median(ratios))
         monkeypatch.setattr(hk, "SINGULAR_RTOL", rtol)
-        for (y, p, h), ratio in zip(systems, ratios):
+        for (y, inertia, g, h), ratio in zip(systems, ratios):
             if abs(ratio / rtol - 1.0) <= 1e-9:
                 continue
             if ratio > rtol:
-                hk_step(y, p.inertia, p.g, h)
+                hk_step(y, inertia, g, h)
             else:
                 with pytest.raises(SingularSystemError):
-                    hk_step(y, p.inertia, p.g, h)
+                    hk_step(y, inertia, g, h)
 
 
-def free_step(w, p, h):
+def free_step(w, inertia, h):
     """hk_step at gamma = 0 and g = 0: the free-top bilinear step in omega
-    alone, which reads no gravity from p."""
-    return np.array(hk_step((*w, 0.0, 0.0, 0.0), p.inertia, (0.0, 0.0, 0.0), h)[:3])
+    alone."""
+    return np.array(hk_step((*w, 0.0, 0.0, 0.0), inertia, NO_G, h)[:3])
 
 
 class TestHkStepEuler:
     def test_spherical_top_fixed(self, rng):
-        p = TopParams(2.0, 2.0, 2.0)
         w = rng.normal(size=3)
-        assert np.allclose(free_step(w, p, 0.1), w, atol=1e-15)
+        assert np.allclose(free_step(w, (2.0, 2.0, 2.0), 0.1), w, atol=1e-15)
 
     def test_principal_axis_fixed_point(self):
-        p = TopParams(1.0, 2.0, 3.0)
-        assert np.allclose(free_step(vec3(0, 0, 1.3), p, 0.1), vec3(0, 0, 1.3), atol=1e-15)
+        assert np.allclose(free_step(vec3(0, 0, 1.3), (1.0, 2.0, 3.0), 0.1), vec3(0, 0, 1.3),
+                           atol=1e-15)
 
     def test_matches_elimination_oracle(self):
         w = vec3(1, 1, 1)
         h = 0.1
         # free-top bilinear relations w'_i - w_i = a_i (w'_j w_k + w_j w'_k),
-        # written out; the step ignores gravity
-        for p in [TopParams(1.0, 2.0, 3.0), TopParams(1.0, 2.0, 3.0, vec3(0.5, 0, 1))]:
-            a1, a2, a3 = (h * (p.B - p.C) / (2 * p.A), h * (p.C - p.A) / (2 * p.B),
-                          h * (p.A - p.B) / (2 * p.C))
-            mat = np.array([[1.0, -a1 * w[2], -a1 * w[1]],
-                            [-a2 * w[2], 1.0, -a2 * w[0]],
-                            [-a3 * w[1], -a3 * w[0], 1.0]])
-            expected = cramer_solve3(mat, w)
-            assert np.max(np.abs(free_step(w, p, h) - expected)) <= 1e-12
+        # written out
+        A, B, C = inertia = (1.0, 2.0, 3.0)
+        a1, a2, a3 = h * (B - C) / (2 * A), h * (C - A) / (2 * B), h * (A - B) / (2 * C)
+        mat = np.array([[1.0, -a1 * w[2], -a1 * w[1]],
+                        [-a2 * w[2], 1.0, -a2 * w[0]],
+                        [-a3 * w[1], -a3 * w[0], 1.0]])
+        expected = cramer_solve3(mat, w)
+        assert np.max(np.abs(free_step(w, inertia, h) - expected)) <= 1e-12
 
     def test_matches_omega_block_of_full_step(self, rng):
-        p = TopParams(1.3, 0.9, 2.2)
+        inertia = (1.3, 0.9, 2.2)
         w = rng.normal(size=3)
         y = np.concatenate([w, rng.normal(size=3)])
-        full = hk_step(y, p.inertia, p.g, 0.03)
-        assert np.allclose(free_step(w, p, 0.03), full[:3], atol=1e-13)
+        full = hk_step(y, inertia, NO_G, 0.03)
+        assert np.allclose(free_step(w, inertia, 0.03), full[:3], atol=1e-13)
 
     def test_m_sq_drift_is_nonzero_and_second_order(self):
         # the free-top step breaks |m|^2; drift shrinks ~4x when h halves
-        p = TopParams(1.0, 2.0, 3.0)
-        inertia = p.inertia
+        inertia = np.array([1.0, 2.0, 3.0])
 
         def drift(h, t_end=20.0):
             w = vec3(1, 1, 1)
             m0 = float((inertia * w) @ (inertia * w))
             worst = 0.0
             for _ in range(round(t_end / h)):
-                w = free_step(w, p, h)
+                w = free_step(w, inertia, h)
                 m = inertia * w
                 worst = max(worst, abs(float(m @ m) - m0))
             return worst
@@ -253,8 +247,8 @@ class TestHkStepEuler:
         # Hirota-Kimura: with alpha = ((B-C)/A, (C-A)/B, (A-B)/C), each
         # I_ij = (alpha_j w_i^2 - alpha_i w_j^2) / (1 - (h/2)^2 alpha_i alpha_j w_k^2)
         # is an exact integral of the step. Measured spread <= 3.9e-14.
-        p = TopParams(1.0, 2.0, 3.0)
-        alpha = np.array([(p.B - p.C) / p.A, (p.C - p.A) / p.B, (p.A - p.B) / p.C])
+        A, B, C = inertia = (1.0, 2.0, 3.0)
+        alpha = np.array([(B - C) / A, (C - A) / B, (A - B) / C])
 
         def integrals(w):
             return [
@@ -266,7 +260,7 @@ class TestHkStepEuler:
         w = vec3(1, 1, 1)
         values = [integrals(w)]
         for _ in range(2000):
-            w = free_step(w, p, h)
+            w = free_step(w, inertia, h)
             values.append(integrals(w))
         spread = np.ptp(np.array(values), axis=0)
         assert np.all(spread <= 1e-13), spread

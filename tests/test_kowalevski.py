@@ -16,11 +16,11 @@ from spintops.kowalevski import (
     stereo_forward,
     stereo_inverse,
 )
-from spintops.models import KowalevskiParams, kowalevski_invariants, xi
+from spintops.models import kowalevski_invariants, xi
 
 from conftest import bohlin_reversal_defect, cramer_solve3
 
-KP = KowalevskiParams(1.0)
+C0 = 1.0
 BENCH = np.array([2, 0, 0, np.sqrt(1 - 0.001**2), 0, 0.001])
 
 
@@ -200,15 +200,15 @@ class TestBohlinStep:
         h = 0.001
         cfg = RunConfig(model="kowalevski", scheme="reference", h=h / 100, steps=100, stride=100)
         y_ref = run(cfg).final_state()
-        xi_ref = xi(y_ref, KP)
+        xi_ref = xi(y_ref, C0)
         chi = 0.5 * h * (y_ref[2] + BENCH[2])
-        xi_trap = cmath.exp(-1j * chi) * xi(BENCH, KP)
+        xi_trap = cmath.exp(-1j * chi) * xi(BENCH, C0)
         assert abs(xi_trap - xi_ref) <= 5.0 * h**3
 
 
 class TestBohlinAlgorithmStep:
     def test_zero_step_is_identity(self):
-        out = bohlin_algorithm_step(BENCH, KP, 0.0)
+        out = bohlin_algorithm_step(BENCH, C0, 0.0)
         assert np.max(np.abs(out - BENCH)) <= 1e-15
 
     @pytest.mark.parametrize(
@@ -217,11 +217,11 @@ class TestBohlinAlgorithmStep:
     )
     def test_invariants_per_step(self, gamma_step, rng):
         y = BENCH
-        k0 = abs(xi(y, KP))
+        k0 = abs(xi(y, C0))
         for _ in range(200):
-            y = np.array(bohlin_algorithm_step(y, KP, 0.001, gamma_step))
+            y = np.array(bohlin_algorithm_step(y, C0, 0.001, gamma_step))
             assert abs(y[3:] @ y[3:] - 1.0) <= 1e-12
-            assert abs(abs(xi(y, KP)) - k0) <= 1e-12
+            assert abs(abs(xi(y, C0)) - k0) <= 1e-12
 
     def test_first_order_accuracy(self):
         from spintops.harness import RunConfig, convergence_study
@@ -243,9 +243,9 @@ class TestBohlinAlgorithmStep:
         def worst_rel(h):
             worst = 0.0
             for y in states:
-                fwd = bohlin_algorithm_step(y, KP, h)
-                pair = bohlin_algorithm_step(fwd, KP, -h) - y
-                lead = h * h * bohlin_reversal_defect(y[:3], y[3:], KP.c0)
+                fwd = bohlin_algorithm_step(y, C0, h)
+                pair = bohlin_algorithm_step(fwd, C0, -h) - y
+                lead = h * h * bohlin_reversal_defect(y[:3], y[3:], C0)
                 worst = max(worst, np.linalg.norm(pair - lead) / np.linalg.norm(lead))
             return worst
 
@@ -256,24 +256,24 @@ class TestBohlinAlgorithmStep:
 
 class TestHybridStep:
     def test_zero_step_is_identity(self):
-        out = hybrid_step(BENCH, KP, 0.0)
+        out = hybrid_step(BENCH, C0, 0.0)
         assert np.max(np.abs(out - BENCH)) <= 1e-15
 
     def test_invariants_per_step(self):
         y = BENCH
-        k0 = abs(xi(y, KP))
+        k0 = abs(xi(y, C0))
         for _ in range(200):
-            y = np.array(hybrid_step(y, KP, 0.001))
+            y = np.array(hybrid_step(y, C0, 0.001))
             assert abs(y[3:] @ y[3:] - 1.0) <= 1e-13
-            assert abs(abs(xi(y, KP)) - k0) <= 1e-13
+            assert abs(abs(xi(y, C0)) - k0) <= 1e-13
 
     def test_round_trip_reversibility(self):
         # calibrated: 6.4e-14 after 1000 steps
         y = BENCH
         for _ in range(1000):
-            y = hybrid_step(y, KP, 0.001)
+            y = hybrid_step(y, C0, 0.001)
         for _ in range(1000):
-            y = hybrid_step(y, KP, -0.001)
+            y = hybrid_step(y, C0, -0.001)
         assert np.max(np.abs(y - BENCH)) <= 1e-12
 
     def test_root_kept_when_arguments_straddle_zero(self):
@@ -283,7 +283,7 @@ class TestHybridStep:
         g = 0.3 + 0.1j
         out = bohlin_step(2 + 0j, g, g - 1e-8j, 0.9, 0.5, 0.5, 0.0, 1.0)
         assert out == 2 - 2.4999999986841104e-9j
-        back = hybrid_step(hybrid_step(BENCH, KP, 0.001), KP, -0.001)
+        back = hybrid_step(hybrid_step(BENCH, C0, 0.001), C0, -0.001)
         assert np.max(np.abs(back - BENCH)) <= 1e-13
 
     def test_second_order_accuracy(self):
@@ -299,10 +299,10 @@ class TestHybridStep:
 @pytest.mark.parametrize(
     "step",
     [
-        lambda y, h: bohlin_algorithm_step(y, KP, h, gamma_step_bs),
-        lambda y, h: bohlin_algorithm_step(y, KP, h, gamma_step_stereo),
-        lambda y, h: bohlin_algorithm_step(y, KP, h, gamma_step_rotation),
-        lambda y, h: hybrid_step(y, KP, h),
+        lambda y, h: bohlin_algorithm_step(y, C0, h, gamma_step_bs),
+        lambda y, h: bohlin_algorithm_step(y, C0, h, gamma_step_stereo),
+        lambda y, h: bohlin_algorithm_step(y, C0, h, gamma_step_rotation),
+        lambda y, h: hybrid_step(y, C0, h),
     ],
     ids=["bohlin-a", "bohlin-b", "bohlin-c", "hybrid"],
 )
