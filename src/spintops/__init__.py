@@ -1,7 +1,7 @@
 """Structure-preserving time discretizations for the Euler, Lagrange, and
 Kowalevski tops."""
 
-from .algebra import NumericalError, SingularSystemError, cross, solve3, vec3
+from .algebra import NumericalError, SingularSystemError, solve3
 from .euler_lagrange import (ConvergenceError, bs_step_euler, lagrange_invariants,
                              lagrange_step, symmetric_step_euler)
 from .harness import (ConfigError, DriftReport, RunConfig, Trajectory, convergence_study,

@@ -1,10 +1,10 @@
-"""Small kernels: the numerical guard, the cross product, a 3x3 Cramer solve
-and the Cayley update.
+"""Small kernels: the numerical guard, a 3x3 Cramer solve and the Cayley
+update.
 
-`cross` and `skew_apply_matrix` act on numpy 3-vectors. Every step carries its
-state as six Python floats, and the two solve kernels it calls work on floats
-too: a vector is any sequence of three numbers and a matrix three rows of
-three, and they return tuples.
+Every step carries its state as six Python floats, and the two solve kernels
+it calls work on floats too: a vector is any sequence of three numbers and a
+matrix three rows of three, and they return tuples. `skew_apply_matrix`, which
+only the matrix-form consistency check uses, returns a numpy 3x3 matrix.
 All functions are pure and thread-safe.
 """
 
@@ -46,18 +46,8 @@ def numerical_guard(what: str):
         raise NumericalError(f"{what}: {e}") from e
 
 
-def vec3(x, y, z) -> np.ndarray:
-    return np.array([float(x), float(y), float(z)])
-
-
-def cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cross product u x v."""
-    return np.array([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
-                     u[0] * v[1] - u[1] * v[0]])
-
-
 def skew_apply_matrix(v: np.ndarray) -> np.ndarray:
-    """Matrix K(v) with K(v) @ x == cross(v, x)."""
+    """Matrix K(v) with K(v) @ u == v x u."""
     return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
 
 

@@ -1,6 +1,11 @@
 """Run driver: the model/scheme table, trajectory generation, invariant drift
 reports, reversibility and convergence diagnostics, period estimation, CSV
-emission."""
+emission.
+
+Every stepper, the RK4 `reference` included, takes the state as six floats
+and returns a tuple of six; `run` computes the invariant columns of the
+stored samples in one numpy pass after the loop.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import euler_lagrange, kowalevski
-from .algebra import NumericalError, cross, numerical_guard
+from .algebra import NumericalError, numerical_guard
 from .hk import hk_step
 from .models import KOWALEVSKI_INERTIA, euler_poisson_rhs, invariants, kowalevski_invariants
 
@@ -65,15 +70,18 @@ class RunConfig:
         init = self.init if self.init is not None else model.default_init
         if init is None:
             raise ConfigError(f"model {self.model!r} requires an explicit init")
-        init = np.array(init, dtype=float)
-        if init.shape != (6,):
-            raise ConfigError("init must have 6 components")
         vectors = ("inertia", "gravity", "vertical")
         for name in vectors:
             if np.shape(getattr(self, name)) != (3,):
                 raise ConfigError(f"{name} must have 3 components")
-        params = [self.c0, *self.inertia, *self.gravity, *self.vertical, *init]
-        if not np.all(np.isfinite(params)) or min(self.inertia) <= 0:
+        try:
+            init = np.array(init, dtype=float)
+            params = np.array([self.c0, *self.inertia, *self.gravity, *self.vertical], dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError("parameters and init must be real numbers") from None
+        if init.shape != (6,):
+            raise ConfigError("init must have 6 components")
+        if not np.all(np.isfinite([*params, *init])) or min(params[1:4]) <= 0:
             raise ConfigError("parameters and init must be finite, inertia positive")
         for name in ("c0", *vectors):
             unread = name not in model.reads
@@ -122,12 +130,25 @@ class Trajectory:
 
 
 def _rk4(rhs):
-    def step(y: np.ndarray, h: float) -> np.ndarray:
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """Classical RK4 step of dy = rhs(y) on six floats. Each stage state and
+    the update are formed componentwise, in numpy's elementwise order."""
+    def step(y, h: float) -> tuple[float, ...]:
+        y0, y1, y2, y3, y4, y5 = y
+        hh = 0.5 * h
+        a0, a1, a2, a3, a4, a5 = rhs(y)
+        b0, b1, b2, b3, b4, b5 = rhs((y0 + hh * a0, y1 + hh * a1, y2 + hh * a2,
+                                      y3 + hh * a3, y4 + hh * a4, y5 + hh * a5))
+        c0, c1, c2, c3, c4, c5 = rhs((y0 + hh * b0, y1 + hh * b1, y2 + hh * b2,
+                                      y3 + hh * b3, y4 + hh * b4, y5 + hh * b5))
+        d0, d1, d2, d3, d4, d5 = rhs((y0 + h * c0, y1 + h * c1, y2 + h * c2,
+                                      y3 + h * c3, y4 + h * c4, y5 + h * c5))
+        h6 = h / 6.0
+        return (y0 + h6 * (((a0 + 2.0 * b0) + 2.0 * c0) + d0),
+                y1 + h6 * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
+                y2 + h6 * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
+                y3 + h6 * (((a3 + 2.0 * b3) + 2.0 * c3) + d3),
+                y4 + h6 * (((a4 + 2.0 * b4) + 2.0 * c4) + d4),
+                y5 + h6 * (((a5 + 2.0 * b5) + 2.0 * c5) + d5))
 
     return step
 
@@ -171,8 +192,15 @@ def _body_reference(config: RunConfig):
 
 
 def _lagrange_reference(config: RunConfig):
-    p = config.vertical
-    return _rk4(lambda y: np.concatenate([cross(p, y[3:]), cross(y[:3], y[3:])]))
+    p0, p1, p2 = config.vertical
+
+    def rhs(y) -> tuple[float, ...]:
+        # (p x a, m x a)
+        m0, m1, m2, a0, a1, a2 = y
+        return (p1 * a2 - p2 * a1, p2 * a0 - p0 * a2, p0 * a1 - p1 * a0,
+                m1 * a2 - m2 * a1, m2 * a0 - m0 * a2, m0 * a1 - m1 * a0)
+
+    return _rk4(rhs)
 
 
 _BODY_COLUMNS = ("w1", "w2", "w3", "g1", "g2", "g3")
@@ -233,7 +261,6 @@ def run(config: RunConfig) -> Trajectory:
             y = step(y, h)
             # A finite norm proves every component finite; a state of norm
             # above 1.8e308 can be finite too, so only then check each one.
-            # hypot raises nothing on the reference's numpy rows either.
             if not math.isfinite(math.hypot(*y)) and not all(map(math.isfinite, y)):
                 raise NumericalError(f"non-finite state at step {n}")
             if n % config.stride == 0:

@@ -2,8 +2,9 @@
 
 The state is the packed y = (omega, gamma) in the body frame: angular
 velocity and the vertical unit vector. Angular momentum is
-m = diag(A, B, C) @ omega. Steps take and return the state as six floats;
-the functions here take it as a 6-vector, or as an (n, 6) stack where noted.
+m = diag(A, B, C) @ omega. Steps take and return the state as six floats, and
+so does the right-hand side: it takes any sequence of six floats and returns
+a tuple of six. The invariant functions take a 6-vector, or an (n, 6) stack.
 Parameters are floats: the inertia (A, B, C) and the gravity-moment vector
 g = mg*(x0, y0, z0) as three each, and the Kowalevski c0 as one.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import cross, skew_apply_matrix
+from .algebra import skew_apply_matrix
 
 # The reduced Kowalevski top: A = B = 2, C = 1, gravity vector (c0, 0, 0).
 KOWALEVSKI_INERTIA = (2.0, 2.0, 1.0)
@@ -23,16 +24,25 @@ def _values(*values):
     return tuple(float(v) if np.ndim(v) == 0 else v for v in values)
 
 
-def euler_poisson_rhs(y: np.ndarray, inertia, g) -> np.ndarray:
-    """Time derivative dy = (d omega, d gamma) of the body-frame equations.
+def euler_poisson_rhs(y, inertia, g) -> tuple[float, ...]:
+    """Time derivative dy = (d omega, d gamma) of the body-frame equations, as
+    six floats:
 
     m_dot = m x omega + gamma x g with m = diag(A,B,C) omega, and
     gamma_dot = gamma x omega.
     """
-    inertia, w, gam = np.asarray(inertia), y[:3], y[3:]
-    m = inertia * w
-    dm = cross(m, w) + cross(gam, g)
-    return np.concatenate([dm / inertia, cross(gam, w)])
+    w0, w1, w2, g0, g1, g2 = y
+    A, B, C = inertia
+    e0, e1, e2 = g
+    m0, m1, m2 = A * w0, B * w1, C * w2
+    return (
+        ((m1 * w2 - m2 * w1) + (g1 * e2 - g2 * e1)) / A,
+        ((m2 * w0 - m0 * w2) + (g2 * e0 - g0 * e2)) / B,
+        ((m0 * w1 - m1 * w0) + (g0 * e1 - g1 * e0)) / C,
+        g1 * w2 - g2 * w1,
+        g2 * w0 - g0 * w2,
+        g0 * w1 - g1 * w0,
+    )
 
 
 def invariants(y: np.ndarray, inertia, g) -> tuple:
@@ -69,7 +79,7 @@ def matrix_form_residual(y: np.ndarray, inertia, g) -> float:
     Analytically zero for every state; useful as a consistency check of sign
     conventions.
     """
-    dy = euler_poisson_rhs(y, inertia, g)
+    dy = np.array(euler_poisson_rhs(y, inertia, g))
     m = inertia * y[:3]
     dm = inertia * dy[:3]
 

@@ -1,12 +1,23 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles and helpers for the test suite.
 
 These deliberately re-derive results through different algorithms than the
 package (Cramer's rule, complete-pivot elimination, the dense 6x6 assembly of
-the hk step) so that agreement is a real cross-check.
+the hk step, the right-hand sides and RK4 in numpy vector arithmetic) so that
+agreement is a real cross-check.
 """
 
 import numpy as np
 import pytest
+
+
+def vec3(x, y, z):
+    return np.array([float(x), float(y), float(z)])
+
+
+def cross(u, v):
+    """Cross product u x v of two 3-vectors, by components."""
+    return np.array([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]])
 
 
 def det3(a):
@@ -111,6 +122,44 @@ def assemble_system(y, inertia, g, h):
         ]
     )
     return mat, rhs
+
+
+def componentwise_rhs(y, inertia, g):
+    """Independent oracle: the six scalar equations written out directly."""
+    w1, w2, w3, g1, g2, g3 = y
+    A, B, C = inertia
+    x0, y0, z0 = g  # gravity vector already carries the mg factor
+    dw1 = ((B - C) * w2 * w3 + (g2 * z0 - g3 * y0)) / A
+    dw2 = ((C - A) * w3 * w1 + (g3 * x0 - g1 * z0)) / B
+    dw3 = ((A - B) * w1 * w2 + (g1 * y0 - g2 * x0)) / C
+    dg1 = g2 * w3 - g3 * w2
+    dg2 = g3 * w1 - g1 * w3
+    dg3 = g1 * w2 - g2 * w1
+    return np.array([dw1, dw2, dw3, dg1, dg2, dg3])
+
+
+def vector_body_rhs(y, inertia, g):
+    """The body-frame right-hand side in numpy vector arithmetic:
+    (m x omega + gamma x g) / I with m = I omega, and gamma x omega."""
+    inertia, w, gam = np.asarray(inertia), y[:3], y[3:]
+    m = inertia * w
+    dm = cross(m, w) + cross(gam, g)
+    return np.concatenate([dm / inertia, cross(gam, w)])
+
+
+def vector_lagrange_rhs(y, p):
+    """The inertial-frame right-hand side (p x a, m x a) of y = (m, a)."""
+    return np.concatenate([cross(p, y[3:]), cross(y[:3], y[3:])])
+
+
+def vector_rk4(rhs, y, h):
+    """One classical RK4 step on a numpy 6-vector: the oracle for the float
+    `reference` stepper, which must agree with it bit for bit."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def bohlin_reversal_defect(omega, gamma, c0):

@@ -9,7 +9,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spintops.algebra import vec3
 from spintops.harness import (
     RunConfig,
     convergence_study,
@@ -20,7 +19,7 @@ from spintops.harness import (
 )
 from spintops.models import kowalevski_invariants
 
-from conftest import bohlin_reversal_defect
+from conftest import bohlin_reversal_defect, vec3
 
 H = 0.001
 N = 50000

@@ -1,19 +1,12 @@
 import numpy as np
 import pytest
 
-from spintops.algebra import (
-    SingularSystemError,
-    bs_solve,
-    cross,
-    skew_apply_matrix,
-    solve3,
-    vec3,
-)
+from spintops.algebra import SingularSystemError, bs_solve, skew_apply_matrix, solve3
 from spintops.hk import hk_step
 from spintops.kowalevski import gamma_step_rotation
 from spintops.models import KOWALEVSKI_INERTIA
 
-from conftest import assemble_system, cramer_solve3, full_pivot_solve
+from conftest import assemble_system, cramer_solve3, cross, full_pivot_solve, vec3
 
 
 class TestCross:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spintops.algebra import cross, skew_apply_matrix, vec3
+from spintops.algebra import skew_apply_matrix
 from spintops.euler_lagrange import (
     ConvergenceError,
     bs_step_euler,
@@ -10,7 +10,7 @@ from spintops.euler_lagrange import (
     symmetric_step_euler,
 )
 
-from conftest import cramer_solve3
+from conftest import cramer_solve3, cross, vec3
 
 I123 = np.array([1.0, 2.0, 3.0])
 

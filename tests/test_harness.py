@@ -21,6 +21,8 @@ from spintops.harness import (
 from spintops.hk import hk_step
 from spintops.models import KOWALEVSKI_INERTIA, invariants, kowalevski_invariants
 
+from conftest import vector_body_rhs, vector_lagrange_rhs, vector_rk4
+
 
 def kow_cfg(**kw):
     base = dict(model="kowalevski", scheme="hk", h=0.001, steps=100, stride=1)
@@ -64,6 +66,12 @@ class TestRunConfigValidation:
         cfg = RunConfig(model=model, scheme=scheme, h=0.01, steps=1, init=np.ones(6),
                         **{name: value})
         with pytest.raises(ConfigError, match=f"{name} must have 3 components"):
+            cfg.validated()
+
+    def test_non_numeric_parameter(self):
+        cfg = RunConfig(model="euler", scheme="bs", h=0.01, steps=1, init=(1, 1, 1, 1, 0, 0),
+                        inertia=("a", 1, 2))
+        with pytest.raises(ConfigError, match="parameters and init must be real numbers"):
             cfg.validated()
 
     def test_default_kowalevski_init(self):
@@ -178,6 +186,35 @@ class TestRun:
             assert np.array_equal(out[:3], momentum_step(inertia * y[:3], inertia, h) / inertia)
 
 
+# Random parameters a model reads, for the reference stepper.
+_REFERENCE_PARAMS = {
+    "euler": lambda rng: dict(inertia=tuple(rng.uniform(0.5, 3.0, 3).tolist())),
+    "general": lambda rng: dict(inertia=tuple(rng.uniform(0.5, 3.0, 3).tolist()),
+                                gravity=tuple(rng.normal(size=3).tolist())),
+    "kowalevski": lambda rng: dict(c0=float(rng.uniform(0.5, 2.0))),
+    "lagrange": lambda rng: dict(vertical=tuple(rng.normal(size=3).tolist())),
+}
+
+
+class TestReference:
+    @pytest.mark.parametrize("model", list(_REFERENCE_PARAMS))
+    def test_matches_vector_rk4_bit_for_bit(self, model, rng):
+        # The float RK4 stepper against RK4 in numpy vector arithmetic, over
+        # random states and parameters and h of both signs: equal after 50
+        # steps, bit for bit.
+        for sign in (1.0, -1.0) * 5:
+            cfg = RunConfig(model=model, scheme="reference", h=0.01, steps=1,
+                            init=rng.normal(size=6), **_REFERENCE_PARAMS[model](rng)).validated()
+            h = sign * float(rng.uniform(1e-3, 0.05))
+            rhs, params = ((vector_lagrange_rhs, (cfg.vertical,)) if model == "lagrange"
+                           else (vector_body_rhs, cfg.body()))
+            step, y, expected = make_stepper(cfg), tuple(cfg.init.tolist()), cfg.init
+            for _ in range(50):
+                y, expected = step(y, h), vector_rk4(lambda v: rhs(v, *params), expected, h)
+            assert type(y) is tuple
+            assert np.array_equal(y, expected), (cfg, h)
+
+
 class TestReversalTest:
     def test_zero_rounds(self):
         assert reversal_test(kow_cfg(), 0) == 0.0
@@ -287,6 +324,15 @@ CONFIG_ERRORS = [
     [*_KOW_RUN, "--p", "1,0,0"],
 ]
 
+# The RK4 reference overflows to inf in step 1, where the run's check of each
+# new state stops it.
+REFERENCE_OVERFLOWS = [
+    ["run", "--model", "general", "--scheme", "reference", "--h", "1e200", "--steps", "5",
+     "--inertia", "1,2,3", "--gravity", "0,0,1", "--init", "1,1,1,0,0,1"],
+    ["run", "--model", "lagrange", "--scheme", "reference", "--h", "1e200", "--steps", "5",
+     "--init", "1,1,1,0,0,1"],
+]
+
 # Each input exits 3: a singular solve, or a state or invariant that overflows.
 NUMERICAL_ERRORS = [
     ["run", "--model", "kowalevski", "--scheme", "hk", "--h", "1e9", "--steps", "5"],
@@ -300,6 +346,7 @@ NUMERICAL_ERRORS = [
     # the final state is not a sample at stride 10, and is checked all the same
     ["run", "--model", "kowalevski", "--scheme", "bohlin-a", "--h", "1e200", "--steps", "3",
      "--stride", "10"],
+    *REFERENCE_OVERFLOWS,
 ]
 
 # A comma list that starts with "-" is a flag's value, not an option: each
@@ -344,6 +391,8 @@ class TestCli:
             assert "numerical failure" in err, argv
             model, scheme = argv[argv.index("--model") + 1], argv[argv.index("--scheme") + 1]
             assert f"{model}/{scheme} " in err, (argv, err)
+            if argv in REFERENCE_OVERFLOWS:
+                assert "step 1" in err, (argv, err)
 
     @pytest.mark.slow
     @pytest.mark.filterwarnings("error")

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from spintops import hk
-from spintops.algebra import SingularSystemError, vec3
+from spintops.algebra import SingularSystemError
 from spintops.hk import hk_step
 from spintops.models import KOWALEVSKI_INERTIA
 
-from conftest import assemble_system, cramer_solve3, full_pivot_solve
+from conftest import assemble_system, cramer_solve3, full_pivot_solve, vec3
 
 C0 = 1.0
 KOW_G = (C0, 0.0, 0.0)

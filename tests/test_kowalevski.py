@@ -3,7 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
-from spintops.algebra import cross, skew_apply_matrix, vec3
+from spintops.algebra import skew_apply_matrix
 from spintops.kowalevski import (
     SouthPoleError,
     bohlin_algorithm_step,
@@ -18,7 +18,7 @@ from spintops.kowalevski import (
 )
 from spintops.models import kowalevski_invariants, xi
 
-from conftest import bohlin_reversal_defect, cramer_solve3
+from conftest import bohlin_reversal_defect, cramer_solve3, cross, vec3
 
 C0 = 1.0
 BENCH = np.array([2, 0, 0, np.sqrt(1 - 0.001**2), 0, 0.001])

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from spintops.algebra import vec3
 from spintops.harness import RunConfig
 from spintops.models import (
     KOWALEVSKI_INERTIA,
@@ -12,31 +11,19 @@ from spintops.models import (
     xi,
 )
 
+from conftest import componentwise_rhs, vec3
+
 # The reduced-top test point used throughout (w1=2, gamma_3=0.001).
 KOW_INIT = np.array([2, 0, 0, 0.9999995, 0, 0.001])
 C0 = 1.0
 KOW_TOP = (KOWALEVSKI_INERTIA, (C0, 0.0, 0.0))  # (inertia, g) of the reduced top
 
 
-def componentwise_rhs(y, inertia, g):
-    """Independent oracle: the six scalar equations written out directly."""
-    w1, w2, w3, g1, g2, g3 = y
-    A, B, C = inertia
-    x0, y0, z0 = g  # gravity vector already carries the mg factor
-    dw1 = ((B - C) * w2 * w3 + (g2 * z0 - g3 * y0)) / A
-    dw2 = ((C - A) * w3 * w1 + (g3 * x0 - g1 * z0)) / B
-    dw3 = ((A - B) * w1 * w2 + (g1 * y0 - g2 * x0)) / C
-    dg1 = g2 * w3 - g3 * w2
-    dg2 = g3 * w1 - g1 * w3
-    dg3 = g1 * w2 - g2 * w1
-    return np.array([dw1, dw2, dw3, dg1, dg2, dg3])
-
-
 def rk4(y, inertia, g, h):
-    k1 = euler_poisson_rhs(y, inertia, g)
-    k2 = euler_poisson_rhs(y + 0.5 * h * k1, inertia, g)
-    k3 = euler_poisson_rhs(y + 0.5 * h * k2, inertia, g)
-    k4 = euler_poisson_rhs(y + h * k3, inertia, g)
+    k1 = np.array(euler_poisson_rhs(y, inertia, g))
+    k2 = np.array(euler_poisson_rhs(y + 0.5 * h * k1, inertia, g))
+    k3 = np.array(euler_poisson_rhs(y + 0.5 * h * k2, inertia, g))
+    k4 = np.array(euler_poisson_rhs(y + h * k3, inertia, g))
     return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
@@ -50,6 +37,18 @@ class TestRhs:
         dy = euler_poisson_rhs(KOW_INIT, *KOW_TOP)
         assert np.allclose(dy[:3], vec3(0, 0.0005, 0), atol=1e-18)
         assert np.allclose(dy[3:], vec3(0, 0.002, 0), atol=1e-18)
+
+    def test_returns_a_tuple_of_six_floats(self):
+        # from a tuple and from a read-only array, with the same values
+        y = KOW_INIT.astype(float)
+        y.setflags(write=False)
+        out = euler_poisson_rhs(tuple(y.tolist()), *KOW_TOP)
+        assert type(out) is tuple and len(out) == 6
+        assert all(type(v) is float for v in out)
+        dy = euler_poisson_rhs(y, *KOW_TOP)
+        assert type(dy) is tuple and len(dy) == 6
+        assert all(isinstance(v, float) for v in dy)
+        assert dy == out
 
     def test_matches_componentwise_oracle(self, rng):
         for _ in range(100):
