@@ -3,17 +3,14 @@ update.
 
 Every step carries its state as six Python floats, and the two solve kernels
 it calls work on floats too: a vector is any sequence of three numbers and a
-matrix three rows of three, and they return tuples. `skew_apply_matrix`, which
-only the matrix-form consistency check uses, returns a numpy 3x3 matrix.
-All functions are pure and thread-safe.
+matrix three rows of three, and they return tuples. This module does not use
+numpy. All functions are pure and thread-safe.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-
-import numpy as np
 
 
 class NumericalError(RuntimeError):
@@ -26,17 +23,16 @@ class SingularSystemError(NumericalError):
 
 @contextmanager
 def numerical_guard(what: str):
-    """Raise NumericalError when a float operation in the block overflows or
-    is invalid: in numpy (such as inf - inf), in a Python power or abs that
-    overflows, or in a math or cmath call outside its domain, which raises a
-    plain ValueError (math.tan(inf)). Python float arithmetic itself raises
-    nothing: it yields inf or nan, which the callers check for. A
-    NumericalError raised in the block keeps its type, and its message gets
-    the prefix `what` too. Subclasses of ValueError are configuration errors
-    and pass through."""
+    """Raise NumericalError when a float operation in the block raises: a
+    Python power or abs that overflows, a math or cmath call outside its
+    domain, which raises a plain ValueError (math.tan(inf)), or a numpy
+    operation that the caller has set to raise with np.errstate. Python float
+    arithmetic itself raises nothing: it yields inf or nan, which the callers
+    check for. A NumericalError raised in the block keeps its type, and its
+    message gets the prefix `what` too. Subclasses of ValueError are
+    configuration errors and pass through."""
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
+        yield
     except NumericalError as e:
         e.args = (f"{what}: {e}",)
         raise
@@ -44,11 +40,6 @@ def numerical_guard(what: str):
         if isinstance(e, ValueError) and type(e) is not ValueError:
             raise
         raise NumericalError(f"{what}: {e}") from e
-
-
-def skew_apply_matrix(v: np.ndarray) -> np.ndarray:
-    """Matrix K(v) with K(v) @ u == v x u."""
-    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
 
 
 # Relative singularity cutoff: a system counts as singular when

@@ -10,11 +10,14 @@ vertical arrive as three floats each.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import NumericalError, bs_solve
 from .hk import hk_step
 from .models import _values
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ConvergenceError(NumericalError):
@@ -87,6 +90,8 @@ def lagrange_invariants(y: np.ndarray, p, h: float) -> tuple:
     """(a^2, m.p, m.a, E) of y = (m, a), or of each row of a stack of states
     (n, 6), with the O(h) cross term in the discrete energy:
     E = |m|^2/2 + a.p + (h/2)(a x m).p."""
+    import numpy as np
+
     m, a = y[..., :3], y[..., 3:]
     energy = (0.5 * np.vecdot(m, m) + np.vecdot(a, p)
               + 0.5 * h * np.vecdot(np.cross(a, m), p))

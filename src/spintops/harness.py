@@ -3,22 +3,29 @@ reports, reversibility and convergence diagnostics, period estimation, CSV
 emission.
 
 Every stepper, the RK4 `reference` included, takes the state as six floats
-and returns a tuple of six; `run` computes the invariant columns of the
-stored samples in one numpy pass after the loop.
+and returns a tuple of six. numpy enters only where arrays are made or read:
+`run` stacks the stored samples and computes their invariant columns in one
+numpy pass after the loop, and `drift_report` and `estimate_period` read
+such columns. `reversal_test` and `convergence_study` step on floats and
+compare endpoints on floats, so they never load numpy.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable
-
-import numpy as np
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Callable
 
 from . import euler_lagrange, kowalevski
 from .algebra import NumericalError, numerical_guard
 from .hk import hk_step
 from .models import KOWALEVSKI_INERTIA, euler_poisson_rhs, invariants, kowalevski_invariants
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ConfigError(ValueError):
@@ -28,8 +35,8 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Model:
     """A model's column names and constructors, each from a validated RunConfig:
-    to states (n, 6) -> invariant columns (n, k), and per scheme to a step
-    function (y, h) -> y'.
+    to states (n, 6) -> its k invariant columns, None for a blank one, and
+    per scheme to a step function (y, h) -> y'.
     `reads` names the model parameters (c0, inertia, gravity, vertical) that
     the model uses; the others must keep their defaults."""
 
@@ -38,7 +45,38 @@ class Model:
     invariants: Callable[[RunConfig], Callable]
     schemes: dict[str, Callable[[RunConfig], Callable]]
     reads: tuple[str, ...]
-    default_init: np.ndarray | None = None
+    default_init: tuple[float, ...] | None = None
+
+
+def _is_real(x) -> bool:
+    """Whether x is a real number, a numpy scalar included, and not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_count(x) -> bool:
+    """Whether x is an integer, a numpy integer included, and not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_step(x) -> bool:
+    """Whether x is a positive real number within the float range."""
+    return _is_real(x) and 0 < x <= sys.float_info.max
+
+
+def _floats(values, n: int, name: str) -> tuple[float, ...]:
+    """values as n floats; ConfigError unless it is a sequence of n finite
+    real numbers."""
+    try:
+        values = tuple(values)
+    except TypeError:  # a scalar
+        values = ()
+    if len(values) != n:
+        raise ConfigError(f"{name} must have {n} components")
+    if not all(map(_is_real, values)):
+        raise ConfigError("parameters and init must be real numbers")
+    if not all(abs(v) <= sys.float_info.max for v in values):
+        raise ConfigError("parameters and init must be finite, inertia positive")
+    return tuple(map(float, values))
 
 
 @dataclass(frozen=True)
@@ -52,43 +90,38 @@ class RunConfig:
     inertia: tuple[float, float, float] = (1.0, 2.0, 3.0)
     gravity: tuple[float, float, float] = (0.0, 0.0, 0.0)
     vertical: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    init: np.ndarray | None = None
+    init: tuple[float, ...] | None = None
     out_path: str | None = None
 
     def validated(self) -> "RunConfig":
+        """This config with h a float, steps and stride ints, c0 a float, and
+        the inertia, gravity, vertical and init tuples of floats. Raises
+        ConfigError for any value that cannot be run."""
         model = MODELS.get(self.model)
         if model is None:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.scheme not in model.schemes:
             raise ConfigError(f"scheme {self.scheme!r} not valid for model {self.model!r}")
-        if not (0 < self.h < math.inf):
+        if not _is_step(self.h):
             raise ConfigError("h must be positive and finite")
-        if self.steps < 0:
-            raise ConfigError("steps must be nonnegative")
-        if self.stride < 1:
-            raise ConfigError("stride must be >= 1")
+        if not (_is_count(self.steps) and self.steps >= 0):
+            raise ConfigError("steps must be a nonnegative integer")
+        if not (_is_count(self.stride) and self.stride >= 1):
+            raise ConfigError("stride must be an integer >= 1")
         init = self.init if self.init is not None else model.default_init
         if init is None:
             raise ConfigError(f"model {self.model!r} requires an explicit init")
-        vectors = ("inertia", "gravity", "vertical")
-        for name in vectors:
-            if np.shape(getattr(self, name)) != (3,):
-                raise ConfigError(f"{name} must have 3 components")
-        try:
-            init = np.array(init, dtype=float)
-            params = np.array([self.c0, *self.inertia, *self.gravity, *self.vertical], dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError("parameters and init must be real numbers") from None
-        if init.shape != (6,):
-            raise ConfigError("init must have 6 components")
-        if not np.all(np.isfinite([*params, *init])) or min(params[1:4]) <= 0:
+        params = {"c0": _floats((self.c0,), 1, "c0")[0],
+                  **{name: _floats(getattr(self, name), 3, name)
+                     for name in ("inertia", "gravity", "vertical")}}
+        init = _floats(init, 6, "init")
+        if min(params["inertia"]) <= 0:
             raise ConfigError("parameters and init must be finite, inertia positive")
-        for name in ("c0", *vectors):
-            unread = name not in model.reads
-            if unread and not np.array_equal(getattr(self, name), getattr(RunConfig, name)):
+        for name, value in params.items():
+            if name not in model.reads and value != getattr(RunConfig, name):
                 raise ConfigError(f"model {self.model!r} does not read {name}")
-        return replace(self, c0=float(self.c0), init=init,
-                       **{name: tuple(float(v) for v in getattr(self, name)) for name in vectors})
+        return replace(self, h=float(self.h), steps=int(self.steps), stride=int(self.stride),
+                       init=init, **params)
 
     def body(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """The inertia and gravity vector of a body-frame model."""
@@ -168,22 +201,20 @@ def _stepper(step, params, options):
 
 
 def _body_invariants(config: RunConfig, c0: float | None):
-    """states -> columns (gamma_sq, two_ell, E, k_sq); two_ell and k_sq are NaN
-    (blank) unless the Kowalevski c0 is given."""
+    """states -> columns (gamma_sq, two_ell, E, k_sq); two_ell and k_sq are
+    blank unless the Kowalevski c0 is given."""
     inertia, g = config.body()
 
-    def columns(states: np.ndarray) -> np.ndarray:
+    def columns(states: np.ndarray) -> tuple:
         gamma_sq, _, energy = invariants(states, inertia, g)
-        blank = np.full(len(states), np.nan)
-        two_ell, _, k_sq = kowalevski_invariants(states, c0) if c0 is not None else (blank,) * 3
-        return np.column_stack([gamma_sq, two_ell, energy, k_sq])
+        two_ell, _, k_sq = kowalevski_invariants(states, c0) if c0 is not None else (None,) * 3
+        return gamma_sq, two_ell, energy, k_sq
 
     return columns
 
 
 def _lagrange_invariants(config: RunConfig):
-    return lambda states: np.column_stack(
-        euler_lagrange.lagrange_invariants(states, config.vertical, config.h))
+    return lambda states: euler_lagrange.lagrange_invariants(states, config.vertical, config.h)
 
 
 def _body_reference(config: RunConfig):
@@ -236,7 +267,7 @@ MODELS: dict[str, Model] = {
                                        (kowalevski.gamma_step_rotation,)),
         "hybrid": lambda c: _stepper(kowalevski.hybrid_step, (c.c0,), ()),
     }, reads=("c0",),
-        default_init=np.array([2.0, 0.0, 0.0, math.sqrt(1.0 - 0.001**2), 0.0, 0.001])),
+        default_init=(2.0, 0.0, 0.0, math.sqrt(1.0 - 0.001**2), 0.0, 0.001)),
     "general": Model(_BODY_COLUMNS, _BODY_INVARIANTS, lambda c: _body_invariants(c, None),
                      _BODY_SCHEMES, reads=("inertia", "gravity")),
 }
@@ -251,9 +282,11 @@ def run(config: RunConfig) -> Trajectory:
     """Iterate the configured scheme from the init as six floats, sampling
     every stride-th step, then compute the invariant columns of the samples.
     Raises NumericalError naming the first step whose state is non-finite, or
-    when anything overflows."""
+    when an invariant overflows."""
+    import numpy as np
+
     config = config.validated()
-    model, y, h = MODELS[config.model], tuple(config.init.tolist()), config.h
+    model, y, h = MODELS[config.model], config.init, config.h
     step = make_stepper(config)
     with numerical_guard(f"{config.model}/{config.scheme} run"):
         rows_steps, rows_states = [0], [y]
@@ -267,7 +300,10 @@ def run(config: RunConfig) -> Trajectory:
                 rows_steps.append(n)
                 rows_states.append(y)
         states = np.array(rows_states)
-        invariant_values = model.invariants(config)(states)
+        with np.errstate(over="raise", invalid="raise"):
+            columns = model.invariants(config)(states)
+        blank = np.full(len(states), np.nan)
+        invariant_values = np.column_stack([blank if c is None else c for c in columns])
     steps_arr = np.array(rows_steps)
     traj = Trajectory(
         model=config.model,
@@ -283,20 +319,29 @@ def run(config: RunConfig) -> Trajectory:
     return traj
 
 
+def _endpoint(config: RunConfig, hs, what: str) -> tuple[float, ...]:
+    """The state after one step of the configured scheme from the init with
+    each h in hs, as six floats. Raises NumericalError, prefixed with the
+    model, the scheme and `what`, naming the first step whose state is
+    non-finite."""
+    step, y = make_stepper(config), config.init
+    with numerical_guard(f"{config.model}/{config.scheme} {what}"):
+        for k, h in enumerate(hs, 1):
+            y = step(y, h)
+            if not math.isfinite(math.hypot(*y)) and not all(map(math.isfinite, y)):
+                raise NumericalError(f"non-finite state at step {k} of the {what}")
+    return y
+
+
 def reversal_test(config: RunConfig, n: int) -> float:
     """Forward n steps with +h then n steps with -h; max-norm distance from
     the starting state. Raises NumericalError naming the first step of the
     round trip whose state is non-finite."""
     config = config.validated()
-    if n < 0:
-        raise ConfigError("n must be nonnegative")
-    step, y = make_stepper(config), tuple(config.init.tolist())
-    with numerical_guard(f"{config.model}/{config.scheme} round trip"):
-        for k, h in enumerate([config.h] * n + [-config.h] * n, 1):
-            y = step(y, h)
-            if not math.isfinite(math.hypot(*y)) and not all(map(math.isfinite, y)):
-                raise NumericalError(f"non-finite state at step {k} of the round trip")
-        return float(np.max(np.abs(y - config.init)))
+    if not (_is_count(n) and 0 <= n <= sys.maxsize):
+        raise ConfigError(f"n must be an integer from 0 to {sys.maxsize}")
+    y = _endpoint(config, chain(repeat(config.h, n), repeat(-config.h, n)), "round trip")
+    return max(abs(a - b) for a, b in zip(y, config.init))
 
 
 @dataclass(frozen=True)
@@ -318,6 +363,8 @@ class DriftReport:
 
 def drift_report(traj: Trajectory) -> DriftReport:
     """Extrema and max deviation from the initial value, per invariant column."""
+    import numpy as np
+
     if len(traj.steps) == 0:
         raise ValueError("empty trajectory")
     out = {}
@@ -342,6 +389,8 @@ class PeriodEstimationError(ValueError):
 def estimate_period(series: np.ndarray, dt: float) -> float:
     """Dominant oscillation period from the mean spacing of successive upward
     mean-crossings, with linear interpolation at the crossings."""
+    import numpy as np
+
     x = np.asarray(series, dtype=float) - float(np.mean(series))
     idx = np.nonzero((x[:-1] <= 0.0) & (x[1:] > 0.0))[0]
     crossings_total = int(np.sum((x[:-1] <= 0.0) != (x[1:] <= 0.0)))
@@ -358,30 +407,38 @@ def convergence_study(
     """Endpoint error against a fourth-order reference at min(h)/20, for each
     h in h_list. Returns rows (h, error, observed_order) where observed_order
     compares each row against the previous one (None if either error is 0).
+    Raises NumericalError naming the first step of a run whose state is
+    non-finite.
     """
     config = config.validated()
+    try:
+        h_list = list(h_list)
+    except TypeError:
+        raise ConfigError("h_list must be a list of step sizes") from None
     if len(h_list) < 3:
         raise ConfigError("need at least 3 step sizes")
-    if not all(0 < x < math.inf for x in [*h_list, t_end]):
+    if not all(map(_is_step, [*h_list, t_end])):
         raise ConfigError("step sizes and t_end must be positive and finite")
+    if len(set(h_list)) < len(h_list):
+        raise ConfigError("step sizes must be distinct")
     h_ref = min(h_list) / 20.0
     if t_end < h_ref:
         raise ConfigError(f"t_end={t_end:g} is shorter than the reference step min(h)/20={h_ref:g}")
+    if t_end / h_ref > sys.maxsize:
+        raise ConfigError(f"t_end={t_end:g} needs more than {sys.maxsize} reference steps")
     for h in h_list:
         n = t_end / h
         if round(n) < 1 or abs(n - round(n)) > 1e-9:
             raise ConfigError(f"t_end/h not a positive integer for h={h}")
 
-    n_ref = round(t_end / h_ref)
-    ref_cfg = replace(config, scheme="reference", h=h_ref, steps=n_ref, stride=n_ref)
-    y_ref = run(ref_cfg).final_state()
+    ref_cfg = replace(config, scheme="reference")
+    y_ref = _endpoint(ref_cfg, repeat(h_ref, round(t_end / h_ref)), "run")
 
     rows: list[tuple[float, float, float | None]] = []
     prev: tuple[float, float] | None = None
     for h in sorted(h_list, reverse=True):
-        n = round(t_end / h)
-        cfg = replace(config, h=h, steps=n, stride=n)
-        err = float(np.max(np.abs(run(cfg).final_state() - y_ref)))
+        y = _endpoint(config, repeat(h, round(t_end / h)), "run")
+        err = max(abs(a - b) for a, b in zip(y, y_ref))
         order = None
         if prev is not None and prev[1] > 0 and err > 0:
             h_prev, err_prev = prev

@@ -4,16 +4,18 @@ The state is the packed y = (omega, gamma) in the body frame: angular
 velocity and the vertical unit vector. Angular momentum is
 m = diag(A, B, C) @ omega. Steps take and return the state as six floats, and
 so does the right-hand side: it takes any sequence of six floats and returns
-a tuple of six. The invariant functions take a 6-vector, or an (n, 6) stack.
+a tuple of six. The invariant functions take a 6-vector, or an (n, 6) stack,
+and they and the matrix-form check are the functions here that import numpy.
 Parameters are floats: the inertia (A, B, C) and the gravity-moment vector
 g = mg*(x0, y0, z0) as three each, and the Kowalevski c0 as one.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from .algebra import skew_apply_matrix
+if TYPE_CHECKING:
+    import numpy as np
 
 # The reduced Kowalevski top: A = B = 2, C = 1, gravity vector (c0, 0, 0).
 KOWALEVSKI_INERTIA = (2.0, 2.0, 1.0)
@@ -21,7 +23,7 @@ KOWALEVSKI_INERTIA = (2.0, 2.0, 1.0)
 
 def _values(*values):
     """Floats for one state, or arrays of them for a stack of states."""
-    return tuple(float(v) if np.ndim(v) == 0 else v for v in values)
+    return tuple(float(v) if v.ndim == 0 else v for v in values)
 
 
 def euler_poisson_rhs(y, inertia, g) -> tuple[float, ...]:
@@ -48,6 +50,8 @@ def euler_poisson_rhs(y, inertia, g) -> tuple[float, ...]:
 def invariants(y: np.ndarray, inertia, g) -> tuple:
     """The three universal conserved quantities (gamma^2, m.gamma, E) of a
     state y, or of each row of a stack of states (n, 6)."""
+    import numpy as np
+
     w, gam = y[..., :3], y[..., 3:]
     m = inertia * w
     return _values(np.vecdot(gam, gam), np.vecdot(m, gam),
@@ -65,11 +69,20 @@ def xi(y: np.ndarray, c0: float) -> complex:
 def kowalevski_invariants(y: np.ndarray, c0: float) -> tuple:
     """(2*ell, E, k^2) in the reduced A=B=2, C=1 form, of a state y or of each
     row of a stack of states (n, 6)."""
+    import numpy as np
+
     w0, w1, w2, g0 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
     two_ell = 2.0 * (w0 * g0 + w1 * y[..., 4]) + w2 * y[..., 5]
     energy = w0 * w0 + w1 * w1 + 0.5 * (w2 * w2) + c0 * g0
     z = xi(y, c0)
     return _values(two_ell, energy, np.hypot(z.real, z.imag) ** 2)
+
+
+def skew_apply_matrix(v) -> np.ndarray:
+    """Matrix K(v) with K(v) @ u == v x u, as a numpy 3x3 array."""
+    import numpy as np
+
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
 
 
 def matrix_form_residual(y: np.ndarray, inertia, g) -> float:
@@ -79,6 +92,8 @@ def matrix_form_residual(y: np.ndarray, inertia, g) -> float:
     Analytically zero for every state; useful as a consistency check of sign
     conventions.
     """
+    import numpy as np
+
     dy = np.array(euler_poisson_rhs(y, inertia, g))
     m = inertia * y[:3]
     dm = inertia * dy[:3]

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from spintops.algebra import SingularSystemError, bs_solve, skew_apply_matrix, solve3
+from spintops.algebra import SingularSystemError, bs_solve, solve3
 from spintops.hk import hk_step
 from spintops.kowalevski import gamma_step_rotation
-from spintops.models import KOWALEVSKI_INERTIA
+from spintops.models import KOWALEVSKI_INERTIA, skew_apply_matrix
 
 from conftest import assemble_system, cramer_solve3, cross, full_pivot_solve, vec3
 

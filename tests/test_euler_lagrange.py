@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from spintops.algebra import skew_apply_matrix
 from spintops.euler_lagrange import (
     ConvergenceError,
     bs_step_euler,
@@ -9,6 +8,7 @@ from spintops.euler_lagrange import (
     lagrange_step,
     symmetric_step_euler,
 )
+from spintops.models import skew_apply_matrix
 
 from conftest import cramer_solve3, cross, vec3
 

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spintops.algebra import bs_solve
+import spintops
+from spintops.algebra import NumericalError, bs_solve
 from spintops.cli import main
 from spintops.euler_lagrange import FIXED_POINT_TOL, MAX_FIXED_POINT_ITERATIONS
 from spintops.harness import (
@@ -80,6 +86,95 @@ class TestRunConfigValidation:
         assert cfg.init[5] == 0.001
         assert cfg.init[3] == pytest.approx(np.sqrt(1 - 0.001**2), abs=1e-16)
 
+    def test_fields_become_floats_and_ints(self):
+        cfg = RunConfig(model="euler", scheme="bs", h=np.float64(0.01), steps=np.int64(3),
+                        stride=np.int64(1), init=np.array([1, 1, 1, 1, 0, 0])).validated()
+        assert type(cfg.h) is float and type(cfg.steps) is int and type(cfg.stride) is int
+        assert type(cfg.init) is tuple and len(cfg.init) == 6
+        assert all(type(v) is float for v in cfg.init)
+        assert cfg.init == (1.0, 1.0, 1.0, 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 2.5), ("steps", "3"), ("steps", True), ("h", "a"), ("h", True),
+        pytest.param("h", 10**400, id="h-int-beyond-float-range"), ("stride", 1.5),
+        ("stride", math.nan), ("init", (True, 0, 0, 1, 0, 0)),
+    ])
+    def test_field_of_the_wrong_type(self, field, value):
+        cfg = RunConfig(model="euler", scheme="bs", h=0.01, steps=3, init=(1, 1, 1, 1, 0, 0))
+        with pytest.raises(ConfigError):
+            run(replace(cfg, **{field: value}))
+
+    def test_round_trip_and_study_arguments_of_the_wrong_type(self):
+        cfg = RunConfig(model="euler", scheme="bs", h=0.01, steps=3, init=(1, 1, 1, 1, 0, 0))
+        for n in (2.5, "3", True, -1, 10**20):
+            with pytest.raises(ConfigError):
+                reversal_test(cfg, n)
+        for h_list, t_end in [([0.02, "0.01", 0.005], 0.02), ([0.02, 0.02, 0.01], 0.02),
+                              (0.5, 1.0), ([0.02, 0.01, 0.005], True),
+                              ([1e-300, 2e-300, 4e-300], 1e300)]:
+            with pytest.raises(ConfigError):
+                convergence_study(cfg, h_list, t_end)
+
+
+# Values of each field and argument for the fuzz test, valid ones and not.
+_FUZZ_FIELDS = {
+    "model": ["sphere", 3],
+    "scheme": ["rk9", None],
+    "h": [0.1, 1e300, np.float64(0.01), 1, 0.0, -0.01, math.nan, math.inf, "a", "0.01", True,
+          None, 10**400, np.array(0.01)],
+    "steps": [0, 3, np.int64(2), -1, 2.5, 3.0, "3", True, None, math.nan],
+    "stride": [2, np.int64(1), 0, 1.5, math.nan, True, "1", -2],
+    "c0": [2, -0.5, math.nan, "a", None, True, 10**400],
+    "inertia": [(2, 2, 1), (1, 2), (0, 1, 1), ("a", 1, 2), 1.0, (math.inf, 1, 1), "abc"],
+    "gravity": [(0.5, 0, 1), (1, 2), (math.nan, 0, 0), "abc", None],
+    "vertical": [(1, 0, 0), 1.0, (0, 0, "1"), (-1e300, 0, 1e300)],
+    "init": [(1, 1, 1, 1, 0, 0), np.array([0.3, -0.2, 0.9, 0.6, 0, 0.8]), (1e300,) * 6,
+             (1e200, 0, 0, 1, 0, 0), (-1e300, 1e300, -1e300, 1e300, -1e300, 1e300),
+             (1, 1, 1, 1), (math.nan, 0, 0, 1, 0, 0), ("a",) * 6, (True, 0, 0, 1, 0, 0), 5.0,
+             np.ones((6, 1)), "123456"],
+}
+_FUZZ_N = [0, 3, np.int64(2), -1, 2.5, "3", True, None, math.inf, 10**20]
+_FUZZ_H_LISTS = [[0.02, 0.01, 0.005], [0.1, 0.05, 0.025], [0.02, 0.01], [0.02, "0.01", 0.005],
+                 [0.02, 0.02, 0.01], [0.02, 0.01, 0.003], 0.5, None, [0.02, math.nan, 0.005],
+                 [0.02, True, 0.005], [2e300, 1e300, 5e299], (0.04, 0.02, 0.01), ["a", "b", "c"],
+                 [-0.02, -0.01, -0.005], np.array([0.02, 0.01, 0.005])]
+_FUZZ_T_END = [0.02, 0.1, 0.04, 1e-300, -1.0, math.nan, math.inf, "1", True, None]
+
+
+class TestLibraryInputContract:
+    @pytest.mark.filterwarnings("error")
+    def test_fuzz_returns_or_raises_config_or_numerical_error(self, rng):
+        # Valid configs and arguments, with up to two fields and each argument
+        # replaced half the time by a value of any type: run, reversal_test
+        # and convergence_study each return or raise ConfigError or
+        # NumericalError, never anything else or a warning.
+        def pick(values):
+            return values[rng.integers(len(values))]
+
+        pairs = [(m, s) for m in MODELS for s in MODELS[m].schemes]
+        outcomes = set()
+        for _ in range(400):
+            model, scheme = pick(pairs)
+            fields = dict(model=model, scheme=scheme, h=0.01, steps=3, stride=1,
+                          init=None if model == "kowalevski" else (0.3, -0.2, 0.9, 0.6, 0, 0.8))
+            for name in rng.choice(list(_FUZZ_FIELDS), size=rng.integers(3), replace=False):
+                fields[name] = pick(_FUZZ_FIELDS[name])
+            cfg = RunConfig(**fields)
+            n = pick(_FUZZ_N) if rng.random() < 0.5 else 3
+            h_list = pick(_FUZZ_H_LISTS) if rng.random() < 0.5 else [0.02, 0.01, 0.005]
+            t_end = pick(_FUZZ_T_END) if rng.random() < 0.5 else 0.02
+            for call in (lambda: run(cfg), lambda: reversal_test(cfg, n),
+                         lambda: convergence_study(cfg, h_list, t_end)):
+                try:
+                    call()
+                    outcomes.add("returned")
+                except ConfigError:
+                    outcomes.add("ConfigError")
+                except NumericalError:
+                    outcomes.add("NumericalError")
+        # The fuzz reaches all three outcomes.
+        assert outcomes == {"returned", "ConfigError", "NumericalError"}, outcomes
+
 
 class TestRun:
     def test_zero_steps_single_row(self):
@@ -148,10 +243,10 @@ class TestRun:
         init = None if model == "kowalevski" else np.array([0.3, -0.2, 0.9, 0.6, 0, 0.8])
         cfg = RunConfig(model=model, scheme=scheme, h=0.01, steps=1, init=init).validated()
         step = make_stepper(cfg)
-        out = step(tuple(cfg.init.tolist()), cfg.h)
+        out = step(cfg.init, cfg.h)
         assert len(out) == 6
         assert all(isinstance(v, float) and math.isfinite(v) for v in out)
-        y = cfg.init.copy()
+        y = np.array(cfg.init)
         y.setflags(write=False)
         assert np.array_equal(step(y, cfg.h), out)
         assert np.array_equal(y, cfg.init)
@@ -208,7 +303,7 @@ class TestReference:
             h = sign * float(rng.uniform(1e-3, 0.05))
             rhs, params = ((vector_lagrange_rhs, (cfg.vertical,)) if model == "lagrange"
                            else (vector_body_rhs, cfg.body()))
-            step, y, expected = make_stepper(cfg), tuple(cfg.init.tolist()), cfg.init
+            step, y, expected = make_stepper(cfg), cfg.init, np.array(cfg.init)
             for _ in range(50):
                 y, expected = step(y, h), vector_rk4(lambda v: rhs(v, *params), expected, h)
             assert type(y) is tuple
@@ -309,6 +404,8 @@ CONFIG_ERRORS = [
      "--init", "1,1,1,1,0,0", "--gravity", "nan,0,0"],
     [*_KOW_CONVERGE, "--h-list", "0,0.01,0.005"],
     [*_KOW_CONVERGE, "--h-list", "a,b,c"],
+    [*_KOW_CONVERGE, "--h-list", "0.02,0.02,0.01"],
+    ["reverse", "--model", "kowalevski", "--scheme", "hk", "--h", "0.01", "--n", str(10**20)],
     ["converge", "--model", "kowalevski", "--scheme", "hk", "--h", "0.01",
      "--h-list", "0.02,0.01,0.005", "--t-end", "inf"],
     ["period", "--model", "kowalevski", "--scheme", "hk", "--h", "0.001",
@@ -397,26 +494,69 @@ class TestCli:
     @pytest.mark.slow
     @pytest.mark.filterwarnings("error")
     def test_extreme_inputs_exit_cleanly(self, capsys):
-        # run and reverse for every (model, scheme) pair at extreme step sizes
-        # and inits: exit 0, 2 or 3, never a traceback or a warning, and no
-        # non-finite number in a report that exits 0.
+        # run, reverse and converge for every (model, scheme) pair at extreme
+        # step sizes and inits: exit 0, 2 or 3, never a traceback or a
+        # warning, and no non-finite number in a report that exits 0.
         inits = [None, "1e200,1e200,1e200,1e200,1e200,1e200",
                  "1e300,1e300,1e300,1e300,1e300,1e300", "-1e300,-1e300,-1e300,-1e300,-1e300,-1e300",
                  "1e-300,1e300,1e-300,1e300,1e-300,1e300"]
+        # converge steps 1, 2 and 4 times with h_list, to t_end = h_list[0]
+        h_lists = {"1e5": "2e5,1e5,5e4", "0.01": "0.02,0.01,0.005", "1e300": "2e300,1e300,5e299"}
         for model in MODELS:
             for scheme in MODELS[model].schemes:
-                for h in ["1e5", "0.01", "1e300"]:
+                for h, h_list in h_lists.items():
                     for init in inits:
                         head = ["--model", model, "--scheme", scheme, "--h", h]
                         tail = ["--init", init] if init else []
                         for argv in (["run", *head, "--steps", "3", *tail],
-                                     ["reverse", *head, "--n", "3", *tail]):
+                                     ["reverse", *head, "--n", "3", *tail],
+                                     ["converge", *head, "--h-list", h_list,
+                                      "--t-end", h_list.split(",")[0], *tail]):
                             code = main(argv)
                             out, err = capsys.readouterr()
                             assert code in (0, 2, 3), argv
                             assert "Traceback" not in err, argv
                             if code == 0:
                                 assert "nan" not in out and "inf" not in out, (argv, out)
+
+    @pytest.mark.filterwarnings("error")
+    def test_converge_ignores_the_invariants(self, capsys):
+        # The invariants of this state overflow, but converge compares
+        # endpoint states and never computes them: a finite table, exit 0.
+        rc = main(["converge", "--model", "euler", "--scheme", "bs", "--h", "0.01",
+                   "--h-list", "0.02,0.01,0.005", "--t-end", "0.02", "--inertia", "1,2,3",
+                   "--init=1e200,0,0,1,0,0"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert len(out.splitlines()) == 4 and "nan" not in out and "inf" not in out, out
+
+    def test_reverse_and_converge_run_without_numpy(self):
+        # import spintops loads no numpy, and with numpy made unimportable the
+        # README reverse and converge commands print the README values.
+        script = """if True:
+            import sys
+            import spintops
+            assert "numpy" not in sys.modules, "import spintops loaded numpy"
+            sys.modules["numpy"] = None
+            from spintops.cli import main
+            kow = ["--model", "kowalevski", "--h", "0.001", "--steps", "1000", "--n", "1000"]
+            for scheme in ("hk", "bohlin-a"):
+                assert main(["reverse", *kow, "--scheme", scheme]) == 0
+            assert main(["converge", "--model", "kowalevski", "--scheme", "hybrid", "--h", "0.01",
+                         "--h-list", "0.02,0.01,0.005", "--t-end", "1.0"]) == 0
+        """
+        src = str(Path(spintops.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [
+            "round-trip error after 1000 steps forward + backward: 3.530509e-14",
+            "round-trip error after 1000 steps forward + backward: 9.316052e-07",
+            "           h   endpoint error  observed order",
+            "        0.02     1.940560e-07               -",
+            "        0.01     4.852009e-08           2.000",
+            "       0.005     1.213040e-08           2.000",
+        ]
 
     def test_negative_comma_list_values(self, capsys):
         for argv, energy in NEGATIVE_LIST_VALUES:

@@ -3,7 +3,6 @@ import cmath
 import numpy as np
 import pytest
 
-from spintops.algebra import skew_apply_matrix
 from spintops.kowalevski import (
     SouthPoleError,
     bohlin_algorithm_step,
@@ -16,7 +15,7 @@ from spintops.kowalevski import (
     stereo_forward,
     stereo_inverse,
 )
-from spintops.models import kowalevski_invariants, xi
+from spintops.models import kowalevski_invariants, skew_apply_matrix, xi
 
 from conftest import bohlin_reversal_defect, cramer_solve3, cross, vec3
 
