@@ -9,7 +9,6 @@ numpy. All functions are pure and thread-safe.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 
 
@@ -42,17 +41,18 @@ def numerical_guard(what: str):
         raise NumericalError(f"{what}: {e}") from e
 
 
-# Relative singularity cutoff: a system counts as singular when
-# |det| <= SINGULAR_RTOL * ||a||_F ** n.
+# Relative singularity cutoff of the hk system: hk_step passes solve3 the
+# cutoff that makes the 6x6 system singular when |det6| <= SINGULAR_RTOL *
+# ||M||_F ** 6.
 SINGULAR_RTOL = 1e-14
 
 
-def solve3(a, b, cutoff: float | None = None) -> tuple[float, float, float]:
+def solve3(a, b, cutoff: float) -> tuple[float, float, float]:
     """Solve the 3x3 system a x = b by Cramer's rule: x_j = sum_i (C_ij/det) b_i
     with C the cofactors of a.
 
-    Raises SingularSystemError when |det| is not above `cutoff`, by default
-    SINGULAR_RTOL * ||a||_F^3; a zero matrix and a NaN determinant included.
+    Raises SingularSystemError when |det| is not above `cutoff`; a NaN
+    determinant or cutoff included.
     Dividing each cofactor by det before the sum keeps a unit row exact: where
     row k of a is e_k, x_k = b_k.
     """
@@ -61,9 +61,6 @@ def solve3(a, b, cutoff: float | None = None) -> tuple[float, float, float]:
     c01 = a12 * a20 - a10 * a22
     c02 = a10 * a21 - a11 * a20
     det = a00 * c00 + a01 * c01 + a02 * c02
-    if cutoff is None:
-        fro_sq = sum(v * v for row in a for v in row)
-        cutoff = SINGULAR_RTOL * fro_sq * math.sqrt(fro_sq)
     if not abs(det) > cutoff:
         raise SingularSystemError(f"system singular to tolerance (|det|={abs(det):.3e}, "
                                   f"cutoff {cutoff:.3e})")

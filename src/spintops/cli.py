@@ -62,19 +62,25 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         gravity=_reals(args.gravity),
         vertical=_reals(args.vertical),
         init=_reals(args.init) if args.init else None,
-        out_path=args.out_path,
     ).validated()
+
+
+def _write_csv(traj, path: str | None) -> None:
+    """Write traj to the --out path, if any; a path it cannot write is a ConfigError."""
+    if path:
+        try:
+            traj.to_csv(path)
+        except OSError as e:
+            raise ConfigError(f"cannot write --out {path!r}: {e.strerror or e}") from e
 
 
 def _cmd_run(args) -> int:
     traj = run(_config_from_args(args))
-    report = drift_report(traj)
+    _write_csv(traj, args.out_path)
     print(f"ran {args.steps} steps of {args.model}/{args.scheme} at h={args.h}")
-    for name, d in report.per_invariant.items():
-        print(
-            f"  {name}: initial={d.initial:.15g} min={d.min:.15g} "
-            f"max={d.max:.15g} max|dev|={d.max_abs_deviation:.3e}"
-        )
+    for name, d in drift_report(traj).items():
+        print(f"  {name}: initial={d.initial:.15g} min={d.min:.15g} "
+              f"max={d.max:.15g} max|dev|={d.max_abs_deviation:.3e}")
     if args.out_path:
         print(f"wrote {args.out_path}")
     return 0
@@ -101,6 +107,7 @@ def _cmd_period(args) -> int:
     if args.column not in model.columns + model.invariant_names:
         raise ConfigError(f"model {config.model!r} has no column {args.column!r}")
     traj = run(config)
+    _write_csv(traj, args.out_path)
     period = estimate_period(traj.column(args.column), args.h * args.stride)
     print(f"estimated period of {args.column}: {period:.6g}")
     return 0

@@ -3,11 +3,12 @@ reports, reversibility and convergence diagnostics, period estimation, CSV
 emission.
 
 Every stepper, the RK4 `reference` included, takes the state as six floats
-and returns a tuple of six. numpy enters only where arrays are made or read:
-`run` stacks the stored samples and computes their invariant columns in one
-numpy pass after the loop, and `drift_report` and `estimate_period` read
-such columns. `reversal_test` and `convergence_study` step on floats and
-compare endpoints on floats, so they never load numpy.
+and returns a tuple of six. `run`, `reversal_test` and `convergence_study`
+step through one checked loop, `_steps`. `run` samples it and returns a
+Trajectory, and writes no file; numpy enters only there, to stack the
+samples and compute their invariant columns in one pass, and in
+`drift_report` and `estimate_period`, which read such columns. The other two
+keep the loop's last state and compare endpoints on floats, without numpy.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
+from dataclasses import dataclass, replace
+from itertools import chain, islice, repeat
 from typing import TYPE_CHECKING, Callable
 
 from . import euler_lagrange, kowalevski
@@ -91,7 +92,6 @@ class RunConfig:
     gravity: tuple[float, float, float] = (0.0, 0.0, 0.0)
     vertical: tuple[float, float, float] = (0.0, 0.0, 1.0)
     init: tuple[float, ...] | None = None
-    out_path: str | None = None
 
     def validated(self) -> "RunConfig":
         """This config with h a float, steps and stride ints, c0 a float, and
@@ -133,26 +133,22 @@ class RunConfig:
 @dataclass
 class Trajectory:
     model: str
-    h: float
     steps: np.ndarray
     t: np.ndarray
     states: np.ndarray  # rows of 6 state components
-    invariant_names: tuple[str, ...]
-    invariant_values: np.ndarray  # one column per invariant name
+    invariant_values: np.ndarray  # one column per invariant name of the model
 
     def column(self, name: str) -> np.ndarray:
-        cols = MODELS[self.model].columns
-        if name in cols:
-            return self.states[:, cols.index(name)]
-        if name in self.invariant_names:
-            return self.invariant_values[:, self.invariant_names.index(name)]
+        model = MODELS[self.model]
+        if name in model.columns:
+            return self.states[:, model.columns.index(name)]
+        if name in model.invariant_names:
+            return self.invariant_values[:, model.invariant_names.index(name)]
         raise KeyError(name)
 
-    def final_state(self) -> np.ndarray:
-        return self.states[-1].copy()
-
     def to_csv(self, path: str) -> None:
-        names = ("step", "t") + MODELS[self.model].columns + self.invariant_names
+        model = MODELS[self.model]
+        names = ("step", "t") + model.columns + model.invariant_names
         with open(path, "w", newline="\n") as f:
             f.write(",".join(names) + "\n")
             for n, t, state, invs in zip(self.steps.tolist(), self.t.tolist(),
@@ -278,6 +274,22 @@ def make_stepper(config: RunConfig):
     return MODELS[config.model].schemes[config.scheme](config)
 
 
+def _steps(config: RunConfig, hs, what: str):
+    """Yield the state after each step of the configured scheme from the init,
+    one step per h in hs, as six floats. Raises NumericalError, prefixed with
+    the model, the scheme and `what`, naming the first step whose state is
+    non-finite."""
+    step, y = make_stepper(config), config.init
+    with numerical_guard(f"{config.model}/{config.scheme} {what}"):
+        for k, h in enumerate(hs, 1):
+            y = step(y, h)
+            # A finite norm proves every component finite; a state of norm
+            # above 1.8e308 can be finite too, so only then check each one.
+            if not math.isfinite(math.hypot(*y)) and not all(map(math.isfinite, y)):
+                raise NumericalError(f"non-finite state at step {k} of the {what}")
+            yield y
+
+
 def run(config: RunConfig) -> Trajectory:
     """Iterate the configured scheme from the init as six floats, sampling
     every stride-th step, then compute the invariant columns of the samples.
@@ -286,51 +298,16 @@ def run(config: RunConfig) -> Trajectory:
     import numpy as np
 
     config = config.validated()
-    model, y, h = MODELS[config.model], config.init, config.h
-    step = make_stepper(config)
-    with numerical_guard(f"{config.model}/{config.scheme} run"):
-        rows_steps, rows_states = [0], [y]
-        for n in range(1, config.steps + 1):
-            y = step(y, h)
-            # A finite norm proves every component finite; a state of norm
-            # above 1.8e308 can be finite too, so only then check each one.
-            if not math.isfinite(math.hypot(*y)) and not all(map(math.isfinite, y)):
-                raise NumericalError(f"non-finite state at step {n}")
-            if n % config.stride == 0:
-                rows_steps.append(n)
-                rows_states.append(y)
-        states = np.array(rows_states)
-        with np.errstate(over="raise", invalid="raise"):
-            columns = model.invariants(config)(states)
-        blank = np.full(len(states), np.nan)
-        invariant_values = np.column_stack([blank if c is None else c for c in columns])
-    steps_arr = np.array(rows_steps)
-    traj = Trajectory(
-        model=config.model,
-        h=config.h,
-        steps=steps_arr,
-        t=steps_arr * config.h,
-        states=states,
-        invariant_names=model.invariant_names,
-        invariant_values=invariant_values,
-    )
-    if config.out_path:
-        traj.to_csv(config.out_path)
-    return traj
-
-
-def _endpoint(config: RunConfig, hs, what: str) -> tuple[float, ...]:
-    """The state after one step of the configured scheme from the init with
-    each h in hs, as six floats. Raises NumericalError, prefixed with the
-    model, the scheme and `what`, naming the first step whose state is
-    non-finite."""
-    step, y = make_stepper(config), config.init
-    with numerical_guard(f"{config.model}/{config.scheme} {what}"):
-        for k, h in enumerate(hs, 1):
-            y = step(y, h)
-            if not math.isfinite(math.hypot(*y)) and not all(map(math.isfinite, y)):
-                raise NumericalError(f"non-finite state at step {k} of the {what}")
-    return y
+    stride = config.stride
+    loop = _steps(config, repeat(config.h, config.steps), "run")
+    states = np.array([config.init, *islice(loop, stride - 1, None, stride)])
+    with (numerical_guard(f"{config.model}/{config.scheme} run"),
+          np.errstate(over="raise", invalid="raise")):
+        columns = MODELS[config.model].invariants(config)(states)
+    blank = np.full(len(states), np.nan)
+    steps = np.arange(0, config.steps + 1, stride)
+    return Trajectory(config.model, steps, steps * config.h, states,
+                      np.column_stack([blank if c is None else c for c in columns]))
 
 
 def reversal_test(config: RunConfig, n: int) -> float:
@@ -340,7 +317,9 @@ def reversal_test(config: RunConfig, n: int) -> float:
     config = config.validated()
     if not (_is_count(n) and 0 <= n <= sys.maxsize):
         raise ConfigError(f"n must be an integer from 0 to {sys.maxsize}")
-    y = _endpoint(config, chain(repeat(config.h, n), repeat(-config.h, n)), "round trip")
+    y = config.init
+    for y in _steps(config, chain(repeat(config.h, n), repeat(-config.h, n)), "round trip"):
+        pass
     return max(abs(a - b) for a, b in zip(y, config.init))
 
 
@@ -353,22 +332,15 @@ class InvariantDrift:
     max_abs_deviation: float
 
 
-@dataclass(frozen=True)
-class DriftReport:
-    per_invariant: dict[str, InvariantDrift] = field(default_factory=dict)
-
-    def __getitem__(self, name: str) -> InvariantDrift:
-        return self.per_invariant[name]
-
-
-def drift_report(traj: Trajectory) -> DriftReport:
-    """Extrema and max deviation from the initial value, per invariant column."""
+def drift_report(traj: Trajectory) -> dict[str, InvariantDrift]:
+    """Extrema and max deviation from the initial value, per invariant column
+    that is not blank."""
     import numpy as np
 
     if len(traj.steps) == 0:
         raise ValueError("empty trajectory")
     out = {}
-    for j, name in enumerate(traj.invariant_names):
+    for j, name in enumerate(MODELS[traj.model].invariant_names):
         col = traj.invariant_values[:, j]
         if np.all(np.isnan(col)):
             continue
@@ -379,7 +351,7 @@ def drift_report(traj: Trajectory) -> DriftReport:
             max=float(np.max(col)),
             max_abs_deviation=float(np.max(np.abs(col - col[0]))),
         )
-    return DriftReport(out)
+    return out
 
 
 class PeriodEstimationError(ValueError):
@@ -432,12 +404,16 @@ def convergence_study(
             raise ConfigError(f"t_end/h not a positive integer for h={h}")
 
     ref_cfg = replace(config, scheme="reference")
-    y_ref = _endpoint(ref_cfg, repeat(h_ref, round(t_end / h_ref)), "run")
+    y_ref = ref_cfg.init
+    for y_ref in _steps(ref_cfg, repeat(h_ref, round(t_end / h_ref)), "run"):
+        pass
 
     rows: list[tuple[float, float, float | None]] = []
     prev: tuple[float, float] | None = None
     for h in sorted(h_list, reverse=True):
-        y = _endpoint(config, repeat(h, round(t_end / h)), "run")
+        y = config.init
+        for y in _steps(config, repeat(h, round(t_end / h)), "run"):
+            pass
         err = max(abs(a - b) for a, b in zip(y, y_ref))
         order = None
         if prev is not None and prev[1] > 0 and err > 0:

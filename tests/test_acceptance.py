@@ -124,7 +124,7 @@ def test_criterion_6_lagrange_exact_invariants():
     rep = drift_report(run(cfg))
     rels = {
         name: d.max_abs_deviation / max(1e-30, abs(d.initial))
-        for name, d in rep.per_invariant.items()
+        for name, d in rep.items()
     }
     ok = all(r <= 1e-11 for r in rels.values())
     _check(6, ok, ", ".join(f"{k} rel drift {v:.3e}" for k, v in rels.items()))

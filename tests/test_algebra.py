@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spintops.algebra import SingularSystemError, bs_solve, solve3
+from spintops.algebra import SINGULAR_RTOL, SingularSystemError, bs_solve, solve3
 from spintops.hk import hk_step
 from spintops.kowalevski import gamma_step_rotation
 from spintops.models import KOWALEVSKI_INERTIA, skew_apply_matrix
@@ -53,12 +53,18 @@ class TestCross:
             assert np.allclose(skew_apply_matrix(v) @ x, cross(v, x), atol=1e-15)
 
 
+def cutoff(a):
+    """The relative singularity cutoff of a 3x3 system: SINGULAR_RTOL * ||a||_F^3."""
+    return SINGULAR_RTOL * float(np.linalg.norm(a)) ** 3
+
+
 class TestSolve3:
     def test_identity(self):
-        assert np.array_equal(solve3(np.eye(3), vec3(1, 2, 3)), vec3(1, 2, 3))
+        assert np.array_equal(solve3(np.eye(3), vec3(1, 2, 3), cutoff(np.eye(3))), vec3(1, 2, 3))
 
     def test_diagonal(self):
-        assert np.array_equal(solve3(np.diag([2.0, 4.0, 8.0]), vec3(2, 4, 8)), np.ones(3))
+        a = np.diag([2.0, 4.0, 8.0])
+        assert np.array_equal(solve3(a, vec3(2, 4, 8), cutoff(a)), np.ones(3))
 
     def test_matches_cramer_oracle(self, rng):
         for _ in range(100):
@@ -66,7 +72,7 @@ class TestSolve3:
             if abs(np.linalg.det(a)) < 0.1:
                 continue
             b = rng.normal(size=3)
-            x = np.array(solve3(a.tolist(), b.tolist()))
+            x = np.array(solve3(a.tolist(), b.tolist(), cutoff(a)))
             assert np.allclose(x, cramer_solve3(a, b), atol=1e-11)
             assert np.max(np.abs(a @ x - b)) <= 1e-12 * max(1.0, np.max(np.abs(b)))
 
@@ -74,7 +80,7 @@ class TestSolve3:
         rank_2 = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0]])
         for a in [rank_2, np.zeros((3, 3))]:
             with pytest.raises(SingularSystemError):
-                solve3(a.tolist(), [1.0, 1.0, 1.0])
+                solve3(a.tolist(), [1.0, 1.0, 1.0], cutoff(a))
 
 
 def random_top(rng):
@@ -100,8 +106,9 @@ class TestSolve6:
             h = rng.uniform(0.01, 0.5)
             mat, rhs = assemble_system(np.array(y), inertia, (0.0, 0.0, 0.0), h)
             x = hk_step(y, inertia, (0.0, 0.0, 0.0), h)
-            omega = solve3(mat[:3, :3].tolist(), rhs[:3].tolist())
-            gamma = solve3(mat[3:, 3:].tolist(), (rhs[3:] - mat[3:, :3] @ omega).tolist())
+            omega = solve3(mat[:3, :3].tolist(), rhs[:3].tolist(), cutoff(mat[:3, :3]))
+            gamma = solve3(mat[3:, 3:].tolist(), (rhs[3:] - mat[3:, :3] @ omega).tolist(),
+                           cutoff(mat[3:, 3:]))
             assert np.allclose(x[:3], omega, atol=1e-13)
             assert np.allclose(x[3:], gamma, atol=1e-13)
 

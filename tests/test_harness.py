@@ -183,8 +183,16 @@ class TestRun:
         assert np.array_equal(traj.states[0], kow_cfg().validated().init)
 
     def test_row_count(self):
-        traj = run(kow_cfg(steps=100, stride=7))
+        cfg = kow_cfg(steps=100, stride=7).validated()
+        traj = run(cfg)
         assert len(traj.steps) == 100 // 7 + 1
+        assert np.array_equal(traj.steps, np.arange(0, 101, 7))
+        # Row i is the state after traj.steps[i] hand steps, bit for bit.
+        step, y, n = make_stepper(cfg), cfg.init, 0
+        for k, state in zip(traj.steps.tolist(), traj.states):
+            while n < k:
+                y, n = step(y, cfg.h), n + 1
+            assert np.array_equal(state, y), k
 
     def test_time_column(self):
         traj = run(kow_cfg(steps=20, stride=5))
@@ -204,8 +212,8 @@ class TestRun:
 
     def test_determinism_identical_csv_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(kow_cfg(steps=200, stride=10, out_path=str(p1)))
-        run(kow_cfg(steps=200, stride=10, out_path=str(p2)))
+        run(kow_cfg(steps=200, stride=10)).to_csv(str(p1))
+        run(kow_cfg(steps=200, stride=10)).to_csv(str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_body_csv_header_and_blank_kowalevski_columns(self, tmp_path):
@@ -214,9 +222,8 @@ class TestRun:
         for inertia in [(1, 2, 3), (2, 2, 1)]:
             path = tmp_path / "euler.csv"
             cfg = RunConfig(model="euler", scheme="hk", h=0.01, steps=2, stride=1,
-                            inertia=inertia, init=np.array([1, 1, 1, 1, 0, 0.0]),
-                            out_path=str(path))
-            run(cfg)
+                            inertia=inertia, init=np.array([1, 1, 1, 1, 0, 0.0]))
+            run(cfg).to_csv(str(path))
             lines = path.read_text().splitlines()
             assert lines[0] == "step,t,w1,w2,w3,g1,g2,g3,gamma_sq,two_ell,E,k_sq"
             fields = lines[1].split(",")
@@ -226,8 +233,8 @@ class TestRun:
     def test_lagrange_csv_header(self, tmp_path):
         path = tmp_path / "lag.csv"
         cfg = RunConfig(model="lagrange", scheme="bs", h=0.01, steps=2, stride=1,
-                        init=np.array([0, 0, 1, 1, 0, 0.0]), out_path=str(path))
-        run(cfg)
+                        init=np.array([0, 0, 1, 1, 0, 0.0]))
+        run(cfg).to_csv(str(path))
         assert path.read_text().splitlines()[0] == \
             "step,t,m1,m2,m3,a1,a2,a3,a_sq,m_dot_p,m_dot_a,E"
 
@@ -333,13 +340,13 @@ class TestDriftReport:
     def test_constant_series(self):
         traj = run(kow_cfg(steps=0))
         rep = drift_report(traj)
-        for d in rep.per_invariant.values():
+        for d in rep.values():
             assert d.max_abs_deviation == 0.0
             assert d.min <= d.initial <= d.max
 
     def test_extrema_ordering(self):
         rep = drift_report(run(kow_cfg(steps=500)))
-        for d in rep.per_invariant.values():
+        for d in rep.values():
             assert d.min <= d.initial <= d.max
             assert d.min <= d.final <= d.max
 
@@ -419,6 +426,9 @@ CONFIG_ERRORS = [
     ["run", "--model", "lagrange", "--scheme", "bs", "--h", "0.01", "--steps", "2",
      "--init", "0,0,1,1,0,0", "--inertia", "2,2,1"],
     [*_KOW_RUN, "--p", "1,0,0"],
+    # an --out path that cannot be written
+    [*_KOW_RUN, "--out", "/"],
+    [*_KOW_RUN, "--out", "/nonexistent-dir/x.csv"],
 ]
 
 # The RK4 reference overflows to inf in step 1, where the run's check of each
@@ -467,11 +477,24 @@ class TestCli:
         assert out.exists()
         assert "k_sq" in capsys.readouterr().out
 
+    def test_unwritable_out_path_is_a_config_error(self, tmp_path, capsys):
+        # run and period finish, then fail to write --out: exit 2 with a
+        # message that names the path, not a traceback.
+        period = ["period", "--model", "euler", "--scheme", "bs", "--h", "0.02", "--steps", "1000",
+                  "--stride", "1", "--inertia", "1,2,3", "--init", "1,1,1,1,0,0", "--column", "w1"]
+        for head in (_KOW_RUN, period):
+            for path in (str(tmp_path), str(tmp_path / "missing" / "x.csv")):
+                assert main([*head, "--out", path]) == 2, (head, path)
+                err = capsys.readouterr().err
+                assert err.startswith("config error: cannot write --out") and path in err, err
+            assert main(head) == 0, head
+
     def test_non_finite_state_named_at_its_step(self, capsys):
         # h = 1e200 takes the state past the float range in step 1: run and
         # reverse stop there and name that step, not the next sample.
         head = ["--model", "kowalevski", "--scheme", "bohlin-a", "--h", "1e200"]
-        for argv, where in [(["run", *head, "--steps", "50000", "--stride", "50000"], "step 1\n"),
+        for argv, where in [(["run", *head, "--steps", "50000", "--stride", "50000"],
+                             "step 1 of the run\n"),
                             (["reverse", *head, "--n", "1000"], "step 1 of the round trip\n")]:
             assert main(argv) == 3, argv
             assert capsys.readouterr().err.endswith(f"non-finite state at {where}"), argv
@@ -494,8 +517,8 @@ class TestCli:
     @pytest.mark.slow
     @pytest.mark.filterwarnings("error")
     def test_extreme_inputs_exit_cleanly(self, capsys):
-        # run, reverse and converge for every (model, scheme) pair at extreme
-        # step sizes and inits: exit 0, 2 or 3, never a traceback or a
+        # run, reverse, converge and period for every (model, scheme) pair at
+        # extreme step sizes and inits: exit 0, 2 or 3, never a traceback or a
         # warning, and no non-finite number in a report that exits 0.
         inits = [None, "1e200,1e200,1e200,1e200,1e200,1e200",
                  "1e300,1e300,1e300,1e300,1e300,1e300", "-1e300,-1e300,-1e300,-1e300,-1e300,-1e300",
@@ -511,7 +534,9 @@ class TestCli:
                         for argv in (["run", *head, "--steps", "3", *tail],
                                      ["reverse", *head, "--n", "3", *tail],
                                      ["converge", *head, "--h-list", h_list,
-                                      "--t-end", h_list.split(",")[0], *tail]):
+                                      "--t-end", h_list.split(",")[0], *tail],
+                                     ["period", *head, "--steps", "3", "--stride", "1",
+                                      "--column", MODELS[model].columns[-1], *tail]):
                             code = main(argv)
                             out, err = capsys.readouterr()
                             assert code in (0, 2, 3), argv

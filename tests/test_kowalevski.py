@@ -198,7 +198,7 @@ class TestBohlinStep:
 
         h = 0.001
         cfg = RunConfig(model="kowalevski", scheme="reference", h=h / 100, steps=100, stride=100)
-        y_ref = run(cfg).final_state()
+        y_ref = run(cfg).states[-1]
         xi_ref = xi(y_ref, C0)
         chi = 0.5 * h * (y_ref[2] + BENCH[2])
         xi_trap = cmath.exp(-1j * chi) * xi(BENCH, C0)
