@@ -7,6 +7,8 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 from .algebra import NumericalError
@@ -65,6 +67,21 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     ).validated()
 
 
+def _check_out(path: str | None) -> None:
+    """Refuse, before the run, an --out path that is a directory or whose
+    directory does not exist, with the reason open() would give."""
+    if not path:
+        return
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = errno.EISDIR
+    elif not os.path.isdir(parent):
+        reason = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    else:
+        return
+    raise ConfigError(f"cannot write --out {path!r}: {os.strerror(reason)}")
+
+
 def _write_csv(traj, path: str | None) -> None:
     """Write traj to the --out path, if any; a path it cannot write is a ConfigError."""
     if path:
@@ -75,10 +92,13 @@ def _write_csv(traj, path: str | None) -> None:
 
 
 def _cmd_run(args) -> int:
-    traj = run(_config_from_args(args))
+    config = _config_from_args(args)
+    _check_out(args.out_path)
+    traj = run(config)
+    report = drift_report(traj)
     _write_csv(traj, args.out_path)
     print(f"ran {args.steps} steps of {args.model}/{args.scheme} at h={args.h}")
-    for name, d in drift_report(traj).items():
+    for name, d in report.items():
         print(f"  {name}: initial={d.initial:.15g} min={d.min:.15g} "
               f"max={d.max:.15g} max|dev|={d.max_abs_deviation:.3e}")
     if args.out_path:
@@ -106,6 +126,7 @@ def _cmd_period(args) -> int:
     model = MODELS[config.model]
     if args.column not in model.columns + model.invariant_names:
         raise ConfigError(f"model {config.model!r} has no column {args.column!r}")
+    _check_out(args.out_path)
     traj = run(config)
     _write_csv(traj, args.out_path)
     period = estimate_period(traj.column(args.column), args.h * args.stride)

@@ -10,14 +10,8 @@ vertical arrive as three floats each.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .algebra import NumericalError, bs_solve
 from .hk import hk_step
-from .models import _values
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class ConvergenceError(NumericalError):
@@ -86,13 +80,13 @@ def lagrange_step(y, p, h: float) -> tuple[float, ...]:
     return (*m_next, *bs_solve((a0, a1, a2), m_next, -0.5 * h))
 
 
-def lagrange_invariants(y: np.ndarray, p, h: float) -> tuple:
-    """(a^2, m.p, m.a, E) of y = (m, a), or of each row of a stack of states
-    (n, 6), with the O(h) cross term in the discrete energy:
-    E = |m|^2/2 + a.p + (h/2)(a x m).p."""
-    import numpy as np
-
-    m, a = y[..., :3], y[..., 3:]
-    energy = (0.5 * np.vecdot(m, m) + np.vecdot(a, p)
-              + 0.5 * h * np.vecdot(np.cross(a, m), p))
-    return _values(np.vecdot(a, a), np.vecdot(m, p), np.vecdot(m, a), energy)
+def lagrange_invariants(y, p, h: float) -> tuple[float, float, float, float]:
+    """(a^2, m.p, m.a, E) of a state y = (m, a), with the O(h) cross term in
+    the discrete energy: E = |m|^2/2 + a.p + (h/2)(a x m).p."""
+    m0, m1, m2, a0, a1, a2 = y
+    p0, p1, p2 = p
+    c0, c1, c2 = a1 * m2 - a2 * m1, a2 * m0 - a0 * m2, a0 * m1 - a1 * m0
+    energy = (0.5 * (m0 * m0 + m1 * m1 + m2 * m2) + (a0 * p0 + a1 * p1 + a2 * p2)
+              + 0.5 * h * (c0 * p0 + c1 * p1 + c2 * p2))
+    return (a0 * a0 + a1 * a1 + a2 * a2, m0 * p0 + m1 * p1 + m2 * p2,
+            m0 * a0 + m1 * a1 + m2 * a2, energy)

@@ -4,11 +4,12 @@ emission.
 
 Every stepper, the RK4 `reference` included, takes the state as six floats
 and returns a tuple of six. `run`, `reversal_test` and `convergence_study`
-step through one checked loop, `_steps`. `run` samples it and returns a
-Trajectory, and writes no file; numpy enters only there, to stack the
-samples and compute their invariant columns in one pass, and in
-`drift_report` and `estimate_period`, which read such columns. The other two
-keep the loop's last state and compare endpoints on floats, without numpy.
+step through one checked loop, `_steps`. `run` keeps every stride-th state as
+six floats in a Trajectory and writes no file; the other two keep the loop's
+last state and compare endpoints. None of them imports numpy. A Trajectory
+computes its invariant rows on floats when `to_csv`, `drift_report` or an
+invariant column first reads them, and makes each array attribute when it is
+first read; numpy enters only there and in `estimate_period`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain, islice, repeat
 from typing import TYPE_CHECKING, Callable
 
@@ -36,8 +38,8 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Model:
     """A model's column names and constructors, each from a validated RunConfig:
-    to states (n, 6) -> its k invariant columns, None for a blank one, and
-    per scheme to a step function (y, h) -> y'.
+    to a function of one state -> its k invariants as floats, None for a blank
+    one, and per scheme to a step function (y, h) -> y'.
     `reads` names the model parameters (c0, inertia, gravity, vertical) that
     the model uses; the others must keep their defaults."""
 
@@ -132,14 +134,56 @@ class RunConfig:
 
 @dataclass
 class Trajectory:
-    model: str
-    steps: np.ndarray
-    t: np.ndarray
-    states: np.ndarray  # rows of 6 state components
-    invariant_values: np.ndarray  # one column per invariant name of the model
+    """The states of a run at steps 0, stride, 2*stride, ... as six floats
+    each, from a validated config. The invariant rows and each array are
+    computed when first read, once."""
+
+    config: RunConfig
+    samples: list[tuple[float, ...]]
+
+    @property
+    def _step_numbers(self) -> range:
+        return range(0, self.config.steps + 1, self.config.stride)
+
+    @cached_property
+    def steps(self) -> np.ndarray:
+        import numpy as np
+
+        return np.arange(0, self.config.steps + 1, self.config.stride)
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        return self.steps * self.config.h
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """Rows of 6 state components."""
+        return _array(self.samples, 6)
+
+    @cached_property
+    def invariant_values(self) -> np.ndarray:
+        """One column per invariant name of the model, NaN where it is blank."""
+        return _array(self._invariant_rows, len(MODELS[self.config.model].invariant_names))
+
+    @cached_property
+    def _invariant_rows(self) -> list[tuple[float, ...]]:
+        """Per sample, its invariants as floats, NaN for a blank one. Raises
+        NumericalError naming the first invariant that is not finite."""
+        config = self.config
+        model = MODELS[config.model]
+        invariants_of = model.invariants(config)
+        rows = []
+        for k, y in zip(self._step_numbers, self.samples):
+            row = invariants_of(y)
+            for name, v in zip(model.invariant_names, row):
+                if v is not None and not math.isfinite(v):
+                    raise NumericalError(f"{config.model}/{config.scheme} run: "
+                                         f"invariant {name} overflows at step {k}")
+            rows.append(tuple(math.nan if v is None else v for v in row))
+        return rows
 
     def column(self, name: str) -> np.ndarray:
-        model = MODELS[self.model]
+        model = MODELS[self.config.model]
         if name in model.columns:
             return self.states[:, model.columns.index(name)]
         if name in model.invariant_names:
@@ -147,15 +191,24 @@ class Trajectory:
         raise KeyError(name)
 
     def to_csv(self, path: str) -> None:
-        model = MODELS[self.model]
+        """Write one row per sample. Every invariant is computed and checked
+        before the file is opened."""
+        config, rows = self.config, self._invariant_rows
+        model = MODELS[config.model]
         names = ("step", "t") + model.columns + model.invariant_names
         with open(path, "w", newline="\n") as f:
             f.write(",".join(names) + "\n")
-            for n, t, state, invs in zip(self.steps.tolist(), self.t.tolist(),
-                                         self.states.tolist(), self.invariant_values.tolist()):
+            for n, state, invs in zip(self._step_numbers, self.samples, rows):
                 cells = [f"{v:.17g}" for v in state]
                 cells += ["" if math.isnan(v) else f"{v:.17g}" for v in invs]
-                f.write(f"{n},{t:.17g}," + ",".join(cells) + "\n")
+                f.write(f"{n},{n * config.h:.17g}," + ",".join(cells) + "\n")
+
+
+def _array(rows: list[tuple[float, ...]], width: int) -> np.ndarray:
+    """rows as an (n, width) float array, in one pass."""
+    import numpy as np
+
+    return np.fromiter(rows, np.dtype((float, width)), len(rows))
 
 
 def _rk4(rhs):
@@ -197,20 +250,20 @@ def _stepper(step, params, options):
 
 
 def _body_invariants(config: RunConfig, c0: float | None):
-    """states -> columns (gamma_sq, two_ell, E, k_sq); two_ell and k_sq are
-    blank unless the Kowalevski c0 is given."""
+    """y -> (gamma_sq, two_ell, E, k_sq); two_ell and k_sq are blank (None)
+    unless the Kowalevski c0 is given."""
     inertia, g = config.body()
 
-    def columns(states: np.ndarray) -> tuple:
-        gamma_sq, _, energy = invariants(states, inertia, g)
-        two_ell, _, k_sq = kowalevski_invariants(states, c0) if c0 is not None else (None,) * 3
+    def values(y) -> tuple:
+        gamma_sq, _, energy = invariants(y, inertia, g)
+        two_ell, _, k_sq = kowalevski_invariants(y, c0) if c0 is not None else (None,) * 3
         return gamma_sq, two_ell, energy, k_sq
 
-    return columns
+    return values
 
 
 def _lagrange_invariants(config: RunConfig):
-    return lambda states: euler_lagrange.lagrange_invariants(states, config.vertical, config.h)
+    return lambda y: euler_lagrange.lagrange_invariants(y, config.vertical, config.h)
 
 
 def _body_reference(config: RunConfig):
@@ -291,23 +344,13 @@ def _steps(config: RunConfig, hs, what: str):
 
 
 def run(config: RunConfig) -> Trajectory:
-    """Iterate the configured scheme from the init as six floats, sampling
-    every stride-th step, then compute the invariant columns of the samples.
-    Raises NumericalError naming the first step whose state is non-finite, or
-    when an invariant overflows."""
-    import numpy as np
-
+    """Iterate the configured scheme from the init as six floats and keep
+    every stride-th state. Raises NumericalError naming the first step whose
+    state is non-finite; the invariants are checked when first read."""
     config = config.validated()
     stride = config.stride
     loop = _steps(config, repeat(config.h, config.steps), "run")
-    states = np.array([config.init, *islice(loop, stride - 1, None, stride)])
-    with (numerical_guard(f"{config.model}/{config.scheme} run"),
-          np.errstate(over="raise", invalid="raise")):
-        columns = MODELS[config.model].invariants(config)(states)
-    blank = np.full(len(states), np.nan)
-    steps = np.arange(0, config.steps + 1, stride)
-    return Trajectory(config.model, steps, steps * config.h, states,
-                      np.column_stack([blank if c is None else c for c in columns]))
+    return Trajectory(config, [config.init, *islice(loop, stride - 1, None, stride)])
 
 
 def reversal_test(config: RunConfig, n: int) -> float:
@@ -334,23 +377,15 @@ class InvariantDrift:
 
 def drift_report(traj: Trajectory) -> dict[str, InvariantDrift]:
     """Extrema and max deviation from the initial value, per invariant column
-    that is not blank."""
-    import numpy as np
-
-    if len(traj.steps) == 0:
-        raise ValueError("empty trajectory")
+    that is not blank. Raises NumericalError if an invariant overflows."""
+    names = MODELS[traj.config.model].invariant_names
     out = {}
-    for j, name in enumerate(MODELS[traj.model].invariant_names):
-        col = traj.invariant_values[:, j]
-        if np.all(np.isnan(col)):
+    for name, col in zip(names, zip(*traj._invariant_rows)):
+        first = col[0]
+        if math.isnan(first):  # a blank column; the others hold finite values
             continue
-        out[name] = InvariantDrift(
-            initial=float(col[0]),
-            final=float(col[-1]),
-            min=float(np.min(col)),
-            max=float(np.max(col)),
-            max_abs_deviation=float(np.max(np.abs(col - col[0]))),
-        )
+        out[name] = InvariantDrift(initial=first, final=col[-1], min=min(col), max=max(col),
+                                   max_abs_deviation=max(abs(v - first) for v in col))
     return out
 
 

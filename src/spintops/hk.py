@@ -8,7 +8,9 @@ takes any sequence of six floats and returns a tuple of six.
 
 from __future__ import annotations
 
-from .algebra import SINGULAR_RTOL, solve3
+import math
+
+from .algebra import SINGULAR_RTOL, NumericalError, solve3
 
 
 def hk_step(y, inertia, g, h: float) -> tuple[float, ...]:
@@ -25,7 +27,8 @@ def hk_step(y, inertia, g, h: float) -> tuple[float, ...]:
     gamma' leaves one 3x3 system in omega', solved by Cramer's rule, with
     det6 = det3 / q. The system counts as singular when
     |det6| <= SINGULAR_RTOL * ||M||_F^6, with ||M||_F the Frobenius norm of
-    the 6x6 matrix written out in scalars.
+    the 6x6 matrix written out in scalars. A norm that overflows raises
+    NumericalError: no cutoff can be formed from it.
     """
     w0, w1, w2, g0, g1, g2 = y
     A, B, C = inertia
@@ -61,6 +64,8 @@ def hk_step(y, inertia, g, h: float) -> tuple[float, ...]:
               + k2 * k2 * (w0 * w0 + w1 * w1) + b0 * b0 * (e1 * e1 + e2 * e2)
               + b1 * b1 * (e0 * e0 + e2 * e2) + b2 * b2 * (e0 * e0 + e1 * e1)
               + 2.0 * (hh * hh * (g0 * g0 + g1 * g1 + g2 * g2) + s_sq))
+    if not math.isfinite(fro_sq):
+        raise NumericalError(f"hk system overflows (||M||_F^2={fro_sq:.3e})")
     o0, o1, o2 = solve3(rows, rhs, q * SINGULAR_RTOL * fro_sq * fro_sq * fro_sq)
 
     # gamma' = q (z - s x z + (s.z) s) with z = gamma + (h/2) gamma x omega'.

@@ -3,15 +3,16 @@
 The state is the packed y = (omega, gamma) in the body frame: angular
 velocity and the vertical unit vector. Angular momentum is
 m = diag(A, B, C) @ omega. Steps take and return the state as six floats, and
-so does the right-hand side: it takes any sequence of six floats and returns
-a tuple of six. The invariant functions take a 6-vector, or an (n, 6) stack,
-and they and the matrix-form check are the functions here that import numpy.
+so do the right-hand side and the invariant functions: each takes any
+sequence of six floats, one state, and returns floats. Only the matrix-form
+check and its skew-matrix helper import numpy.
 Parameters are floats: the inertia (A, B, C) and the gravity-moment vector
 g = mg*(x0, y0, z0) as three each, and the Kowalevski c0 as one.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -19,11 +20,6 @@ if TYPE_CHECKING:
 
 # The reduced Kowalevski top: A = B = 2, C = 1, gravity vector (c0, 0, 0).
 KOWALEVSKI_INERTIA = (2.0, 2.0, 1.0)
-
-
-def _values(*values):
-    """Floats for one state, or arrays of them for a stack of states."""
-    return tuple(float(v) if v.ndim == 0 else v for v in values)
 
 
 def euler_poisson_rhs(y, inertia, g) -> tuple[float, ...]:
@@ -47,35 +43,33 @@ def euler_poisson_rhs(y, inertia, g) -> tuple[float, ...]:
     )
 
 
-def invariants(y: np.ndarray, inertia, g) -> tuple:
+def invariants(y, inertia, g) -> tuple[float, float, float]:
     """The three universal conserved quantities (gamma^2, m.gamma, E) of a
-    state y, or of each row of a stack of states (n, 6)."""
-    import numpy as np
-
-    w, gam = y[..., :3], y[..., 3:]
-    m = inertia * w
-    return _values(np.vecdot(gam, gam), np.vecdot(m, gam),
-                   0.5 * np.vecdot(m, w) + np.vecdot(g, gam))
-
-
-def xi(y: np.ndarray, c0: float) -> complex:
-    """xi = (omega_1 + i*omega_2)^2 - c0*(gamma_1 + i*gamma_2), of a state y
-    or of each row of a stack of states, formed from its real and imaginary
-    parts as Python's complex arithmetic rounds them."""
-    w0, w1, g0, g1 = y[..., 0], y[..., 1], y[..., 3], y[..., 4]
-    return (w0 * w0 - w1 * w1 - c0 * g0) + 1j * (w0 * w1 + w1 * w0 - c0 * g1)
+    state y."""
+    w0, w1, w2, g0, g1, g2 = y
+    A, B, C = inertia
+    e0, e1, e2 = g
+    m0, m1, m2 = A * w0, B * w1, C * w2
+    return (g0 * g0 + g1 * g1 + g2 * g2, m0 * g0 + m1 * g1 + m2 * g2,
+            0.5 * (m0 * w0 + m1 * w1 + m2 * w2) + (e0 * g0 + e1 * g1 + e2 * g2))
 
 
-def kowalevski_invariants(y: np.ndarray, c0: float) -> tuple:
-    """(2*ell, E, k^2) in the reduced A=B=2, C=1 form, of a state y or of each
-    row of a stack of states (n, 6)."""
-    import numpy as np
+def xi(y, c0: float) -> complex:
+    """xi = (omega_1 + i*omega_2)^2 - c0*(gamma_1 + i*gamma_2) of a state y,
+    formed from its real and imaginary parts."""
+    w0, w1, _, g0, g1, _ = y
+    return complex(w0 * w0 - w1 * w1 - c0 * g0, w0 * w1 + w1 * w0 - c0 * g1)
 
-    w0, w1, w2, g0 = y[..., 0], y[..., 1], y[..., 2], y[..., 3]
-    two_ell = 2.0 * (w0 * g0 + w1 * y[..., 4]) + w2 * y[..., 5]
-    energy = w0 * w0 + w1 * w1 + 0.5 * (w2 * w2) + c0 * g0
+
+def kowalevski_invariants(y, c0: float) -> tuple[float, float, float]:
+    """(2*ell, E, k^2) of a state y in the reduced A=B=2, C=1 form, with
+    k^2 = |xi|^2."""
+    w0, w1, w2, g0, g1, g2 = y
     z = xi(y, c0)
-    return _values(two_ell, energy, np.hypot(z.real, z.imag) ** 2)
+    # math.hypot overflows to inf, where abs(z) and k ** 2 would raise.
+    k = math.hypot(z.real, z.imag)
+    return (2.0 * (w0 * g0 + w1 * g1) + w2 * g2,
+            w0 * w0 + w1 * w1 + 0.5 * (w2 * w2) + c0 * g0, k * k)
 
 
 def skew_apply_matrix(v) -> np.ndarray:

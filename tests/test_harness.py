@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -229,6 +230,22 @@ class TestRun:
             fields = lines[1].split(",")
             assert fields[9] == "" and fields[11] == "", inertia  # two_ell, k_sq blank
             assert fields[8] != "" and fields[10] != "", inertia
+
+    def test_invariants_checked_when_read(self, tmp_path):
+        # The bs step keeps this state finite, and its energy overflows: run
+        # returns, and every reader of the invariants raises, naming the
+        # invariant and the sample step.
+        cfg = RunConfig(model="euler", scheme="bs", h=0.01, steps=3, stride=1,
+                        init=(1e200, 0, 0, 1, 0, 0))
+        traj = run(cfg)
+        assert np.all(np.isfinite(traj.states))
+        assert traj.states is traj.states
+        path = tmp_path / "traj.csv"
+        for read in (lambda: traj.invariant_values, lambda: traj.column("E"),
+                     lambda: drift_report(traj), lambda: traj.to_csv(str(path))):
+            with pytest.raises(NumericalError, match=r"^euler/bs run: invariant E overflows at step 0$"):
+                read()
+        assert not path.exists()
 
     def test_lagrange_csv_header(self, tmp_path):
         path = tmp_path / "lag.csv"
@@ -478,7 +495,7 @@ class TestCli:
         assert "k_sq" in capsys.readouterr().out
 
     def test_unwritable_out_path_is_a_config_error(self, tmp_path, capsys):
-        # run and period finish, then fail to write --out: exit 2 with a
+        # run and period refuse an --out they cannot write: exit 2 with a
         # message that names the path, not a traceback.
         period = ["period", "--model", "euler", "--scheme", "bs", "--h", "0.02", "--steps", "1000",
                   "--stride", "1", "--inertia", "1,2,3", "--init", "1,1,1,1,0,0", "--column", "w1"]
@@ -488,6 +505,39 @@ class TestCli:
                 err = capsys.readouterr().err
                 assert err.startswith("config error: cannot write --out") and path in err, err
             assert main(head) == 0, head
+
+    def test_unwritable_out_path_refused_before_the_run(self, tmp_path, monkeypatch, capsys):
+        def no_run(config):
+            raise AssertionError("stepped before refusing --out")
+
+        monkeypatch.setattr("spintops.cli.run", no_run)
+        period = ["period", "--model", "kowalevski", "--scheme", "hk", "--h", "0.001",
+                  "--steps", "100", "--column", "g3"]
+        (tmp_path / "file").write_text("")
+        for head in (_KOW_RUN, period):
+            for path, reason in [("/", "Is a directory"),
+                                 (str(tmp_path / "missing" / "x.csv"), "No such file or directory"),
+                                 (str(tmp_path / "file" / "x.csv"), "Not a directory")]:
+                assert main([*head, "--out", path]) == 2, (head, path)
+                assert capsys.readouterr().err == \
+                    f"config error: cannot write --out {path!r}: {reason}\n"
+
+    def test_overflowing_hk_system_is_not_called_singular(self, capsys):
+        # |s|^2 and ||M||_F^2 overflow at this init, so no singularity cutoff
+        # can be formed: the error names the overflow.
+        for model, scheme in [("kowalevski", "hk"), ("kowalevski", "hybrid"), ("euler", "symmetric")]:
+            assert main(["run", "--model", model, "--scheme", scheme, "--h", "0.001",
+                         "--steps", "10", "--init=1e200,0,0,1,0,0"]) == 3, scheme
+            err = capsys.readouterr().err
+            assert err.startswith(f"numerical failure: {model}/{scheme} run: "), err
+            assert "overflows" in err and "singular" not in err, err
+
+    def test_invariant_overflow_prints_nothing(self, capsys):
+        rc = main(["run", "--model", "euler", "--scheme", "bs", "--h", "0.01", "--steps", "3",
+                   "--inertia", "1,2,3", "--init=1e200,0,0,1,0,0"])
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert err == "numerical failure: euler/bs run: invariant E overflows at step 0\n"
 
     def test_non_finite_state_named_at_its_step(self, capsys):
         # h = 1e200 takes the state past the float range in step 1: run and
@@ -555,26 +605,49 @@ class TestCli:
         assert rc == 0
         assert len(out.splitlines()) == 4 and "nan" not in out and "inf" not in out, out
 
-    def test_reverse_and_converge_run_without_numpy(self):
+    def test_reverse_and_converge_run_without_numpy(self, tmp_path):
         # import spintops loads no numpy, and with numpy made unimportable the
-        # README reverse and converge commands print the README values.
+        # README run, reverse and converge commands and a one-step run print
+        # the values numpy-backed runs printed.
+        csv_path = tmp_path / "traj.csv"
         script = """if True:
             import sys
             import spintops
             assert "numpy" not in sys.modules, "import spintops loaded numpy"
             sys.modules["numpy"] = None
             from spintops.cli import main
-            kow = ["--model", "kowalevski", "--h", "0.001", "--steps", "1000", "--n", "1000"]
+            kow = ["--model", "kowalevski", "--h", "0.001"]
+            assert main(["run", *kow, "--scheme", "hk", "--steps", "2000", "--stride", "10",
+                         "--out", sys.argv[1]]) == 0
+            assert main(["run", *kow, "--scheme", "hk", "--steps", "1"]) == 0
             for scheme in ("hk", "bohlin-a"):
-                assert main(["reverse", *kow, "--scheme", scheme]) == 0
+                assert main(["reverse", *kow, "--steps", "1000", "--n", "1000",
+                             "--scheme", scheme]) == 0
             assert main(["converge", "--model", "kowalevski", "--scheme", "hybrid", "--h", "0.01",
                          "--h-list", "0.02,0.01,0.005", "--t-end", "1.0"]) == 0
         """
         src = str(Path(spintops.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        out = subprocess.run([sys.executable, "-c", script, str(csv_path)], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines() == [
+            "ran 2000 steps of kowalevski/hk at h=0.001",
+            "  gamma_sq: initial=1 min=0.999999999999225 max=1.0000000000001 max|dev|=7.755e-13",
+            "  two_ell: initial=3.9999979999995 min=3.99999799999826 max=3.99999799999978 "
+            "max|dev|=1.244e-12",
+            "  E: initial=4.99999949999988 min=4.99999949999987 max=4.99999950000012 "
+            "max|dev|=2.496e-13",
+            "  k_sq: initial=9.000003000001 min=9.00000300000099 max=9.00000300000701 "
+            "max|dev|=6.013e-12",
+            f"wrote {csv_path}",
+            "ran 1 steps of kowalevski/hk at h=0.001",
+            "  gamma_sq: initial=1 min=1 max=1 max|dev|=0.000e+00",
+            "  two_ell: initial=3.9999979999995 min=3.9999979999995 max=3.9999979999995 "
+            "max|dev|=0.000e+00",
+            "  E: initial=4.99999949999988 min=4.99999949999988 max=4.99999949999988 "
+            "max|dev|=0.000e+00",
+            "  k_sq: initial=9.000003000001 min=9.000003000001 max=9.000003000001 "
+            "max|dev|=0.000e+00",
             "round-trip error after 1000 steps forward + backward: 3.530509e-14",
             "round-trip error after 1000 steps forward + backward: 9.316052e-07",
             "           h   endpoint error  observed order",
@@ -582,6 +655,16 @@ class TestCli:
             "        0.01     4.852009e-08           2.000",
             "       0.005     1.213040e-08           2.000",
         ]
+        # The step, t and state columns, bit for bit as a numpy-backed run
+        # wrote them.
+        lines = csv_path.read_text().splitlines()
+        assert len(lines) == 202
+        assert lines[-1].split(",")[:8] == [
+            "2000", "2", "1.9999992786176368", "0.0013682984085283713", "-0.0017866431294781995",
+            "0.9999989172416629", "0.00046818813491333693", "-0.0013951037942170517"]
+        states = "\n".join(",".join(line.split(",")[:8]) for line in lines)
+        assert hashlib.sha256(states.encode()).hexdigest() == \
+            "b9688a1cdadf25ef55fab9623719a8f3da842a7c8df61b1a1196ff5722f0cd8c"
 
     def test_negative_comma_list_values(self, capsys):
         for argv, energy in NEGATIVE_LIST_VALUES:
