@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import errno
 import os
+import stat
 import sys
 
 from .algebra import NumericalError
@@ -68,18 +69,20 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _check_out(path: str | None) -> None:
-    """Refuse, before the run, an --out path that is a directory or whose
-    directory does not exist, with the reason open() would give."""
+    """Refuse, before the run, an --out path that open() would refuse for
+    where it points, with the reason open() gives: a directory or a path that
+    ends in a separator, or one whose directory is missing or is a file."""
     if not path:
         return
-    parent = os.path.dirname(path) or "."
-    if os.path.isdir(path):
+    try:
+        parent = os.stat(os.path.dirname(path.rstrip(os.sep)) or ".")
+        reason = None if stat.S_ISDIR(parent.st_mode) else errno.ENOTDIR
+    except OSError as e:
+        reason = e.errno
+    if reason is None and (os.path.isdir(path) or path.endswith(os.sep)):
         reason = errno.EISDIR
-    elif not os.path.isdir(parent):
-        reason = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
-    else:
-        return
-    raise ConfigError(f"cannot write --out {path!r}: {os.strerror(reason)}")
+    if reason is not None:
+        raise ConfigError(f"cannot write --out {path!r}: {os.strerror(reason)}")
 
 
 def _write_csv(traj, path: str | None) -> None:

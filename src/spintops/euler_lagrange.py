@@ -80,9 +80,10 @@ def lagrange_step(y, p, h: float) -> tuple[float, ...]:
     return (*m_next, *bs_solve((a0, a1, a2), m_next, -0.5 * h))
 
 
-def lagrange_invariants(y, p, h: float) -> tuple[float, float, float, float]:
+def lagrange_invariants(y, p, h: float) -> tuple:
     """(a^2, m.p, m.a, E) of a state y = (m, a), with the O(h) cross term in
-    the discrete energy: E = |m|^2/2 + a.p + (h/2)(a x m).p."""
+    the discrete energy: E = |m|^2/2 + a.p + (h/2)(a x m).p. Like the
+    invariants in `models`, it also takes six numpy columns."""
     m0, m1, m2, a0, a1, a2 = y
     p0, p1, p2 = p
     c0, c1, c2 = a1 * m2 - a2 * m1, a2 * m0 - a0 * m2, a0 * m1 - a1 * m0

@@ -4,8 +4,11 @@ The state is the packed y = (omega, gamma) in the body frame: angular
 velocity and the vertical unit vector. Angular momentum is
 m = diag(A, B, C) @ omega. Steps take and return the state as six floats, and
 so do the right-hand side and the invariant functions: each takes any
-sequence of six floats, one state, and returns floats. Only the matrix-form
-check and its skew-matrix helper import numpy.
+sequence of six floats, one state, and returns floats. The invariant
+functions are plain arithmetic, so they also take six numpy columns, one per
+component of a run's states, and return a column per invariant, each value
+rounded as the float call rounds it. Only the matrix-form check and its
+skew-matrix helper import numpy.
 Parameters are floats: the inertia (A, B, C) and the gravity-moment vector
 g = mg*(x0, y0, z0) as three each, and the Kowalevski c0 as one.
 """
@@ -13,6 +16,7 @@ g = mg*(x0, y0, z0) as three each, and the Kowalevski c0 as one.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -43,7 +47,7 @@ def euler_poisson_rhs(y, inertia, g) -> tuple[float, ...]:
     )
 
 
-def invariants(y, inertia, g) -> tuple[float, float, float]:
+def invariants(y, inertia, g) -> tuple:
     """The three universal conserved quantities (gamma^2, m.gamma, E) of a
     state y."""
     w0, w1, w2, g0, g1, g2 = y
@@ -54,22 +58,39 @@ def invariants(y, inertia, g) -> tuple[float, float, float]:
             0.5 * (m0 * w0 + m1 * w1 + m2 * w2) + (e0 * g0 + e1 * g1 + e2 * g2))
 
 
+def _xi_parts(y, c0: float) -> tuple:
+    """The real and imaginary parts of xi of a state y."""
+    w0, w1, _, g0, g1, _ = y
+    return w0 * w0 - w1 * w1 - c0 * g0, w0 * w1 + w1 * w0 - c0 * g1
+
+
 def xi(y, c0: float) -> complex:
     """xi = (omega_1 + i*omega_2)^2 - c0*(gamma_1 + i*gamma_2) of a state y,
     formed from its real and imaginary parts."""
-    w0, w1, _, g0, g1, _ = y
-    return complex(w0 * w0 - w1 * w1 - c0 * g0, w0 * w1 + w1 * w0 - c0 * g1)
+    return complex(*_xi_parts(y, c0))
 
 
-def kowalevski_invariants(y, c0: float) -> tuple[float, float, float]:
+def kowalevski_invariants(y, c0: float) -> tuple:
     """(2*ell, E, k^2) of a state y in the reduced A=B=2, C=1 form, with
     k^2 = |xi|^2."""
     w0, w1, w2, g0, g1, g2 = y
-    z = xi(y, c0)
-    # math.hypot overflows to inf, where abs(z) and k ** 2 would raise.
-    k = math.hypot(z.real, z.imag)
+    k = _hypot(*_xi_parts(y, c0))
     return (2.0 * (w0 * g0 + w1 * g1) + w2 * g2,
             w0 * w0 + w1 * w1 + 0.5 * (w2 * w2) + c0 * g0, k * k)
+
+
+def _hypot(x, y):
+    """sqrt(x^2 + y^2) by the C library's hypot, of two floats or of two
+    numpy columns: abs of a complex and numpy's hypot both call it, where
+    math.hypot rounds differently. inf where it overflows."""
+    if isinstance(x, numbers.Real):
+        try:
+            return abs(complex(x, y))
+        except OverflowError:  # abs raises where hypot overflows
+            return math.inf
+    import numpy as np
+
+    return np.hypot(x, y)
 
 
 def skew_apply_matrix(v) -> np.ndarray:

@@ -247,6 +247,57 @@ class TestRun:
                 read()
         assert not path.exists()
 
+    def test_invariant_overflow_named_on_floats_and_on_columns(self, monkeypatch):
+        # gamma_sq overflows first at this init, and |xi| is past the float
+        # range too: both ways of computing the invariants name gamma_sq.
+        cfg = RunConfig(model="kowalevski", scheme="hk", h=0.001, steps=0,
+                        init=(0, 0, 0, -1.5e308, -1.5e308, 0))
+        match = r"^kowalevski/hk run: invariant gamma_sq overflows at step 0$"
+        with monkeypatch.context() as m:
+            m.setitem(sys.modules, "numpy", None)
+            with pytest.raises(NumericalError, match=match):
+                drift_report(run(cfg))
+        with pytest.raises(NumericalError, match=match):
+            drift_report(run(cfg))
+
+    @pytest.mark.parametrize(
+        "model,scheme",
+        [(m, s) for m in MODELS for s in MODELS[m].schemes],
+        ids=lambda x: x,
+    )
+    def test_invariants_same_on_floats_and_on_columns(self, model, scheme, tmp_path,
+                                                      monkeypatch):
+        # A short run computes its invariants on floats while numpy is not
+        # imported, and on numpy columns once it is: the CSV and the drift
+        # report are the same to the bit either way.
+        init = None if model == "kowalevski" else (0.3, -0.2, 0.9, 0.6, 0.0, 0.8)
+        cfg = RunConfig(model=model, scheme=scheme, h=0.01, steps=60, stride=3, init=init)
+        with monkeypatch.context() as m:
+            m.setitem(sys.modules, "numpy", None)
+            on_floats = run(cfg)
+            on_floats.to_csv(str(tmp_path / "floats.csv"))
+            report = drift_report(on_floats)
+        on_columns = run(cfg)
+        on_columns.to_csv(str(tmp_path / "columns.csv"))
+        assert (tmp_path / "floats.csv").read_bytes() == (tmp_path / "columns.csv").read_bytes()
+        assert drift_report(on_columns) == report
+
+    def test_numpy_imported_for_many_samples_only(self):
+        script = """if True:
+            import sys
+            from spintops import harness
+            cfg = harness.RunConfig(model="kowalevski", scheme="hk", h=0.001, steps=10)
+            harness.drift_report(harness.run(cfg))
+            assert "numpy" not in sys.modules, "11 samples imported numpy"
+            harness._FLOAT_ROWS = 11
+            harness.drift_report(harness.run(cfg))
+            assert "numpy" in sys.modules, "11 samples at a cutoff of 11 did not import numpy"
+        """
+        src = str(Path(spintops.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert out.returncode == 0, out.stderr
+
     def test_lagrange_csv_header(self, tmp_path):
         path = tmp_path / "lag.csv"
         cfg = RunConfig(model="lagrange", scheme="bs", h=0.01, steps=2, stride=1,
@@ -514,10 +565,19 @@ class TestCli:
         period = ["period", "--model", "kowalevski", "--scheme", "hk", "--h", "0.001",
                   "--steps", "100", "--column", "g3"]
         (tmp_path / "file").write_text("")
-        for head in (_KOW_RUN, period):
-            for path, reason in [("/", "Is a directory"),
-                                 (str(tmp_path / "missing" / "x.csv"), "No such file or directory"),
-                                 (str(tmp_path / "file" / "x.csv"), "Not a directory")]:
+        cases = [("/", "Is a directory"),
+                 (str(tmp_path / "missing" / "x.csv"), "No such file or directory"),
+                 (str(tmp_path / "file" / "x.csv"), "Not a directory"),
+                 (str(tmp_path / "newdir") + os.sep, "Is a directory"),
+                 (str(tmp_path / "file") + os.sep, "Is a directory"),
+                 (str(tmp_path / "missing" / "x") + os.sep, "No such file or directory"),
+                 (str(tmp_path / "file" / "x" / "y.csv"), "Not a directory")]
+        for path, reason in cases:
+            # The reason is the one open() gives for the path.
+            with pytest.raises(OSError) as e:
+                open(path, "w")
+            assert e.value.strerror == reason, path
+            for head in (_KOW_RUN, period):
                 assert main([*head, "--out", path]) == 2, (head, path)
                 assert capsys.readouterr().err == \
                     f"config error: cannot write --out {path!r}: {reason}\n"
