@@ -137,12 +137,25 @@ def _cmd_period(args) -> int:
     return 0
 
 
-def _join_list_values(argv: list[str]) -> list[str]:
-    """Join each comma list that starts with '-' to the flag before it, as
-    --flag=value: argparse reads a value such as -1,0,0 as an unknown option."""
+def _is_negative_value(arg: str) -> bool:
+    """Whether arg is a comma list or a number, such as -1e-3 or -inf, that
+    starts with '-'."""
+    if not arg.startswith("-"):
+        return False
+    try:
+        float(arg)
+    except ValueError:
+        return "," in arg
+    return True
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Join each negative value to the flag before it, as --flag=value:
+    argparse reads a value such as -1,0,0 or -1e-3 as an unknown option.
+    --help takes no value, so it is left to print help."""
     out: list[str] = []
     for arg in argv:
-        if arg.startswith("-") and "," in arg and out and out[-1].startswith("--"):
+        if _is_negative_value(arg) and out and out[-1].startswith("--") and out[-1] != "--help":
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -178,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(_join_list_values(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ConfigError, PeriodEstimationError) as e:

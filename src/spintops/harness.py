@@ -11,7 +11,9 @@ computes its invariants when `to_csv`, `drift_report` or an invariant column
 first reads them: on floats, one sample at a time, for a short run while
 numpy is not imported, and otherwise on numpy columns. It makes each array
 attribute when it is first read; numpy enters only there and in
-`estimate_period`.
+`estimate_period`. `RunConfig`, `Model` and `InvariantDrift` are named tuples
+and `Trajectory` is a plain class: `dataclasses` would import `inspect`, and
+so `ast`, `dis` and `tokenize`, in every CLI process.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, islice, repeat
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import euler_lagrange, kowalevski
 from .algebra import NumericalError, numerical_guard
@@ -37,8 +38,7 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(NamedTuple):
     """A model's column names and constructors, each from a validated RunConfig:
     to a function of one state -> its k invariants as floats, None for a blank
     one, and per scheme to a step function (y, h) -> y'.
@@ -84,8 +84,10 @@ def _floats(values, n: int, name: str) -> tuple[float, ...]:
     return tuple(map(float, values))
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
+    """The one parameter object of a run. Immutable; derive a variant with
+    `config._replace(...)`."""
+
     model: str
     scheme: str
     h: float
@@ -122,10 +124,10 @@ class RunConfig:
         if min(params["inertia"]) <= 0:
             raise ConfigError("parameters and init must be finite, inertia positive")
         for name, value in params.items():
-            if name not in model.reads and value != getattr(RunConfig, name):
+            if name not in model.reads and value != RunConfig._field_defaults[name]:
                 raise ConfigError(f"model {self.model!r} does not read {name}")
-        return replace(self, h=float(self.h), steps=int(self.steps), stride=int(self.stride),
-                       init=init, **params)
+        return self._replace(h=float(self.h), steps=int(self.steps), stride=int(self.stride),
+                             init=init, **params)
 
     def body(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """The inertia and gravity vector of a body-frame model."""
@@ -143,14 +145,14 @@ class RunConfig:
 _FLOAT_ROWS = 20_000
 
 
-@dataclass
 class Trajectory:
     """The states of a run at steps 0, stride, 2*stride, ... as six floats
     each, from a validated config. The invariants and each array are
     computed when first read, once."""
 
-    config: RunConfig
-    samples: list[tuple[float, ...]]
+    def __init__(self, config: RunConfig, samples: list[tuple[float, ...]]):
+        self.config = config
+        self.samples = samples
 
     @property
     def _step_numbers(self) -> range:
@@ -391,8 +393,7 @@ def reversal_test(config: RunConfig, n: int) -> float:
     return max(abs(a - b) for a, b in zip(y, config.init))
 
 
-@dataclass(frozen=True)
-class InvariantDrift:
+class InvariantDrift(NamedTuple):
     initial: float
     final: float
     min: float
@@ -464,7 +465,7 @@ def convergence_study(
         if round(n) < 1 or abs(n - round(n)) > 1e-9:
             raise ConfigError(f"t_end/h not a positive integer for h={h}")
 
-    ref_cfg = replace(config, scheme="reference")
+    ref_cfg = config._replace(scheme="reference")
     y_ref = ref_cfg.init
     for y_ref in _steps(ref_cfg, repeat(h_ref, round(t_end / h_ref)), "run"):
         pass

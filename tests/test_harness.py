@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +86,23 @@ class TestRunConfigValidation:
         assert cfg.init[5] == 0.001
         assert cfg.init[3] == pytest.approx(np.sqrt(1 - 0.001**2), abs=1e-16)
 
+    def test_config_is_an_immutable_value(self):
+        # Equal configs compare and hash equal, a field cannot be assigned,
+        # and validating a validated config changes nothing.
+        cfg = kow_cfg().validated()
+        with pytest.raises(AttributeError):
+            cfg.h = 0.01
+        assert cfg == kow_cfg().validated() and hash(cfg) == hash(kow_cfg().validated())
+        assert cfg.validated() == cfg
+        with pytest.raises(ConfigError, match="h must be positive"):
+            cfg._replace(h=-1.0).validated()
+
+    def test_default_parameter_given_as_an_int(self):
+        # c0=1 equals the default 1.0, so euler, which does not read c0, accepts it.
+        cfg = RunConfig(model="euler", scheme="bs", h=0.01, steps=1, c0=1,
+                        init=(1, 1, 1, 1, 0, 0)).validated()
+        assert type(cfg.c0) is float and cfg.c0 == 1.0
+
     def test_fields_become_floats_and_ints(self):
         cfg = RunConfig(model="euler", scheme="bs", h=np.float64(0.01), steps=np.int64(3),
                         stride=np.int64(1), init=np.array([1, 1, 1, 1, 0, 0])).validated()
@@ -103,7 +119,7 @@ class TestRunConfigValidation:
     def test_field_of_the_wrong_type(self, field, value):
         cfg = RunConfig(model="euler", scheme="bs", h=0.01, steps=3, init=(1, 1, 1, 1, 0, 0))
         with pytest.raises(ConfigError):
-            run(replace(cfg, **{field: value}))
+            run(cfg._replace(**{field: value}))
 
     def test_round_trip_and_study_arguments_of_the_wrong_type(self):
         cfg = RunConfig(model="euler", scheme="bs", h=0.01, steps=3, init=(1, 1, 1, 1, 0, 0))
@@ -473,6 +489,7 @@ CONFIG_ERRORS = [
     ["run", "--model", "euler", "--scheme", "hybrid", "--h", "0.001", "--steps", "10"],
     ["run", "--model", "kowalevski", "--scheme", "hk", "--h", "inf", "--steps", "10"],
     [*_KOW_RUN, "--c0", "nan"],
+    [*_KOW_RUN, "--c0", "-inf"],
     [*_KOW_RUN, "--init", "nan,0,0,1,0,0"],
     [*_EULER_RUN, "--init", "1,1,1,1,0,0", "--inertia", "0,1,1"],
     ["run", "--model", "general", "--scheme", "hk", "--h", "0.01", "--steps", "2",
@@ -532,6 +549,14 @@ NEGATIVE_LIST_VALUES = [
       "--init", "1,1,1,1,0,0", "--gravity", "-0.5,0,1"], "E: initial=2.5 "),
     (["run", "--model", "lagrange", "--scheme", "bs", "--h", "0.01", "--steps", "2",
       "--init", "0,0,1,1,0,0", "--p", "-1,0,0"], "E: initial=-0.5 "),
+]
+
+
+# A negative number in exponent notation is a flag's value too: each command
+# prints with --c0 -1e-3 what it prints with --c0 -0.001.
+NEGATIVE_EXPONENT_VALUES = [
+    _KOW_RUN,
+    ["reverse", "--model", "kowalevski", "--scheme", "hk", "--h", "0.001", "--n", "10"],
 ]
 
 
@@ -614,6 +639,12 @@ class TestCli:
             assert main(argv) == 2, argv
             assert "config error" in capsys.readouterr().err, argv
 
+    def test_negative_infinite_c0_is_not_finite(self, capsys):
+        # -inf reaches the config check as a value, not argparse as an option.
+        assert main([*_KOW_RUN, "--c0", "-inf"]) == 2
+        assert capsys.readouterr().err == \
+            "config error: parameters and init must be finite, inertia positive\n"
+
     def test_numerical_error_exit_code(self, capsys):
         for argv in NUMERICAL_ERRORS:
             assert main(argv) == 3, argv
@@ -666,14 +697,17 @@ class TestCli:
         assert len(out.splitlines()) == 4 and "nan" not in out and "inf" not in out, out
 
     def test_reverse_and_converge_run_without_numpy(self, tmp_path):
-        # import spintops loads no numpy, and with numpy made unimportable the
-        # README run, reverse and converge commands and a one-step run print
-        # the values numpy-backed runs printed.
+        # import spintops and spintops.cli load neither numpy nor dataclasses
+        # and inspect, and with numpy made unimportable the README run,
+        # reverse and converge commands and a one-step run print the values
+        # numpy-backed runs printed.
         csv_path = tmp_path / "traj.csv"
         script = """if True:
             import sys
             import spintops
-            assert "numpy" not in sys.modules, "import spintops loaded numpy"
+            import spintops.cli
+            loaded = {"numpy", "dataclasses", "inspect"} & set(sys.modules)
+            assert not loaded, f"import spintops.cli loaded {sorted(loaded)}"
             sys.modules["numpy"] = None
             from spintops.cli import main
             kow = ["--model", "kowalevski", "--h", "0.001"]
@@ -730,6 +764,18 @@ class TestCli:
         for argv, energy in NEGATIVE_LIST_VALUES:
             assert main(argv) == 0, argv
             assert energy in capsys.readouterr().out, argv
+
+    def test_negative_exponent_values(self, capsys):
+        def output(c0):
+            for argv in NEGATIVE_EXPONENT_VALUES:
+                assert main([*argv, "--c0", c0]) == 0, (argv, c0)
+            return capsys.readouterr().out
+
+        assert output("-1e-3") == output("-0.001") != output("1")
+        # --help takes no value: it prints help before a negative number.
+        with pytest.raises(SystemExit) as e:
+            main([*_KOW_RUN, "--help", "-1e-3"])
+        assert e.value.code == 0 and capsys.readouterr().out.startswith("usage: spintops run")
 
     @pytest.mark.parametrize(
         "model,scheme",
