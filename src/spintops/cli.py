@@ -18,6 +18,7 @@ from .harness import (
     ConfigError,
     PeriodEstimationError,
     RunConfig,
+    Trajectory,
     convergence_study,
     drift_report,
     estimate_period,
@@ -27,6 +28,8 @@ from .harness import (
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+# The RunConfig fields given on the command line as comma lists.
+_VECTORS = ("inertia", "gravity", "vertical", "init")
 
 
 def _reals(text: str) -> tuple[float, ...]:
@@ -38,34 +41,20 @@ def _reals(text: str) -> tuple[float, ...]:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of a run, one per RunConfig field, and --out. A parameter
+    flag that is not given keeps RunConfig's default."""
     p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--scheme", required=True,
                    choices=list(dict.fromkeys(s for m in MODELS.values() for s in m.schemes)))
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--steps", type=int, default=0)
     p.add_argument("--stride", type=int, default=10)
-    p.add_argument("--c0", type=float, default=1.0)
+    p.add_argument("--c0", type=float)
     p.add_argument("--init", help="6 comma-separated reals (w,gamma or m,a)")
-    p.add_argument("--inertia", help="A,B,C", default="1,2,3")
-    p.add_argument("--gravity", help="x0,y0,z0 (times mg=1)", default="0,0,0")
-    p.add_argument("--p", dest="vertical", help="constant vertical (lagrange)",
-                   default="0,0,1")
+    p.add_argument("--inertia", help="A,B,C")
+    p.add_argument("--gravity", help="x0,y0,z0 (times mg=1)")
+    p.add_argument("--p", dest="vertical", help="constant vertical (lagrange)")
     p.add_argument("--out", dest="out_path")
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        model=args.model,
-        scheme=args.scheme,
-        h=args.h,
-        steps=args.steps,
-        stride=args.stride,
-        c0=args.c0,
-        inertia=_reals(args.inertia),
-        gravity=_reals(args.gravity),
-        vertical=_reals(args.vertical),
-        init=_reals(args.init) if args.init else None,
-    ).validated()
 
 
 def _check_out(path: str | None) -> None:
@@ -85,22 +74,22 @@ def _check_out(path: str | None) -> None:
         raise ConfigError(f"cannot write --out {path!r}: {os.strerror(reason)}")
 
 
-def _write_csv(traj, path: str | None) -> None:
-    """Write traj to the --out path, if any; a path it cannot write is a ConfigError."""
+def _run_to_csv(config: RunConfig, path: str | None) -> Trajectory:
+    """Run config and write the trajectory to the --out path, if any. A path
+    it cannot write is a ConfigError, raised before the run where it can be."""
+    _check_out(path)
+    traj = run(config)
     if path:
         try:
             traj.to_csv(path)
         except OSError as e:
             raise ConfigError(f"cannot write --out {path!r}: {e.strerror or e}") from e
+    return traj
 
 
-def _cmd_run(args) -> int:
-    config = _config_from_args(args)
-    _check_out(args.out_path)
-    traj = run(config)
-    report = drift_report(traj)
-    _write_csv(traj, args.out_path)
-    print(f"ran {args.steps} steps of {args.model}/{args.scheme} at h={args.h}")
+def _cmd_run(config: RunConfig, args) -> int:
+    report = drift_report(_run_to_csv(config, args.out_path))
+    print(f"ran {config.steps} steps of {config.model}/{config.scheme} at h={config.h}")
     for name, d in report.items():
         print(f"  {name}: initial={d.initial:.15g} min={d.min:.15g} "
               f"max={d.max:.15g} max|dev|={d.max_abs_deviation:.3e}")
@@ -109,14 +98,14 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_reverse(args) -> int:
-    err = reversal_test(_config_from_args(args), args.n)
+def _cmd_reverse(config: RunConfig, args) -> int:
+    err = reversal_test(config, args.n)
     print(f"round-trip error after {args.n} steps forward + backward: {err:.6e}")
     return 0
 
 
-def _cmd_converge(args) -> int:
-    rows = convergence_study(_config_from_args(args), list(_reals(args.h_list)), args.t_end)
+def _cmd_converge(config: RunConfig, args) -> int:
+    rows = convergence_study(config, list(_reals(args.h_list)), args.t_end)
     print(f"{'h':>12} {'endpoint error':>16} {'observed order':>15}")
     for h, err, order in rows:
         order_s = f"{order:.3f}" if order is not None else "-"
@@ -124,15 +113,15 @@ def _cmd_converge(args) -> int:
     return 0
 
 
-def _cmd_period(args) -> int:
-    config = _config_from_args(args)
+def _cmd_period(config: RunConfig, args) -> int:
     model = MODELS[config.model]
     if args.column not in model.columns + model.invariant_names:
         raise ConfigError(f"model {config.model!r} has no column {args.column!r}")
-    _check_out(args.out_path)
-    traj = run(config)
-    _write_csv(traj, args.out_path)
-    period = estimate_period(traj.column(args.column), args.h * args.stride)
+    invariants = dict(zip(model.invariant_names, model.invariants(config)(config.init)))
+    if args.column in invariants and invariants[args.column] is None:
+        raise ConfigError(f"column {args.column!r} is blank for model {config.model!r}")
+    traj = _run_to_csv(config, args.out_path)
+    period = estimate_period(traj.column(args.column), config.h * config.stride)
     print(f"estimated period of {args.column}: {period:.6g}")
     return 0
 
@@ -191,15 +180,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
-    except (ConfigError, PeriodEstimationError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericalError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        try:
+            args = build_parser().parse_args(
+                _join_negative_values(sys.argv[1:] if argv is None else argv))
+            # Only the flags given reach RunConfig, which supplies the rest.
+            given = {name: getattr(args, name) for name in RunConfig._fields}
+            config = RunConfig(**{name: _reals(value) if name in _VECTORS else value
+                                  for name, value in given.items() if value is not None})
+            return args.func(config.validated(), args)
+        except (ConfigError, PeriodEstimationError) as e:
+            print(f"config error: {e}", file=sys.stderr)
+            return EXIT_CONFIG
+        except NumericalError as e:
+            print(f"numerical failure: {e}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # Nothing reads stdout any more: point it at the null device, so that
+        # the flush at interpreter exit has somewhere to write.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

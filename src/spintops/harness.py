@@ -103,10 +103,10 @@ class RunConfig(NamedTuple):
         """This config with h a float, steps and stride ints, c0 a float, and
         the inertia, gravity, vertical and init tuples of floats. Raises
         ConfigError for any value that cannot be run."""
-        model = MODELS.get(self.model)
+        model = MODELS.get(self.model) if isinstance(self.model, str) else None
         if model is None:
             raise ConfigError(f"unknown model {self.model!r}")
-        if self.scheme not in model.schemes:
+        if not (isinstance(self.scheme, str) and self.scheme in model.schemes):
             raise ConfigError(f"scheme {self.scheme!r} not valid for model {self.model!r}")
         if not _is_step(self.h):
             raise ConfigError("h must be positive and finite")

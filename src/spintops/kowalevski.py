@@ -4,9 +4,10 @@ Three unit-sphere-preserving updates for gamma (midpoint solve, stereographic
 Euler substep, exact rotation), an exact phase-factor update for
 xi = omega^2 - c0*gamma recovered through a complex square root, keeping the
 root nearer a one-step predictor, and a hybrid predictor-corrector that keeps
-both |gamma|^2 and |xi|^2 exact but is not time-reversal symmetric. A step
-takes the packed state (omega, gamma) as any sequence of six floats and
-returns a tuple of six; its one parameter is the float c0.
+both |gamma|^2 and |xi|^2 exact but is not time-reversal symmetric. Each
+step, and bohlin_step, the recovery stage they share, takes the packed state
+(omega, gamma) as any sequence of six floats and returns a tuple of six; the
+one parameter is the float c0.
 """
 
 from __future__ import annotations
@@ -74,33 +75,26 @@ def omega3_update(omega3: float, gamma2_n: float, gamma2_next: float, h: float, 
     return omega3 - 0.5 * h * c0 * (gamma2_next + gamma2_n)
 
 
-def bohlin_step(omega_n: complex, gamma_n: complex, gamma_next: complex, gamma3_n: float,
-                omega3_n: float, omega3_next: float, h: float, c0: float) -> complex:
-    """Recover omega' = omega_1' + i*omega_2' from the exact phase update
-    xi' = exp(-i*chi) xi, chi = (h/2)(w3' + w3).
+def bohlin_step(y, gamma_next, omega3_next: float, h: float, c0: float) -> tuple[float, ...]:
+    """The last stage of both steps: the state y = (omega, gamma) advanced to
+    the new gamma and w3, with omega' = omega_1' + i*omega_2' recovered from
+    the exact phase update xi' = exp(-i*chi) xi, chi = (h/2)(w3' + w3).
 
     Solves (omega')^2 = exp(-i*chi)(omega^2 - c0*gamma) + c0*gamma' by a
     complex square root, keeping the root nearer the one-step explicit
     predictor omega - (i h/2)(w3*omega - c0*gamma3).
     """
-    chi = 0.5 * h * (omega3_next + omega3_n)
-    z = cmath.exp(-1j * chi) * (omega_n * omega_n - c0 * gamma_n) + c0 * gamma_next
-    w = cmath.sqrt(z)
-    if w == 0:
-        return w
-    predictor = omega_n - 0.5j * h * (omega3_n * omega_n - c0 * gamma3_n)
-    if abs(w - predictor) > abs(-w - predictor):
-        w = -w
-    return w
-
-
-def _recover_omega(y, gam_next, w3_next: float, h: float, c0: float) -> tuple[float, ...]:
-    """The last stage of both Kowalevski steps: (w1, w2) from the new gamma and
-    w3, packed with them into the new state."""
     w0, w1, w2, g0, g1, g2 = y
-    n0, n1, n2 = gam_next
-    w = bohlin_step(complex(w0, w1), complex(g0, g1), complex(n0, n1), g2, w2, w3_next, h, c0)
-    return w.real, w.imag, w3_next, n0, n1, n2
+    n0, n1, n2 = gamma_next
+    omega = complex(w0, w1)
+    chi = 0.5 * h * (omega3_next + w2)
+    w = cmath.sqrt(cmath.exp(-1j * chi) * (omega * omega - c0 * complex(g0, g1))
+                   + c0 * complex(n0, n1))
+    if w:
+        predictor = omega - 0.5j * h * (w2 * omega - c0 * g2)
+        if abs(w - predictor) > abs(-w - predictor):
+            w = -w
+    return w.real, w.imag, omega3_next, n0, n1, n2
 
 
 def bohlin_algorithm_step(y, c0: float, h: float,
@@ -125,8 +119,7 @@ def bohlin_algorithm_step(y, c0: float, h: float,
     why the 1000-step round trip at h = 1e-3 is only 9.3e-7.
     """
     gam_next = gamma_step(y[3:], y[:3], h)
-    w3_next = omega3_update(y[2], y[4], gam_next[1], h, c0)
-    return _recover_omega(y, gam_next, w3_next, h, c0)
+    return bohlin_step(y, gam_next, omega3_update(y[2], y[4], gam_next[1], h, c0), h, c0)
 
 
 def hybrid_step(y, c0: float, h: float) -> tuple[float, ...]:
@@ -144,4 +137,4 @@ def hybrid_step(y, c0: float, h: float) -> tuple[float, ...]:
     """
     p0, p1, p2 = hk_step(y, KOWALEVSKI_INERTIA, (c0, 0.0, 0.0), h)[:3]
     gam_next = bs_solve(y[3:], (p0 + y[0], p1 + y[1], p2 + y[2]), 0.25 * h)
-    return _recover_omega(y, gam_next, p2, h, c0)
+    return bohlin_step(y, gam_next, p2, h, c0)

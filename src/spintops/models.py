@@ -100,7 +100,7 @@ def skew_apply_matrix(v) -> np.ndarray:
     return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
 
 
-def matrix_form_residual(y: np.ndarray, inertia, g) -> float:
+def matrix_form_residual(y, inertia, g) -> float:
     """Max-norm residual of the two commutator identities equivalent to the
     component equations: dM/dt = [Om, M] + [G, Gam] and dGam/dt = [Om, Gam].
 
@@ -109,6 +109,7 @@ def matrix_form_residual(y: np.ndarray, inertia, g) -> float:
     """
     import numpy as np
 
+    y = np.asarray(y, dtype=float)
     dy = np.array(euler_poisson_rhs(y, inertia, g))
     m = inertia * y[:3]
     dm = inertia * dy[:3]

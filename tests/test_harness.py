@@ -10,7 +10,7 @@ import pytest
 
 import spintops
 from spintops.algebra import NumericalError, bs_solve
-from spintops.cli import main
+from spintops.cli import build_parser, main
 from spintops.euler_lagrange import FIXED_POINT_TOL, MAX_FIXED_POINT_ITERATIONS
 from spintops.harness import (
     MODELS,
@@ -115,6 +115,8 @@ class TestRunConfigValidation:
         ("steps", 2.5), ("steps", "3"), ("steps", True), ("h", "a"), ("h", True),
         pytest.param("h", 10**400, id="h-int-beyond-float-range"), ("stride", 1.5),
         ("stride", math.nan), ("init", (True, 0, 0, 1, 0, 0)),
+        # unhashable, so not a key of the model and scheme tables
+        ("model", ["euler"]), ("model", {"euler": 1}), ("scheme", ["bs"]), ("scheme", {"bs": 1}),
     ])
     def test_field_of_the_wrong_type(self, field, value):
         cfg = RunConfig(model="euler", scheme="bs", h=0.01, steps=3, init=(1, 1, 1, 1, 0, 0))
@@ -484,6 +486,9 @@ _KOW_RUN = ["run", "--model", "kowalevski", "--scheme", "hk", "--h", "0.001", "-
 _KOW_CONVERGE = ["converge", "--model", "kowalevski", "--scheme", "hk", "--h", "0.01", "--t-end", "1.0"]
 _EULER_RUN = ["run", "--model", "euler", "--scheme", "hk", "--h", "0.01", "--steps", "2"]
 
+_BLANK_PERIOD = ["period", "--model", "general", "--scheme", "hk", "--h", "0.02", "--steps", "1000",
+                 "--stride", "1", "--init", "1,1,1,1,0,0", "--column", "two_ell"]
+
 # Each input exits 2 with a message, never with a traceback or a NaN run.
 CONFIG_ERRORS = [
     ["run", "--model", "euler", "--scheme", "hybrid", "--h", "0.001", "--steps", "10"],
@@ -514,6 +519,8 @@ CONFIG_ERRORS = [
     # an --out path that cannot be written
     [*_KOW_RUN, "--out", "/"],
     [*_KOW_RUN, "--out", "/nonexistent-dir/x.csv"],
+    # an invariant column that is blank for the model
+    _BLANK_PERIOD,
 ]
 
 # The RK4 reference overflows to inf in step 1, where the run's check of each
@@ -638,6 +645,63 @@ class TestCli:
         for argv in CONFIG_ERRORS:
             assert main(argv) == 2, argv
             assert "config error" in capsys.readouterr().err, argv
+
+    def test_blank_period_column_refused_before_the_run(self, monkeypatch, capsys):
+        def no_run(config):
+            raise AssertionError("stepped before refusing the column")
+
+        monkeypatch.setattr("spintops.cli.run", no_run)
+        assert main(_BLANK_PERIOD) == 2
+        assert capsys.readouterr().err == \
+            "config error: column 'two_ell' is blank for model 'general'\n"
+
+    def test_empty_init_is_a_config_error(self, capsys):
+        # as an empty --inertia is, for a model with a default init too
+        for head in (_KOW_RUN, _EULER_RUN):
+            for flag in ("--init", "--inertia"):
+                assert main([*head, flag, ""]) == 2, (head, flag)
+                assert capsys.readouterr().err == \
+                    "config error: could not convert string to float: ''\n", (head, flag)
+
+    def test_run_flags_are_the_config_fields(self):
+        args = vars(build_parser().parse_args(["run", "--model", "euler", "--scheme", "bs",
+                                               "--h", "0.1"]))
+        assert set(RunConfig._fields) <= set(args)
+        # A parameter flag has no default of its own: RunConfig's applies.
+        assert [args[name] for name in ("c0", "inertia", "gravity", "vertical", "init")] == \
+            [None] * 5
+
+    def test_flags_not_given_keep_the_config_defaults(self, monkeypatch, capsys):
+        configs = []
+
+        def recording_run(config):
+            configs.append(config)
+            return run(config)
+
+        monkeypatch.setattr("spintops.cli.run", recording_run)
+        for argv, want in [(_KOW_RUN, RunConfig("kowalevski", "hk", 0.001, 10, 10)),
+                           (["period", "--model", "kowalevski", "--scheme", "bohlin-a", "--h",
+                             "0.01", "--steps", "3000", "--stride", "3"],
+                            RunConfig("kowalevski", "bohlin-a", 0.01, 3000, 3))]:
+            assert main(argv) == 0, argv
+            assert configs.pop() == want.validated(), argv
+        capsys.readouterr()
+
+    def test_closed_stdout_exits_quietly(self):
+        # A reader that has gone away, as `spintops run ... | head -0` leaves
+        # it: exit 0 and nothing on stderr, the flush at exit included.
+        src = str(Path(spintops.__file__).resolve().parents[1])
+        for argv in (["reverse", "--model", "kowalevski", "--scheme", "hk", "--h", "0.001",
+                      "--n", "10"], _KOW_RUN, ["run", "--help"]):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                out = subprocess.run([sys.executable, "-m", "spintops.cli", *argv],
+                                     stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                     env={**os.environ, "PYTHONPATH": src}, timeout=60)
+            finally:
+                os.close(write_end)
+            assert (out.returncode, out.stderr) == (0, ""), argv
 
     def test_negative_infinite_c0_is_not_finite(self, capsys):
         # -inf reaches the config check as a value, not argparse as an option.

@@ -175,13 +175,14 @@ class TestBohlinStep:
     def test_stationary_phase_returns_omega(self):
         w = 1.5 + 0.2j
         g = 0.3 + 0.1j
-        out = bohlin_step(w, g, g, 0.5, 0.0, 0.0, 0.001, 1.0)
-        assert abs(out - w) <= 1e-13
+        out = bohlin_step((w.real, w.imag, 0.0, g.real, g.imag, 0.5), (g.real, g.imag, 0.5),
+                          0.0, 0.001, 1.0)
+        assert abs(complex(*out[:2]) - w) <= 1e-13
 
     def test_negative_real_radicand_positive_branch(self):
         # Z = -1 with predictor in the upper half plane -> +i
-        out = bohlin_step(1j, 0j, 0j, 0.0, 0.0, 0.0, 0.001, 1.0)
-        assert abs(out - 1j) <= 1e-13
+        out = bohlin_step((0.0, 1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0, 0.001, 1.0)
+        assert abs(complex(*out[:2]) - 1j) <= 1e-13
 
     def test_xi_modulus_exact(self, rng):
         for _ in range(50):
@@ -189,8 +190,37 @@ class TestBohlinStep:
             g = complex(*rng.normal(size=2))
             gn = complex(*rng.normal(size=2))
             w3, w3n = rng.normal(size=2)
-            out = bohlin_step(w, g, gn, rng.normal(), w3, w3n, 0.01, 1.0)
+            y = (w.real, w.imag, w3, g.real, g.imag, rng.normal())
+            out = complex(*bohlin_step(y, (gn.real, gn.imag, 0.0), w3n, 0.01, 1.0)[:2])
             assert abs(abs(out**2 - gn) - abs(w**2 - g)) <= 1e-13
+
+    def test_matches_the_complex_form_bit_for_bit(self, rng):
+        # The recovery as it read on complex arguments, before it took and
+        # returned the packed state.
+        def complex_form(omega_n, gamma_n, gamma_next, gamma3_n, omega3_n, omega3_next, h, c0):
+            chi = 0.5 * h * (omega3_next + omega3_n)
+            z = cmath.exp(-1j * chi) * (omega_n * omega_n - c0 * gamma_n) + c0 * gamma_next
+            w = cmath.sqrt(z)
+            if w == 0:
+                return w
+            predictor = omega_n - 0.5j * h * (omega3_n * omega_n - c0 * gamma3_n)
+            if abs(w - predictor) > abs(-w - predictor):
+                w = -w
+            return w
+
+        cases = [((2.0, 0.0, 0.5, 0.3, 0.1, 0.9), (0.3, 0.1 - 1e-8, 0.9), 0.5, 0.0, 1.0),
+                 ((0.0, 0.0, 0.5, 0.0, 0.0, 0.9), (0.0, 0.0, 1.0), 0.5, 0.01, 1.0),
+                 ((0.0, -0.0, -0.5, -0.0, 0.0, 0.9), (-0.0, 0.0, 1.0), 0.5, -0.01, 1.0)]
+        for _ in range(2000):
+            y, gn = rng.normal(size=6).tolist(), rng.normal(size=3).tolist()
+            w3n, h, c0 = rng.normal(), rng.choice([1e-3, -1e-2, 0.05, 0.0]), rng.choice([1.0, 0.7])
+            cases.append((y, gn, w3n, float(h), float(c0)))
+        for y, gn, w3n, h, c0 in cases:
+            want = complex_form(complex(y[0], y[1]), complex(y[3], y[4]), complex(gn[0], gn[1]),
+                                y[5], y[2], w3n, h, c0)
+            got = bohlin_step(y, gn, w3n, h, c0)
+            assert list(map(float.hex, got)) == \
+                list(map(float.hex, (want.real, want.imag, w3n, *gn))), (y, gn, w3n, h, c0)
 
     def test_phase_update_matches_reference_flow(self):
         # one-step trapezoidal phase vs a tiny-step reference integration
@@ -279,9 +309,8 @@ class TestHybridStep:
         # The root 2 - 2.5e-9j and the predictor, exactly 2, lie on opposite
         # sides of the real axis. A rule comparing argument signs took the far
         # root -2 + 2.5e-9j here; the nearest root is kept.
-        g = 0.3 + 0.1j
-        out = bohlin_step(2 + 0j, g, g - 1e-8j, 0.9, 0.5, 0.5, 0.0, 1.0)
-        assert out == 2 - 2.4999999986841104e-9j
+        out = bohlin_step((2.0, 0.0, 0.5, 0.3, 0.1, 0.9), (0.3, 0.1 - 1e-8, 0.9), 0.5, 0.0, 1.0)
+        assert out == (2.0, -2.4999999986841104e-9, 0.5, 0.3, 0.1 - 1e-8, 0.9)
         back = hybrid_step(hybrid_step(BENCH, C0, 0.001), C0, -0.001)
         assert np.max(np.abs(back - BENCH)) <= 1e-13
 

@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from spintops.euler_lagrange import lagrange_invariants
+from spintops.euler_lagrange import (bs_step_euler, lagrange_invariants, lagrange_step,
+                                     symmetric_step_euler)
 from spintops.harness import RunConfig
+from spintops.hk import hk_step
+from spintops.kowalevski import (bohlin_algorithm_step, bohlin_step, gamma_step_bs,
+                                 gamma_step_rotation, gamma_step_stereo, hybrid_step)
 from spintops.models import (
     KOWALEVSKI_INERTIA,
     euler_poisson_rhs,
@@ -177,3 +181,31 @@ class TestMatrixFormResidual:
             y = np.concatenate([rng.normal(size=3), rng.normal(size=3)])
             inertia, g = rng.uniform(0.5, 3.0, 3), rng.normal(size=3)
             assert matrix_form_residual(y, inertia, g) <= 1e-13
+
+
+_Y = (0.3, -0.2, 0.9, 0.6, 0.0, 0.8)
+_INERTIA, _G, _P, _H = (1.0, 2.0, 3.0), (0.5, 0.0, 1.0), (0.0, 0.0, 1.0), 0.01
+# Every public function of a state, called on a state y.
+_OF_STATE = {
+    "hk_step": lambda y: hk_step(y, _INERTIA, _G, _H),
+    "bs_step_euler": lambda y: bs_step_euler(y, _INERTIA, _H),
+    "symmetric_step_euler": lambda y: symmetric_step_euler(y, _INERTIA, _H),
+    "lagrange_step": lambda y: lagrange_step(y, _P, _H),
+    **{f"bohlin_algorithm_step-{g.__name__}": lambda y, g=g: bohlin_algorithm_step(y, C0, _H, g)
+       for g in (gamma_step_bs, gamma_step_stereo, gamma_step_rotation)},
+    "hybrid_step": lambda y: hybrid_step(y, C0, _H),
+    "bohlin_step": lambda y: bohlin_step(y, (0.6, 0.1, 0.79), 0.85, _H, C0),
+    "euler_poisson_rhs": lambda y: euler_poisson_rhs(y, _INERTIA, _G),
+    "invariants": lambda y: invariants(y, _INERTIA, _G),
+    "kowalevski_invariants": lambda y: kowalevski_invariants(y, C0),
+    "lagrange_invariants": lambda y: lagrange_invariants(y, _P, _H),
+    "xi": lambda y: xi(y, C0),
+    "matrix_form_residual": lambda y: matrix_form_residual(y, _INERTIA, _G),
+}
+
+
+@pytest.mark.parametrize("name", _OF_STATE)
+def test_state_as_tuple_or_numpy_vector(name):
+    # The state may be any sequence of six floats, with the same values.
+    call = _OF_STATE[name]
+    assert np.array_equal(np.asarray(call(_Y)), np.asarray(call(np.array(_Y))))
