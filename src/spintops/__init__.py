@@ -6,7 +6,7 @@ from .euler_lagrange import (ConvergenceError, bs_step_euler, lagrange_invariant
                              lagrange_step, symmetric_step_euler)
 from .harness import (ConfigError, RunConfig, Trajectory, convergence_study, drift_report,
                       estimate_period, reversal_test, run)
-from .hk import hk_step
+from .hk import hk_omega, hk_step
 from .kowalevski import (SouthPoleError, bohlin_algorithm_step, bohlin_step, gamma_step_bs,
                          gamma_step_rotation, gamma_step_stereo, hybrid_step, omega3_update,
                          stereo_forward, stereo_inverse)

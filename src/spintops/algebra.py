@@ -41,9 +41,9 @@ def numerical_guard(what: str):
         raise NumericalError(f"{what}: {e}") from e
 
 
-# Relative singularity cutoff of the hk system: hk_step passes solve3 the
-# cutoff that makes the 6x6 system singular when |det6| <= SINGULAR_RTOL *
-# ||M||_F ** 6.
+# Relative singularity cutoff of the hk system: hk_omega, the elimination
+# stage of hk_step, passes solve3 the cutoff that makes the 6x6 system
+# singular when |det6| <= SINGULAR_RTOL * ||M||_F ** 6.
 SINGULAR_RTOL = 1e-14
 
 

@@ -59,10 +59,13 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
 
 def _check_out(path: str | None) -> None:
     """Refuse, before the run, an --out path that open() would refuse for
-    where it points, with the reason open() gives: a directory or a path that
-    ends in a separator, or one whose directory is missing or is a file."""
-    if not path:
+    where it points, with the reason open() gives: an empty path, a directory
+    or a path that ends in a separator, or one whose directory is missing or
+    is a file."""
+    if path is None:
         return
+    if not path:
+        raise ConfigError(f"cannot write --out '': {os.strerror(errno.ENOENT)}")
     try:
         parent = os.stat(os.path.dirname(path.rstrip(os.sep)) or ".")
         reason = None if stat.S_ISDIR(parent.st_mode) else errno.ENOTDIR

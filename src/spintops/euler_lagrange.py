@@ -11,7 +11,7 @@ vertical arrive as three floats each.
 from __future__ import annotations
 
 from .algebra import NumericalError, bs_solve
-from .hk import hk_step
+from .hk import hk_omega
 
 
 class ConvergenceError(NumericalError):
@@ -39,13 +39,13 @@ def symmetric_step_euler(y, inertia, h: float) -> tuple[float, ...]:
 
     Conserves both |m|^2 and m.omega and is symmetric under h -> -h, at the
     price of an implicit solve. Fixed-point iteration seeded by the bilinear
-    free-top step (hk_step at gamma = 0, g = 0); converged when the defining
-    relation holds to FIXED_POINT_TOL.
+    free-top step, hk_omega at gamma = 0 and g = 0; converged when the
+    defining relation holds to FIXED_POINT_TOL.
     """
     A, B, C = inertia
     m0, m1, m2 = m = A * y[0], B * y[1], C * y[2]
     w0, w1, w2 = m0 / A, m1 / B, m2 / C
-    o0, o1, o2 = hk_step((w0, w1, w2, 0.0, 0.0, 0.0), inertia, (0.0, 0.0, 0.0), h)[:3]
+    o0, o1, o2 = hk_omega((w0, w1, w2, 0.0, 0.0, 0.0), inertia, (0.0, 0.0, 0.0), h)
     n0, n1, n2 = A * o0, B * o1, C * o2
     scale = max(1.0, abs(m0), abs(m1), abs(m2))
     tol, c = FIXED_POINT_TOL * scale, 0.25 * h

@@ -3,7 +3,10 @@
 Each step is linear in the new (omega, gamma), so the update is one 6x6 linear
 system. The defining relations are invariant under h -> -h with the two time
 levels exchanged, which makes the scheme time-reversal symmetric. The step
-takes any sequence of six floats and returns a tuple of six.
+comes in two stages: hk_omega eliminates gamma' and solves for omega' alone,
+which is all that the hybrid predictor and the free-top seed of the symmetric
+step use, and hk_step then recovers gamma' in closed form. Both take any
+sequence of six floats; hk_step returns a tuple of six, hk_omega of three.
 """
 
 from __future__ import annotations
@@ -13,11 +16,11 @@ import math
 from .algebra import SINGULAR_RTOL, NumericalError, solve3
 
 
-def hk_step(y, inertia, g, h: float) -> tuple[float, ...]:
-    """Advance y = (omega, gamma) by one bilinear step: (omega', gamma') as six
+def hk_omega(y, inertia, g, h: float) -> tuple[float, float, float]:
+    """The omega' of one bilinear step from y = (omega, gamma), as three
     floats, for inertia (A, B, C) and gravity-moment vector g, each a
-    sequence of floats. At gamma = 0 and g = 0 the omega block is the
-    free-top step in omega alone.
+    sequence of floats: the block elimination of hk_step without the gamma'
+    recovery. At gamma = 0 and g = 0 it is the free-top step in omega alone.
 
     The omega rows read P omega' + diag(b) g x gamma' = r: P carries the
     new-level partners of the products omega_j omega_k, b_i = h/(2 I_i), and r
@@ -42,23 +45,37 @@ def hk_step(y, inertia, g, h: float) -> tuple[float, ...]:
 
     # Row i of diag(b) K(g) (I + K(s))^-1 is q b_i v^T with v = u + s x u +
     # (s.u) s, u = (i-th unit vector) x g; it enters the omega rows through
-    # gamma' as (h/2) q b_i (v x gamma) . omega' + q b_i v . gamma.
-    rows, rhs = [], []
-    for (u0, u1, u2), bi, (p0, p1, p2), ri in zip(
-        ((0.0, -e2, e1), (e2, 0.0, -e0), (-e1, e0, 0.0)),
-        (b0, b1, b2),
-        ((1.0, -k0 * w2, -k0 * w1), (-k1 * w2, 1.0, -k1 * w0), (-k2 * w1, -k2 * w0, 1.0)),
-        (w0 + b0 * (e2 * g1 - e1 * g2), w1 + b1 * (e0 * g2 - e2 * g0),
-         w2 + b2 * (e1 * g0 - e0 * g1)),
-    ):
-        su = s0 * u0 + s1 * u1 + s2 * u2
-        v0 = u0 + (s1 * u2 - s2 * u1) + su * s0
-        v1 = u1 + (s2 * u0 - s0 * u2) + su * s1
-        v2 = u2 + (s0 * u1 - s1 * u0) + su * s2
-        c = q * bi
-        rows.append((p0 + hh * c * (v1 * g2 - v2 * g1), p1 + hh * c * (v2 * g0 - v0 * g2),
-                     p2 + hh * c * (v0 * g1 - v1 * g0)))
-        rhs.append(ri - c * (v0 * g0 + v1 * g1 + v2 * g2))
+    # gamma' as (h/2) q b_i (v x gamma) . omega' + q b_i v . gamma. The rows
+    # are written out with u = (0, -e2, e1), (e2, 0, -e0) and (-e1, e0, 0),
+    # zeros included: a product with a zero component, or a sum with one,
+    # can set the sign of a zero in omega'.
+    su = s0 * 0.0 + s1 * -e2 + s2 * e1
+    v0 = 0.0 + (s1 * e1 - s2 * -e2) + su * s0
+    v1 = -e2 + (s2 * 0.0 - s0 * e1) + su * s1
+    v2 = e1 + (s0 * -e2 - s1 * 0.0) + su * s2
+    c = q * b0
+    hc = hh * c
+    row0 = (1.0 + hc * (v1 * g2 - v2 * g1), -k0 * w2 + hc * (v2 * g0 - v0 * g2),
+            -k0 * w1 + hc * (v0 * g1 - v1 * g0))
+    r0 = w0 + b0 * (e2 * g1 - e1 * g2) - c * (v0 * g0 + v1 * g1 + v2 * g2)
+    su = s0 * e2 + s1 * 0.0 + s2 * -e0
+    v0 = e2 + (s1 * -e0 - s2 * 0.0) + su * s0
+    v1 = 0.0 + (s2 * e2 - s0 * -e0) + su * s1
+    v2 = -e0 + (s0 * 0.0 - s1 * e2) + su * s2
+    c = q * b1
+    hc = hh * c
+    row1 = (-k1 * w2 + hc * (v1 * g2 - v2 * g1), 1.0 + hc * (v2 * g0 - v0 * g2),
+            -k1 * w0 + hc * (v0 * g1 - v1 * g0))
+    r1 = w1 + b1 * (e0 * g2 - e2 * g0) - c * (v0 * g0 + v1 * g1 + v2 * g2)
+    su = s0 * -e1 + s1 * e0 + s2 * 0.0
+    v0 = -e1 + (s1 * 0.0 - s2 * e0) + su * s0
+    v1 = e0 + (s2 * -e1 - s0 * 0.0) + su * s1
+    v2 = 0.0 + (s0 * e0 - s1 * -e1) + su * s2
+    c = q * b2
+    hc = hh * c
+    row2 = (-k2 * w1 + hc * (v1 * g2 - v2 * g1), -k2 * w0 + hc * (v2 * g0 - v0 * g2),
+            1.0 + hc * (v0 * g1 - v1 * g0))
+    r2 = w2 + b2 * (e1 * g0 - e0 * g1) - c * (v0 * g0 + v1 * g1 + v2 * g2)
 
     fro_sq = (6.0 + k0 * k0 * (w1 * w1 + w2 * w2) + k1 * k1 * (w0 * w0 + w2 * w2)
               + k2 * k2 * (w0 * w0 + w1 * w1) + b0 * b0 * (e1 * e1 + e2 * e2)
@@ -66,7 +83,19 @@ def hk_step(y, inertia, g, h: float) -> tuple[float, ...]:
               + 2.0 * (hh * hh * (g0 * g0 + g1 * g1 + g2 * g2) + s_sq))
     if not math.isfinite(fro_sq):
         raise NumericalError(f"hk system overflows (||M||_F^2={fro_sq:.3e})")
-    o0, o1, o2 = solve3(rows, rhs, q * SINGULAR_RTOL * fro_sq * fro_sq * fro_sq)
+    return solve3((row0, row1, row2), (r0, r1, r2), q * SINGULAR_RTOL * fro_sq * fro_sq * fro_sq)
+
+
+def hk_step(y, inertia, g, h: float) -> tuple[float, ...]:
+    """Advance y = (omega, gamma) by one bilinear step: (omega', gamma') as six
+    floats, for inertia (A, B, C) and gravity-moment vector g, each a
+    sequence of floats. omega' is hk_omega's; gamma' follows in closed form.
+    """
+    o0, o1, o2 = hk_omega(y, inertia, g, h)
+    w0, w1, w2, g0, g1, g2 = y
+    hh = 0.5 * h
+    s0, s1, s2 = hh * w0, hh * w1, hh * w2
+    q = 1.0 / (1.0 + (s0 * s0 + s1 * s1 + s2 * s2))
 
     # gamma' = q (z - s x z + (s.z) s) with z = gamma + (h/2) gamma x omega'.
     z0 = g0 + hh * (g1 * o2 - g2 * o1)

@@ -17,7 +17,7 @@ import math
 from typing import Callable
 
 from .algebra import NumericalError, bs_solve
-from .hk import hk_step
+from .hk import hk_omega
 from .models import KOWALEVSKI_INERTIA
 
 
@@ -135,6 +135,6 @@ def hybrid_step(y, c0: float, h: float) -> tuple[float, ...]:
     the default point, omega_2 = 0, is the 1000-step round trip at h = 1e-3
     as small as 7.0e-14.
     """
-    p0, p1, p2 = hk_step(y, KOWALEVSKI_INERTIA, (c0, 0.0, 0.0), h)[:3]
+    p0, p1, p2 = hk_omega(y, KOWALEVSKI_INERTIA, (c0, 0.0, 0.0), h)
     gam_next = bs_solve(y[3:], (p0 + y[0], p1 + y[1], p2 + y[2]), 0.25 * h)
     return bohlin_step(y, gam_next, p2, h, c0)

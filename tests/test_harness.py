@@ -519,6 +519,7 @@ CONFIG_ERRORS = [
     # an --out path that cannot be written
     [*_KOW_RUN, "--out", "/"],
     [*_KOW_RUN, "--out", "/nonexistent-dir/x.csv"],
+    [*_KOW_RUN, "--out", ""],
     # an invariant column that is blank for the model
     _BLANK_PERIOD,
 ]
@@ -598,6 +599,7 @@ class TestCli:
                   "--steps", "100", "--column", "g3"]
         (tmp_path / "file").write_text("")
         cases = [("/", "Is a directory"),
+                 ("", "No such file or directory"),
                  (str(tmp_path / "missing" / "x.csv"), "No such file or directory"),
                  (str(tmp_path / "file" / "x.csv"), "Not a directory"),
                  (str(tmp_path / "newdir") + os.sep, "Is a directory"),

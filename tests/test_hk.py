@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from spintops import hk
-from spintops.algebra import SingularSystemError
-from spintops.hk import hk_step
+from spintops.algebra import SINGULAR_RTOL, NumericalError, SingularSystemError, solve3
+from spintops.hk import hk_omega, hk_step
 from spintops.models import KOWALEVSKI_INERTIA
 
 from conftest import assemble_system, cramer_solve3, full_pivot_solve, vec3
@@ -186,6 +188,113 @@ class TestBlockSolve:
             else:
                 with pytest.raises(SingularSystemError):
                     hk_step(y, inertia, g, h)
+
+
+def loop_form_hk_step(y, inertia, g, h):
+    """hk_step as it read when it built the three omega rows in a loop, before
+    its omega' stage was split out as hk_omega."""
+    w0, w1, w2, g0, g1, g2 = y
+    A, B, C = inertia
+    e0, e1, e2 = g
+    hh = 0.5 * h
+    k0, k1, k2 = h * (B - C) / (2.0 * A), h * (C - A) / (2.0 * B), h * (A - B) / (2.0 * C)
+    b0, b1, b2 = h / (2.0 * A), h / (2.0 * B), h / (2.0 * C)
+    s0, s1, s2 = hh * w0, hh * w1, hh * w2
+    s_sq = s0 * s0 + s1 * s1 + s2 * s2
+    q = 1.0 / (1.0 + s_sq)
+
+    rows, rhs = [], []
+    for (u0, u1, u2), bi, (p0, p1, p2), ri in zip(
+        ((0.0, -e2, e1), (e2, 0.0, -e0), (-e1, e0, 0.0)),
+        (b0, b1, b2),
+        ((1.0, -k0 * w2, -k0 * w1), (-k1 * w2, 1.0, -k1 * w0), (-k2 * w1, -k2 * w0, 1.0)),
+        (w0 + b0 * (e2 * g1 - e1 * g2), w1 + b1 * (e0 * g2 - e2 * g0),
+         w2 + b2 * (e1 * g0 - e0 * g1)),
+    ):
+        su = s0 * u0 + s1 * u1 + s2 * u2
+        v0 = u0 + (s1 * u2 - s2 * u1) + su * s0
+        v1 = u1 + (s2 * u0 - s0 * u2) + su * s1
+        v2 = u2 + (s0 * u1 - s1 * u0) + su * s2
+        c = q * bi
+        rows.append((p0 + hh * c * (v1 * g2 - v2 * g1), p1 + hh * c * (v2 * g0 - v0 * g2),
+                     p2 + hh * c * (v0 * g1 - v1 * g0)))
+        rhs.append(ri - c * (v0 * g0 + v1 * g1 + v2 * g2))
+
+    fro_sq = (6.0 + k0 * k0 * (w1 * w1 + w2 * w2) + k1 * k1 * (w0 * w0 + w2 * w2)
+              + k2 * k2 * (w0 * w0 + w1 * w1) + b0 * b0 * (e1 * e1 + e2 * e2)
+              + b1 * b1 * (e0 * e0 + e2 * e2) + b2 * b2 * (e0 * e0 + e1 * e1)
+              + 2.0 * (hh * hh * (g0 * g0 + g1 * g1 + g2 * g2) + s_sq))
+    if not math.isfinite(fro_sq):
+        raise NumericalError(f"hk system overflows (||M||_F^2={fro_sq:.3e})")
+    o0, o1, o2 = solve3(rows, rhs, q * SINGULAR_RTOL * fro_sq * fro_sq * fro_sq)
+
+    z0 = g0 + hh * (g1 * o2 - g2 * o1)
+    z1 = g1 + hh * (g2 * o0 - g0 * o2)
+    z2 = g2 + hh * (g0 * o1 - g1 * o0)
+    sz = s0 * z0 + s1 * z1 + s2 * z2
+    return (o0, o1, o2, q * (z0 - (s1 * z2 - s2 * z1) + sz * s0),
+            q * (z1 - (s2 * z0 - s0 * z2) + sz * s1), q * (z2 - (s0 * z1 - s1 * z0) + sz * s2))
+
+
+def outcome(step, *args):
+    """The floats a step returns, by float.hex, or the type and message of
+    what it raises."""
+    try:
+        return [float.hex(x) for x in step(*args)]
+    except NumericalError as e:
+        return type(e), str(e)
+
+
+def bit_cases(rng, n):
+    """n random (y, inertia, g, h) cases as Python floats: every fourth at
+    gamma = 0 and g = 0, every fourth with one component an exact signed zero,
+    h from a set that includes 0 and negative steps."""
+    cases = []
+    for i in range(n):
+        y, inertia, g = rng.normal(size=6).tolist(), rng.uniform(0.5, 3.0, 3).tolist(), \
+            rng.normal(size=3).tolist()
+        if i % 4 == 1:
+            y[3:], g = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
+        elif i % 4 == 2:
+            y[int(rng.integers(6))] = float(rng.choice([0.0, -0.0]))
+        cases.append((y, inertia, g, float(rng.choice([0.0, -1e-2, 1e-2, 1e-3, 0.05, 0.3]))))
+    return cases
+
+
+class TestOmegaStage:
+    # hk_step is hk_omega followed by the closed-form gamma' recovery.
+
+    def test_matches_the_loop_form_bit_for_bit(self, rng):
+        bench = BENCH.tolist()
+        cases = [(bench, KOWALEVSKI_INERTIA, KOW_G, h) for h in (0.0, -0.0, 1e-3, -1e-3)]
+        # Signed zeros. Each of the twelve terms that a zero component of u
+        # adds to the rows (a product with it, or a sum with it) changes the
+        # sign of a zero in the result, on at least one of these states, when
+        # it is left out. They were found by search over components in
+        # {0, -0, 1, -1.5}, g in {0, -0, 0.5, -0.5} and h in {+-0.01, +-0}.
+        cases += [(y, (1.0, 2.0, 3.0), g, h) for y, g, h in [
+            ((-0.0, -0.0, 1.0, -0.0, -0.0, -0.0), (0.0, 0.0, 0.0), -0.01),
+            ((-0.0, -0.0, -1.5, 0.0, 0.0, -0.0), (0.0, 0.0, 0.0), 0.0),
+            ((-0.0, 1.0, -0.0, -0.0, -0.0, -0.0), (0.0, 0.0, 0.0), -0.01),
+            ((1.0, -0.0, -0.0, -0.0, -0.0, -0.0), (0.0, 0.0, 0.0), -0.01),
+            ((0.0, -0.0, -0.0, 0.0, -0.0, 0.0), (-0.0, -0.0, 0.0), 0.01),
+            ((-1.5, -0.0, -0.0, 0.0, 0.0, 0.0), (0.0, -0.0, -0.0), 0.0),
+            ((-0.0, -0.0, -1.5, 0.0, 0.0, 0.0), (-0.0, -0.0, 0.0), 0.0),
+            ((0.0, -0.0, -0.0, 0.0, -0.0, 1.0), (-0.5, 0.0, -0.0), 0.0)]]
+        # A system singular to tolerance, and two whose norm overflows: the
+        # same exception, with the same message.
+        errors = [(bench, KOWALEVSKI_INERTIA, KOW_G, 1e9),
+                  ((1e200, 0.0, 0.0, 1.0, 0.0, 0.0), KOWALEVSKI_INERTIA, KOW_G, 1e-3),
+                  ((1e200, 1e200, 1e200, 1.0, 0.0, 0.0), (1.0, 2.0, 3.0), NO_G, 0.01)]
+        want = [outcome(loop_form_hk_step, *case) for case in errors]
+        assert [w[0] for w in want] == [SingularSystemError, NumericalError, NumericalError]
+        assert all(w[1].startswith("hk system overflows (") for w in want[1:])
+        for case in cases + errors + bit_cases(rng, 2400):
+            assert outcome(hk_step, *case) == outcome(loop_form_hk_step, *case), case
+
+    def test_omega_is_the_first_three_of_the_step(self, rng):
+        for case in bit_cases(rng, 500):
+            assert outcome(hk_omega, *case) == outcome(hk_step, *case)[:3], case
 
 
 def free_step(w, inertia, h):

@@ -6,7 +6,7 @@ import pytest
 from spintops.euler_lagrange import (bs_step_euler, lagrange_invariants, lagrange_step,
                                      symmetric_step_euler)
 from spintops.harness import RunConfig
-from spintops.hk import hk_step
+from spintops.hk import hk_omega, hk_step
 from spintops.kowalevski import (bohlin_algorithm_step, bohlin_step, gamma_step_bs,
                                  gamma_step_rotation, gamma_step_stereo, hybrid_step)
 from spintops.models import (
@@ -188,6 +188,7 @@ _INERTIA, _G, _P, _H = (1.0, 2.0, 3.0), (0.5, 0.0, 1.0), (0.0, 0.0, 1.0), 0.01
 # Every public function of a state, called on a state y.
 _OF_STATE = {
     "hk_step": lambda y: hk_step(y, _INERTIA, _G, _H),
+    "hk_omega": lambda y: hk_omega(y, _INERTIA, _G, _H),
     "bs_step_euler": lambda y: bs_step_euler(y, _INERTIA, _H),
     "symmetric_step_euler": lambda y: symmetric_step_euler(y, _INERTIA, _H),
     "lagrange_step": lambda y: lagrange_step(y, _P, _H),
