@@ -120,9 +120,6 @@ def _cmd_period(config: RunConfig, args) -> int:
     model = MODELS[config.model]
     if args.column not in model.columns + model.invariant_names:
         raise ConfigError(f"model {config.model!r} has no column {args.column!r}")
-    invariants = dict(zip(model.invariant_names, model.invariants(config)(config.init)))
-    if args.column in invariants and invariants[args.column] is None:
-        raise ConfigError(f"column {args.column!r} is blank for model {config.model!r}")
     traj = _run_to_csv(config, args.out_path)
     period = estimate_period(traj.column(args.column), config.h * config.stride)
     print(f"estimated period of {args.column}: {period:.6g}")

@@ -40,8 +40,8 @@ class ConfigError(ValueError):
 
 class Model(NamedTuple):
     """A model's column names and constructors, each from a validated RunConfig:
-    to a function of one state -> its k invariants as floats, None for a blank
-    one, and per scheme to a step function (y, h) -> y'.
+    to a function of one state -> one float per name of `invariant_names`, and
+    per scheme to a step function (y, h) -> y'.
     `reads` names the model parameters (c0, inertia, gravity, vertical) that
     the model uses; the others must keep their defaults."""
 
@@ -59,8 +59,9 @@ def _is_real(x) -> bool:
 
 
 def _is_count(x) -> bool:
-    """Whether x is an integer, a numpy integer included, and not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+    """Whether x is an integer from 0 to sys.maxsize, a numpy integer
+    included, and not a bool: a count that repeat and islice take."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and 0 <= x <= sys.maxsize
 
 
 def _is_step(x) -> bool:
@@ -110,10 +111,10 @@ class RunConfig(NamedTuple):
             raise ConfigError(f"scheme {self.scheme!r} not valid for model {self.model!r}")
         if not _is_step(self.h):
             raise ConfigError("h must be positive and finite")
-        if not (_is_count(self.steps) and self.steps >= 0):
-            raise ConfigError("steps must be a nonnegative integer")
+        if not _is_count(self.steps):
+            raise ConfigError(f"steps must be an integer from 0 to {sys.maxsize}")
         if not (_is_count(self.stride) and self.stride >= 1):
-            raise ConfigError("stride must be an integer >= 1")
+            raise ConfigError(f"stride must be an integer from 1 to {sys.maxsize}")
         init = self.init if self.init is not None else model.default_init
         if init is None:
             raise ConfigError(f"model {self.model!r} requires an explicit init")
@@ -179,34 +180,31 @@ class Trajectory:
 
     @cached_property
     def invariant_values(self) -> np.ndarray:
-        """One column per invariant name of the model, NaN where it is blank."""
+        """One column per invariant name of the model."""
         import numpy as np
 
-        n = len(self.samples)
-        return np.column_stack([np.full(n, math.nan) if col is None else col
-                                for col in self._invariant_columns])
+        return np.column_stack(self._invariant_columns)
 
     @cached_property
     def _invariant_columns(self) -> list:
         """Per invariant name of the model, its value at each sample as
-        floats, or None for a blank invariant. Raises NumericalError naming
-        the first value that is not finite."""
+        floats. Raises NumericalError naming the first value that is not
+        finite."""
         config = self.config
         model = MODELS[config.model]
         invariants_of = model.invariants(config)
         if len(self.samples) < _FLOAT_ROWS and sys.modules.get("numpy") is None:
-            columns = [None if col[0] is None else col
-                       for col in zip(*map(invariants_of, self.samples))]
+            columns = list(zip(*map(invariants_of, self.samples)))
         else:
             import numpy as np
 
             with np.errstate(all="ignore"):
                 values = invariants_of(tuple(self.states.T))
-            columns = [None if col is None else col.tolist() for col in values]
+            columns = [col.tolist() for col in values]
         # A finite sum proves every value finite; only a sum that overflows
         # or is not finite needs each value checked.
-        bad = [j for j, col in enumerate(columns) if col is not None
-               and not math.isfinite(sum(col)) and not all(map(math.isfinite, col))]
+        bad = [j for j, col in enumerate(columns)
+               if not math.isfinite(sum(col)) and not all(map(math.isfinite, col))]
         if bad:
             i, j = min((next(i for i, v in enumerate(columns[j]) if not math.isfinite(v)), j)
                        for j in bad)
@@ -227,15 +225,14 @@ class Trajectory:
         """Write one row per sample. Every invariant is computed and checked
         before the file is opened."""
         config = self.config
-        rows = zip(*(repeat(None) if col is None else col for col in self._invariant_columns))
+        rows = zip(*self._invariant_columns)
         model = MODELS[config.model]
         names = ("step", "t") + model.columns + model.invariant_names
         with open(path, "w", newline="\n") as f:
             f.write(",".join(names) + "\n")
             for n, state, invs in zip(self._step_numbers, self.samples, rows):
-                cells = [f"{v:.17g}" for v in state]
-                cells += ["" if v is None else f"{v:.17g}" for v in invs]
-                f.write(f"{n},{n * config.h:.17g}," + ",".join(cells) + "\n")
+                cells = ",".join([f"{v:.17g}" for v in state + invs])
+                f.write(f"{n},{n * config.h:.17g},{cells}\n")
 
 
 def _rk4(rhs):
@@ -276,14 +273,20 @@ def _stepper(step, params, options):
     return lambda y, h: step(y, a, h)
 
 
-def _body_invariants(config: RunConfig, c0: float | None):
-    """y -> (gamma_sq, two_ell, E, k_sq); two_ell and k_sq are blank (None)
-    unless the Kowalevski c0 is given."""
+def _body_invariants(config: RunConfig):
+    """y -> (gamma_sq, E)."""
     inertia, g = config.body()
+    return lambda y: invariants(y, inertia, g)[::2]
+
+
+def _kowalevski_invariants(config: RunConfig):
+    """y -> (gamma_sq, two_ell, E, k_sq)."""
+    inertia, g = config.body()
+    c0 = config.c0
 
     def values(y) -> tuple:
         gamma_sq, _, energy = invariants(y, inertia, g)
-        two_ell, _, k_sq = kowalevski_invariants(y, c0) if c0 is not None else (None,) * 3
+        two_ell, _, k_sq = kowalevski_invariants(y, c0)
         return gamma_sq, two_ell, energy, k_sq
 
     return values
@@ -311,7 +314,7 @@ def _lagrange_reference(config: RunConfig):
 
 
 _BODY_COLUMNS = ("w1", "w2", "w3", "g1", "g2", "g3")
-_BODY_INVARIANTS = ("gamma_sq", "two_ell", "E", "k_sq")
+_BODY_INVARIANTS = ("gamma_sq", "E")
 _BODY_SCHEMES = {
     "hk": lambda c: _stepper(hk_step, c.body(), ()),
     "reference": _body_reference,
@@ -320,7 +323,7 @@ _BODY_SCHEMES = {
 # The one list of models and of the schemes each runs. Step functions are
 # looked up when a stepper is built, not when this table is.
 MODELS: dict[str, Model] = {
-    "euler": Model(_BODY_COLUMNS, _BODY_INVARIANTS, lambda c: _body_invariants(c, None), {
+    "euler": Model(_BODY_COLUMNS, _BODY_INVARIANTS, _body_invariants, {
         **_BODY_SCHEMES,
         "bs": lambda c: _stepper(euler_lagrange.bs_step_euler, (c.inertia,), ()),
         "symmetric": lambda c: _stepper(euler_lagrange.symmetric_step_euler, (c.inertia,), ()),
@@ -333,7 +336,8 @@ MODELS: dict[str, Model] = {
         }, reads=("vertical",),
     ),
     # The default init is the standard test point: w = (2, 0, 0), gamma_3 = 0.001.
-    "kowalevski": Model(_BODY_COLUMNS, _BODY_INVARIANTS, lambda c: _body_invariants(c, c.c0), {
+    "kowalevski": Model(_BODY_COLUMNS, ("gamma_sq", "two_ell", "E", "k_sq"),
+                        _kowalevski_invariants, {
         **_BODY_SCHEMES,
         "bohlin-a": lambda c: _stepper(kowalevski.bohlin_algorithm_step, (c.c0,),
                                        (kowalevski.gamma_step_bs,)),
@@ -344,8 +348,8 @@ MODELS: dict[str, Model] = {
         "hybrid": lambda c: _stepper(kowalevski.hybrid_step, (c.c0,), ()),
     }, reads=("c0",),
         default_init=(2.0, 0.0, 0.0, math.sqrt(1.0 - 0.001**2), 0.0, 0.001)),
-    "general": Model(_BODY_COLUMNS, _BODY_INVARIANTS, lambda c: _body_invariants(c, None),
-                     _BODY_SCHEMES, reads=("inertia", "gravity")),
+    "general": Model(_BODY_COLUMNS, _BODY_INVARIANTS, _body_invariants, _BODY_SCHEMES,
+                     reads=("inertia", "gravity")),
 }
 
 
@@ -385,7 +389,7 @@ def reversal_test(config: RunConfig, n: int) -> float:
     the starting state. Raises NumericalError naming the first step of the
     round trip whose state is non-finite."""
     config = config.validated()
-    if not (_is_count(n) and 0 <= n <= sys.maxsize):
+    if not _is_count(n):
         raise ConfigError(f"n must be an integer from 0 to {sys.maxsize}")
     y = config.init
     for y in _steps(config, chain(repeat(config.h, n), repeat(-config.h, n)), "round trip"):
@@ -402,13 +406,11 @@ class InvariantDrift(NamedTuple):
 
 
 def drift_report(traj: Trajectory) -> dict[str, InvariantDrift]:
-    """Extrema and max deviation from the initial value, per invariant column
-    that is not blank. Raises NumericalError if an invariant overflows."""
+    """Extrema and max deviation from the initial value, per invariant name of
+    the model. Raises NumericalError if an invariant overflows."""
     names = MODELS[traj.config.model].invariant_names
     out = {}
     for name, col in zip(names, traj._invariant_columns):
-        if col is None:
-            continue
         first, lo, hi = col[0], min(col), max(col)
         # Rounding is monotonic, so the largest |v - first| is at an extremum.
         out[name] = InvariantDrift(initial=first, final=col[-1], min=lo, max=hi,

@@ -8,7 +8,7 @@ sequence of six floats, one state, and returns floats. The invariant
 functions are plain arithmetic, so they also take six numpy columns, one per
 component of a run's states, and return a column per invariant, each value
 rounded as the float call rounds it. Only the matrix-form check and its
-skew-matrix helper import numpy.
+skew-matrix helper import numpy, and `_hypot` when it is given numpy columns.
 Parameters are floats: the inertia (A, B, C) and the gravity-moment vector
 g = mg*(x0, y0, z0) as three each, and the Kowalevski c0 as one.
 """

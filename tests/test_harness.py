@@ -117,6 +117,9 @@ class TestRunConfigValidation:
         ("stride", math.nan), ("init", (True, 0, 0, 1, 0, 0)),
         # unhashable, so not a key of the model and scheme tables
         ("model", ["euler"]), ("model", {"euler": 1}), ("scheme", ["bs"]), ("scheme", {"bs": 1}),
+        # counts above sys.maxsize, which repeat and islice refuse
+        pytest.param("steps", 10**20, id="steps-above-maxsize"),
+        pytest.param("stride", 10**20, id="stride-above-maxsize"),
     ])
     def test_field_of_the_wrong_type(self, field, value):
         cfg = RunConfig(model="euler", scheme="bs", h=0.01, steps=3, init=(1, 1, 1, 1, 0, 0))
@@ -141,8 +144,8 @@ _FUZZ_FIELDS = {
     "scheme": ["rk9", None],
     "h": [0.1, 1e300, np.float64(0.01), 1, 0.0, -0.01, math.nan, math.inf, "a", "0.01", True,
           None, 10**400, np.array(0.01)],
-    "steps": [0, 3, np.int64(2), -1, 2.5, 3.0, "3", True, None, math.nan],
-    "stride": [2, np.int64(1), 0, 1.5, math.nan, True, "1", -2],
+    "steps": [0, 3, np.int64(2), -1, 2.5, 3.0, "3", True, None, math.nan, 10**20],
+    "stride": [2, np.int64(1), 0, 1.5, math.nan, True, "1", -2, 10**20],
     "c0": [2, -0.5, math.nan, "a", None, True, 10**400],
     "inertia": [(2, 2, 1), (1, 2), (0, 1, 1), ("a", 1, 2), 1.0, (math.inf, 1, 1), "abc"],
     "gravity": [(0.5, 0, 1), (1, 2), (math.nan, 0, 0), "abc", None],
@@ -235,19 +238,33 @@ class TestRun:
         run(kow_cfg(steps=200, stride=10)).to_csv(str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_body_csv_header_and_blank_kowalevski_columns(self, tmp_path):
-        # (2, 2, 1) has the Kowalevski proportions; the columns stay blank
-        # because only the kowalevski model fills them.
-        for inertia in [(1, 2, 3), (2, 2, 1)]:
-            path = tmp_path / "euler.csv"
-            cfg = RunConfig(model="euler", scheme="hk", h=0.01, steps=2, stride=1,
-                            inertia=inertia, init=np.array([1, 1, 1, 1, 0, 0.0]))
-            run(cfg).to_csv(str(path))
-            lines = path.read_text().splitlines()
-            assert lines[0] == "step,t,w1,w2,w3,g1,g2,g3,gamma_sq,two_ell,E,k_sq"
-            fields = lines[1].split(",")
-            assert fields[9] == "" and fields[11] == "", inertia  # two_ell, k_sq blank
-            assert fields[8] != "" and fields[10] != "", inertia
+    @pytest.mark.parametrize("model", MODELS)
+    def test_csv_and_invariants_follow_the_model_schema(self, model, tmp_path):
+        # Each model has exactly the invariants its function returns: the CSV
+        # header, every CSV row, the drift report, invariant_values and
+        # column() all follow its invariant_names, with no blank value.
+        invariant_names = {"euler": ("gamma_sq", "E"),
+                           "lagrange": ("a_sq", "m_dot_p", "m_dot_a", "E"),
+                           "kowalevski": ("gamma_sq", "two_ell", "E", "k_sq"),
+                           "general": ("gamma_sq", "E")}[model]
+        m = MODELS[model]
+        assert m.invariant_names == invariant_names
+        init = {"kowalevski": None, "lagrange": (0, 0, 1, 1, 0, 0)}.get(
+            model, (0.3, -0.2, 0.9, 0.6, 0, 0.8))
+        traj = run(RunConfig(model=model, scheme=next(iter(m.schemes)), h=0.01, steps=6,
+                             stride=2, init=init))
+        path = tmp_path / "traj.csv"
+        traj.to_csv(str(path))
+        header, *rows = path.read_text().splitlines()
+        assert header == ",".join(("step", "t") + m.columns + invariant_names)
+        assert len(rows) == 4
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == 2 + len(m.columns) + len(invariant_names) and all(cells), row
+        assert tuple(drift_report(traj)) == invariant_names
+        assert traj.invariant_values.shape == (4, len(invariant_names))
+        for j, name in enumerate(invariant_names):
+            assert np.array_equal(traj.column(name), traj.invariant_values[:, j]), name
 
     def test_invariants_checked_when_read(self, tmp_path):
         # The bs step keeps this state finite, and its energy overflows: run
@@ -486,8 +503,12 @@ _KOW_RUN = ["run", "--model", "kowalevski", "--scheme", "hk", "--h", "0.001", "-
 _KOW_CONVERGE = ["converge", "--model", "kowalevski", "--scheme", "hk", "--h", "0.01", "--t-end", "1.0"]
 _EULER_RUN = ["run", "--model", "euler", "--scheme", "hk", "--h", "0.01", "--steps", "2"]
 
-_BLANK_PERIOD = ["period", "--model", "general", "--scheme", "hk", "--h", "0.02", "--steps", "1000",
-                 "--stride", "1", "--init", "1,1,1,1,0,0", "--column", "two_ell"]
+# A Kowalevski invariant column, which the general model does not have.
+_KOWALEVSKI_COLUMN_PERIOD = [
+    "period", "--model", "general", "--scheme", "hk", "--h", "0.02", "--steps", "1000",
+    "--stride", "1", "--init", "1,1,1,1,0,0", "--column", "two_ell"]
+# A count above sys.maxsize, which repeat and islice refuse.
+_HUGE = str(10**20)
 
 # Each input exits 2 with a message, never with a traceback or a NaN run.
 CONFIG_ERRORS = [
@@ -502,7 +523,11 @@ CONFIG_ERRORS = [
     [*_KOW_CONVERGE, "--h-list", "0,0.01,0.005"],
     [*_KOW_CONVERGE, "--h-list", "a,b,c"],
     [*_KOW_CONVERGE, "--h-list", "0.02,0.02,0.01"],
-    ["reverse", "--model", "kowalevski", "--scheme", "hk", "--h", "0.01", "--n", str(10**20)],
+    ["reverse", "--model", "kowalevski", "--scheme", "hk", "--h", "0.01", "--n", _HUGE],
+    ["run", "--model", "kowalevski", "--scheme", "hk", "--h", "0.01", "--steps", _HUGE],
+    [*_KOW_RUN, "--stride", _HUGE],
+    ["period", "--model", "kowalevski", "--scheme", "hk", "--h", "0.001",
+     "--steps", "100", "--stride", _HUGE],
     ["converge", "--model", "kowalevski", "--scheme", "hk", "--h", "0.01",
      "--h-list", "0.02,0.01,0.005", "--t-end", "inf"],
     ["period", "--model", "kowalevski", "--scheme", "hk", "--h", "0.001",
@@ -520,8 +545,8 @@ CONFIG_ERRORS = [
     [*_KOW_RUN, "--out", "/"],
     [*_KOW_RUN, "--out", "/nonexistent-dir/x.csv"],
     [*_KOW_RUN, "--out", ""],
-    # an invariant column that is blank for the model
-    _BLANK_PERIOD,
+    # an invariant column of another model
+    _KOWALEVSKI_COLUMN_PERIOD,
 ]
 
 # The RK4 reference overflows to inf in step 1, where the run's check of each
@@ -648,14 +673,14 @@ class TestCli:
             assert main(argv) == 2, argv
             assert "config error" in capsys.readouterr().err, argv
 
-    def test_blank_period_column_refused_before_the_run(self, monkeypatch, capsys):
+    def test_period_column_of_another_model_refused_before_the_run(self, monkeypatch, capsys):
         def no_run(config):
             raise AssertionError("stepped before refusing the column")
 
         monkeypatch.setattr("spintops.cli.run", no_run)
-        assert main(_BLANK_PERIOD) == 2
+        assert main(_KOWALEVSKI_COLUMN_PERIOD) == 2
         assert capsys.readouterr().err == \
-            "config error: column 'two_ell' is blank for model 'general'\n"
+            "config error: model 'general' has no column 'two_ell'\n"
 
     def test_empty_init_is_a_config_error(self, capsys):
         # as an empty --inertia is, for a model with a default init too
@@ -725,8 +750,9 @@ class TestCli:
     @pytest.mark.filterwarnings("error")
     def test_extreme_inputs_exit_cleanly(self, capsys):
         # run, reverse, converge and period for every (model, scheme) pair at
-        # extreme step sizes and inits: exit 0, 2 or 3, never a traceback or a
-        # warning, and no non-finite number in a report that exits 0.
+        # extreme step sizes, inits and counts: exit 0, 2 or 3, never a
+        # traceback or a warning, and no non-finite number in a report that
+        # exits 0.
         inits = [None, "1e200,1e200,1e200,1e200,1e200,1e200",
                  "1e300,1e300,1e300,1e300,1e300,1e300", "-1e300,-1e300,-1e300,-1e300,-1e300,-1e300",
                  "1e-300,1e300,1e-300,1e300,1e-300,1e300"]
@@ -738,12 +764,16 @@ class TestCli:
                     for init in inits:
                         head = ["--model", model, "--scheme", scheme, "--h", h]
                         tail = ["--init", init] if init else []
+                        # counts above sys.maxsize, from one init every model runs
+                        huge = [["run", *head, "--steps", _HUGE, *tail],
+                                ["run", *head, "--steps", "3", "--stride", _HUGE, *tail],
+                                ["reverse", *head, "--n", _HUGE, *tail]] if init == inits[1] else []
                         for argv in (["run", *head, "--steps", "3", *tail],
                                      ["reverse", *head, "--n", "3", *tail],
                                      ["converge", *head, "--h-list", h_list,
                                       "--t-end", h_list.split(",")[0], *tail],
                                      ["period", *head, "--steps", "3", "--stride", "1",
-                                      "--column", MODELS[model].columns[-1], *tail]):
+                                      "--column", MODELS[model].columns[-1], *tail], *huge):
                             code = main(argv)
                             out, err = capsys.readouterr()
                             assert code in (0, 2, 3), argv
