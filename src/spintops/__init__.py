@@ -1,6 +1,8 @@
 """Structure-preserving time discretizations for the Euler, Lagrange, and
 Kowalevski tops."""
 
+from types import ModuleType as _ModuleType
+
 from .algebra import NumericalError, SingularSystemError, solve3
 from .euler_lagrange import (ConvergenceError, bs_step_euler, lagrange_invariants,
                              lagrange_step, symmetric_step_euler)
@@ -13,5 +15,6 @@ from .kowalevski import (SouthPoleError, bohlin_algorithm_step, bohlin_step, gam
 from .models import (KOWALEVSKI_INERTIA, euler_poisson_rhs, invariants, kowalevski_invariants,
                      matrix_form_residual, xi)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __version__ = "0.1.0"

@@ -8,15 +8,13 @@ sequence of six floats, one state, and returns floats. The invariant
 functions are plain arithmetic, so they also take six numpy columns, one per
 component of a run's states, and return a column per invariant, each value
 rounded as the float call rounds it. Only the matrix-form check and its
-skew-matrix helper import numpy, and `_hypot` when it is given numpy columns.
+skew-matrix helper import numpy.
 Parameters are floats: the inertia (A, B, C) and the gravity-moment vector
 g = mg*(x0, y0, z0) as three each, and the Kowalevski c0 as one.
 """
 
 from __future__ import annotations
 
-import math
-import numbers
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -71,26 +69,12 @@ def xi(y, c0: float) -> complex:
 
 
 def kowalevski_invariants(y, c0: float) -> tuple:
-    """(2*ell, E, k^2) of a state y in the reduced A=B=2, C=1 form, with
-    k^2 = |xi|^2."""
+    """(gamma^2, 2*ell, E, k^2) of a state y in the reduced A=B=2, C=1 form,
+    with 2*ell = m.gamma and k^2 = |xi|^2."""
     w0, w1, w2, g0, g1, g2 = y
-    k = _hypot(*_xi_parts(y, c0))
-    return (2.0 * (w0 * g0 + w1 * g1) + w2 * g2,
-            w0 * w0 + w1 * w1 + 0.5 * (w2 * w2) + c0 * g0, k * k)
-
-
-def _hypot(x, y):
-    """sqrt(x^2 + y^2) by the C library's hypot, of two floats or of two
-    numpy columns: abs of a complex and numpy's hypot both call it, where
-    math.hypot rounds differently. inf where it overflows."""
-    if isinstance(x, numbers.Real):
-        try:
-            return abs(complex(x, y))
-        except OverflowError:  # abs raises where hypot overflows
-            return math.inf
-    import numpy as np
-
-    return np.hypot(x, y)
+    re, im = _xi_parts(y, c0)
+    return (g0 * g0 + g1 * g1 + g2 * g2, 2.0 * (w0 * g0 + w1 * g1) + w2 * g2,
+            w0 * w0 + w1 * w1 + 0.5 * (w2 * w2) + c0 * g0, re * re + im * im)
 
 
 def skew_apply_matrix(v) -> np.ndarray:

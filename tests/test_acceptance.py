@@ -70,7 +70,7 @@ def test_criterion_1_hk_k_sq_band(hk_traj):
 def test_criterion_2_initial_invariants():
     # the literal test-point values the decimals were derived from
     y = np.array([2, 0, 0, 0.9999995, 0, 0.001])
-    two_ell, energy, k_sq = kowalevski_invariants(y, 1.0)
+    _, two_ell, energy, k_sq = kowalevski_invariants(y, 1.0)
     ok = (
         abs(k_sq - 9.00000300000025) <= 1e-12
         and abs(energy - 4.9999995) <= 1e-15

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -91,17 +92,19 @@ class TestInvariants:
                           (0.0, 0.0, 0.0)) == (1.0, 0.0, 0.0)
 
     def test_kowalevski_point_values(self):
-        gamma_sq, _, energy = invariants(KOW_INIT, *KOW_TOP)
+        gamma_sq, two_ell, energy, k_sq = kowalevski_invariants(KOW_INIT, C0)
         assert abs(gamma_sq - 1.0) <= 1e-12
         assert abs(energy - 4.9999995) <= 1e-15
-        two_ell, kow_energy, k_sq = kowalevski_invariants(KOW_INIT, C0)
         assert abs(two_ell - 3.999998) <= 1e-15
-        assert abs(kow_energy - energy) <= 1e-15
         assert abs(k_sq - 9.00000300000025) <= 1e-12
+        # The general (gamma^2, E) of the reduced top agree.
+        general_gamma_sq, _, general_energy = invariants(KOW_INIT, *KOW_TOP)
+        assert general_gamma_sq == gamma_sq
+        assert abs(general_energy - energy) <= 1e-15
 
     def test_generic_params_carry_no_kowalevski_entries(self):
         # Three entries for any parameters, Kowalevski-shaped ones included:
-        # the Kowalevski pair is the harness's to add, by model.
+        # the Kowalevski model's columns come from kowalevski_invariants.
         for inertia, g in (((1.0, 2.0, 3.0), vec3(1, 0, 0)), KOW_TOP):
             assert len(invariants(KOW_INIT, inertia, g)) == 3
 
@@ -124,25 +127,34 @@ class TestInvariants:
 
 class TestKowalevskiInvariants:
     def test_two_ell_at_test_point(self):
-        two_ell, _, _ = kowalevski_invariants(KOW_INIT, C0)
+        _, two_ell, _, _ = kowalevski_invariants(KOW_INIT, C0)
         assert abs(two_ell - 3.999998) <= 1e-15
 
     def test_k_sq_at_test_point(self):
-        _, _, k_sq = kowalevski_invariants(KOW_INIT, C0)
+        _, _, _, k_sq = kowalevski_invariants(KOW_INIT, C0)
         assert abs(k_sq - 9.00000300000025) <= 1e-12
 
     def test_k_sq_past_the_float_range(self):
         # |xi| = 1.5e308 * sqrt(2) is past the float range: k^2 is inf, on
-        # floats, where abs of that complex raises, and on numpy columns.
+        # floats and on numpy columns.
         y = (0.0, 0.0, 0.0, -1.5e308, -1.5e308, 0.0)
-        assert kowalevski_invariants(y, 1.0)[2] == math.inf
+        assert kowalevski_invariants(y, 1.0)[3] == math.inf
         with np.errstate(over="ignore"):
-            assert kowalevski_invariants(tuple(np.array([y]).T), 1.0)[2][0] == math.inf
+            assert kowalevski_invariants(tuple(np.array([y]).T), 1.0)[3][0] == math.inf
 
     def test_rest_on_x_axis(self):
         y = np.array([0, 0, 0, 1, 0, 0.0])
-        two_ell, energy, k_sq = kowalevski_invariants(y, C0)
-        assert (two_ell, energy, k_sq) == (0.0, 1.0, 1.0)
+        assert kowalevski_invariants(y, C0) == (1.0, 0.0, 1.0, 1.0)
+
+    def test_k_sq_within_two_roundings_of_exact(self, rng):
+        # k^2 = Re^2 + Im^2 of xi rounds three times, so it lies within
+        # (1 + u)^2 - 1 = 2u + u^2 of the exact sum, with u = 2^-53.
+        u = Fraction(1, 2**53)
+        for y in rng.normal(size=(2000, 6)).tolist():
+            z = xi(y, C0)
+            exact = Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+            k_sq = kowalevski_invariants(y, C0)[3]
+            assert abs(Fraction(k_sq) - exact) <= (2 * u + u * u) * exact, y
 
 
 class TestXi:
@@ -156,7 +168,7 @@ class TestXi:
     def test_abs_squared_equals_k_sq(self, rng):
         for _ in range(50):
             y = np.concatenate([rng.normal(size=3), rng.normal(size=3)])
-            _, _, k_sq = kowalevski_invariants(y, C0)
+            _, _, _, k_sq = kowalevski_invariants(y, C0)
             assert abs(abs(xi(y, C0)) ** 2 - k_sq) <= 1e-15 * max(1.0, k_sq)
 
     def test_chain_rule_phase_evolution(self, rng):

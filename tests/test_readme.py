@@ -1,10 +1,11 @@
-"""The README's Library section matches the current API."""
+"""The README's Library section and the package namespace match the current API."""
 
 import ast
 import importlib
 import pkgutil
 import re
 from pathlib import Path
+from types import ModuleType
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ def test_library_example_runs(capsys):
     library = text[text.index("## Library"):]
     block = re.search(r"```python\n(.*?)```", library, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
-    two_ell, energy, k_sq = ast.literal_eval(capsys.readouterr().out.strip())
+    gamma_sq, two_ell, energy, k_sq = ast.literal_eval(capsys.readouterr().out.strip())
+    assert gamma_sq == pytest.approx(1.0, abs=1e-12)
     assert k_sq == pytest.approx((4.0 - np.sqrt(1 - 1e-6)) ** 2, abs=1e-12)
 
 
@@ -35,3 +37,11 @@ def test_library_names_resolve():
     assert names
     missing = sorted(n for n in names if not any(hasattr(m, n) for m in modules))
     assert not missing, missing
+
+
+def test_star_import_binds_no_module():
+    # `from spintops import *` binds the public functions, classes and
+    # constants, not the submodules they come from.
+    modules = [name for name in spintops.__all__
+               if isinstance(getattr(spintops, name), ModuleType)]
+    assert not modules, modules
