@@ -24,8 +24,7 @@ class SingularSystemError(NumericalError):
 def numerical_guard(what: str):
     """Raise NumericalError when a float operation in the block raises: a
     Python power or abs that overflows, a math or cmath call outside its
-    domain, which raises a plain ValueError (math.tan(inf)), or a numpy
-    operation that the caller has set to raise with np.errstate. Python float
+    domain, which raises a plain ValueError (math.tan(inf)). Python float
     arithmetic itself raises nothing: it yields inf or nan, which the callers
     check for. A NumericalError raised in the block keeps its type, and its
     message gets the prefix `what` too. Subclasses of ValueError are

@@ -7,13 +7,13 @@ and returns a tuple of six. `run`, `reversal_test` and `convergence_study`
 step through one checked loop, `_steps`. `run` keeps every stride-th state as
 six floats in a Trajectory and writes no file; the other two keep the loop's
 last state and compare endpoints. None of them imports numpy. A Trajectory
-computes its invariants when `to_csv`, `drift_report` or an invariant column
-first reads them: on floats, one sample at a time, for a short run while
-numpy is not imported, and otherwise on numpy columns. It makes each array
-attribute when it is first read; numpy enters only there and in
-`estimate_period`. `RunConfig`, `Model` and `InvariantDrift` are named tuples
-and `Trajectory` is a plain class: `dataclasses` would import `inspect`, and
-so `ast`, `dis` and `tokenize`, in every CLI process.
+computes its invariants on floats, one sample at a time, when `to_csv`,
+`drift_report` or an invariant column first reads them, so `to_csv` and
+`drift_report` never import numpy. It makes each array attribute when it is
+first read; numpy enters only there and in `estimate_period`. `RunConfig`,
+`Model` and `InvariantDrift` are named tuples and `Trajectory` is a plain
+class: `dataclasses` would import `inspect`, and so `ast`, `dis` and
+`tokenize`, in every CLI process.
 """
 
 from __future__ import annotations
@@ -137,17 +137,6 @@ class RunConfig(NamedTuple):
         return self.inertia, self.gravity
 
 
-# A Trajectory computes its invariants one sample at a time on floats while
-# numpy is not imported and it has fewer samples than this, and otherwise on
-# the numpy columns of its states; the values are the same to the bit. The
-# float path saves the numpy import, about 0.15 s in a fresh interpreter on a
-# 2-core Xeon, and costs about 1.5 us per Kowalevski sample and 1.2 us per
-# Euler sample, against 0.5 and 0.4 us on numpy columns: the two break even
-# near 140 000 Kowalevski and 175 000 Euler samples. This cutoff is kept well
-# below both.
-_FLOAT_ROWS = 20_000
-
-
 class Trajectory:
     """The states of a run at steps 0, stride, 2*stride, ... as six floats
     each, from a validated config. The invariants and each array are
@@ -189,20 +178,12 @@ class Trajectory:
 
     @cached_property
     def _invariant_columns(self) -> list:
-        """Per invariant name of the model, its value at each sample as
-        floats. Raises NumericalError naming the first value that is not
-        finite."""
+        """Per invariant name of the model, its value at each sample, computed
+        on the sample's floats. Raises NumericalError naming the first value
+        that is not finite."""
         config = self.config
         model = MODELS[config.model]
-        invariants_of = model.invariants(config)
-        if len(self.samples) < _FLOAT_ROWS and sys.modules.get("numpy") is None:
-            columns = list(zip(*map(invariants_of, self.samples)))
-        else:
-            import numpy as np
-
-            with np.errstate(all="ignore"):
-                values = invariants_of(tuple(self.states.T))
-            columns = [col.tolist() for col in values]
+        columns = list(zip(*map(model.invariants(config), self.samples)))
         # A finite sum proves every value finite; only a sum that overflows
         # or is not finite needs each value checked.
         bad = [j for j, col in enumerate(columns)

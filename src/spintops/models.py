@@ -4,11 +4,8 @@ The state is the packed y = (omega, gamma) in the body frame: angular
 velocity and the vertical unit vector. Angular momentum is
 m = diag(A, B, C) @ omega. Steps take and return the state as six floats, and
 so do the right-hand side and the invariant functions: each takes any
-sequence of six floats, one state, and returns floats. The invariant
-functions are plain arithmetic, so they also take six numpy columns, one per
-component of a run's states, and return a column per invariant, each value
-rounded as the float call rounds it. Only the matrix-form check and its
-skew-matrix helper import numpy.
+sequence of six floats, one state, and returns floats. Only the matrix-form
+check and its skew-matrix helper import numpy.
 Parameters are floats: the inertia (A, B, C) and the gravity-moment vector
 g = mg*(x0, y0, z0) as three each, and the Kowalevski c0 as one.
 """

@@ -280,17 +280,13 @@ class TestRun:
                 read()
         assert not path.exists()
 
-    def test_invariant_overflow_named_on_floats_and_on_columns(self, monkeypatch):
+    def test_invariant_overflow_names_the_first_invariant(self):
         # gamma_sq overflows first at this init, and |xi| is past the float
-        # range too: both ways of computing the invariants name gamma_sq.
+        # range too: the error names gamma_sq.
         cfg = RunConfig(model="kowalevski", scheme="hk", h=0.001, steps=0,
                         init=(0, 0, 0, -1.5e308, -1.5e308, 0))
-        match = r"^kowalevski/hk run: invariant gamma_sq overflows at step 0$"
-        with monkeypatch.context() as m:
-            m.setitem(sys.modules, "numpy", None)
-            with pytest.raises(NumericalError, match=match):
-                drift_report(run(cfg))
-        with pytest.raises(NumericalError, match=match):
+        with pytest.raises(NumericalError,
+                           match=r"^kowalevski/hk run: invariant gamma_sq overflows at step 0$"):
             drift_report(run(cfg))
 
     @pytest.mark.parametrize(
@@ -300,36 +296,46 @@ class TestRun:
     )
     def test_invariants_same_on_floats_and_on_columns(self, model, scheme, tmp_path,
                                                       monkeypatch):
-        # A short run computes its invariants on floats while numpy is not
-        # imported, and on numpy columns once it is: the CSV and the drift
-        # report are the same to the bit either way.
+        # A run computes its invariants on floats whether or not numpy is
+        # imported: the CSV and the drift report are the same to the bit
+        # either way, and the invariant_values columns hold those floats.
         init = None if model == "kowalevski" else (0.3, -0.2, 0.9, 0.6, 0.0, 0.8)
         cfg = RunConfig(model=model, scheme=scheme, h=0.01, steps=60, stride=3, init=init)
         with monkeypatch.context() as m:
             m.setitem(sys.modules, "numpy", None)
-            on_floats = run(cfg)
-            on_floats.to_csv(str(tmp_path / "floats.csv"))
-            report = drift_report(on_floats)
-        on_columns = run(cfg)
-        on_columns.to_csv(str(tmp_path / "columns.csv"))
-        assert (tmp_path / "floats.csv").read_bytes() == (tmp_path / "columns.csv").read_bytes()
-        assert drift_report(on_columns) == report
+            without_numpy = run(cfg)
+            without_numpy.to_csv(str(tmp_path / "without_numpy.csv"))
+            report = drift_report(without_numpy)
+        with_numpy = run(cfg)
+        with_numpy.to_csv(str(tmp_path / "with_numpy.csv"))
+        assert ((tmp_path / "without_numpy.csv").read_bytes()
+                == (tmp_path / "with_numpy.csv").read_bytes())
+        assert drift_report(with_numpy) == report
+        invariants_of = MODELS[model].invariants(with_numpy.config)
+        assert with_numpy.invariant_values.tolist() == [
+            list(invariants_of(y)) for y in with_numpy.samples]
 
-    def test_numpy_imported_for_many_samples_only(self):
-        script = """if True:
-            import sys
-            from spintops import harness
-            cfg = harness.RunConfig(model="kowalevski", scheme="hk", h=0.001, steps=10)
-            harness.drift_report(harness.run(cfg))
-            assert "numpy" not in sys.modules, "11 samples imported numpy"
-            harness._FLOAT_ROWS = 11
-            harness.drift_report(harness.run(cfg))
-            assert "numpy" in sys.modules, "11 samples at a cutoff of 11 did not import numpy"
+    def test_many_samples_read_without_numpy(self):
+        # A run of 20 001 samples writes its CSV and drift report with numpy
+        # made unimportable, and the report is the same to the bit as in a
+        # process that has imported numpy.
+        cfg = RunConfig(model="euler", scheme="bs", h=0.01, steps=20_000, stride=1,
+                        inertia=(1, 2, 3), init=(1, 1, 1, 1, 0, 0))
+        script = f"""if True:
+            import os, sys
+            sys.modules["numpy"] = None
+            from spintops.harness import RunConfig, drift_report, run
+            traj = run(RunConfig(**{cfg._asdict()!r}))
+            traj.to_csv(os.devnull)
+            for name, drift in drift_report(traj).items():
+                print(name, *map(float.hex, drift))
         """
         src = str(Path(spintops.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
         assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == [" ".join([name, *map(float.hex, drift)])
+                                           for name, drift in drift_report(run(cfg)).items()]
 
     def test_lagrange_csv_header(self, tmp_path):
         path = tmp_path / "lag.csv"
@@ -794,7 +800,7 @@ class TestCli:
         # import spintops and spintops.cli load neither numpy nor dataclasses
         # and inspect, and with numpy made unimportable the README run,
         # reverse and converge commands and a one-step run print the values
-        # numpy-backed runs printed.
+        # recorded below.
         csv_path = tmp_path / "traj.csv"
         script = """if True:
             import sys
@@ -843,8 +849,7 @@ class TestCli:
             "        0.01     4.852009e-08           2.000",
             "       0.005     1.213040e-08           2.000",
         ]
-        # The step, t and state columns, bit for bit as a numpy-backed run
-        # wrote them.
+        # The step, t and state columns, bit for bit as recorded.
         lines = csv_path.read_text().splitlines()
         assert len(lines) == 202
         assert lines[-1].split(",")[:8] == [
