@@ -12,8 +12,7 @@ from .hk import hk_omega, hk_step
 from .kowalevski import (SouthPoleError, bohlin_algorithm_step, bohlin_step, gamma_step_bs,
                          gamma_step_rotation, gamma_step_stereo, hybrid_step, omega3_update,
                          stereo_forward, stereo_inverse)
-from .models import (KOWALEVSKI_INERTIA, euler_poisson_rhs, invariants, kowalevski_invariants,
-                     matrix_form_residual, xi)
+from .models import KOWALEVSKI_INERTIA, euler_poisson_rhs, invariants, kowalevski_invariants, xi
 
 __all__ = [name for name, value in globals().items()
            if not name.startswith("_") and not isinstance(value, _ModuleType)]

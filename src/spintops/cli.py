@@ -121,7 +121,7 @@ def _cmd_period(config: RunConfig, args) -> int:
     if args.column not in model.columns + model.invariant_names:
         raise ConfigError(f"model {config.model!r} has no column {args.column!r}")
     traj = _run_to_csv(config, args.out_path)
-    period = estimate_period(traj.column(args.column), config.h * config.stride)
+    period = estimate_period(traj.values(args.column), config.h * config.stride)
     print(f"estimated period of {args.column}: {period:.6g}")
     return 0
 

@@ -39,8 +39,13 @@ def symmetric_step_euler(y, inertia, h: float) -> tuple[float, ...]:
 
     Conserves both |m|^2 and m.omega and is symmetric under h -> -h, at the
     price of an implicit solve. Fixed-point iteration seeded by the bilinear
-    free-top step, hk_omega at gamma = 0 and g = 0; converged when the
-    defining relation holds to FIXED_POINT_TOL.
+    free-top step, hk_omega at gamma = 0 and g = 0. With
+    scale = max(1, |m1|, |m2|, |m3|), the step returns the first iterate that
+    has stalled (each component moved by at most 1e-16 * scale) and satisfies
+    the defining relation to FIXED_POINT_TOL * scale, or the last of
+    MAX_FIXED_POINT_ITERATIONS iterates if that one satisfies it, stalled or
+    not; otherwise it raises ConvergenceError. The relation is evaluated only
+    on those iterates, the only ones that can end the loop.
     """
     A, B, C = inertia
     m0, m1, m2 = m = A * y[0], B * y[1], C * y[2]
@@ -48,21 +53,20 @@ def symmetric_step_euler(y, inertia, h: float) -> tuple[float, ...]:
     o0, o1, o2 = hk_omega((w0, w1, w2, 0.0, 0.0, 0.0), inertia, (0.0, 0.0, 0.0), h)
     n0, n1, n2 = A * o0, B * o1, C * o2
     scale = max(1.0, abs(m0), abs(m1), abs(m2))
-    tol, c = FIXED_POINT_TOL * scale, 0.25 * h
-    for _ in range(MAX_FIXED_POINT_ITERATIONS):
+    tol, still, c = FIXED_POINT_TOL * scale, 1e-16 * scale, 0.25 * h
+    for left in range(MAX_FIXED_POINT_ITERATIONS, 0, -1):
         x0, x1, x2 = bs_solve(m, (w0 + n0 / A, w1 + n1 / B, w2 + n2 / C), c)
-        stalled = max(abs(x0 - n0), abs(x1 - n1), abs(x2 - n2)) <= 1e-16 * scale
+        stalled = (-still <= x0 - n0 <= still and -still <= x1 - n1 <= still
+                   and -still <= x2 - n2 <= still)
         n0, n1, n2 = x0, x1, x2
-        s0, s1, s2 = n0 + m0, n1 + m1, n2 + m2
-        v0, v1, v2 = w0 + n0 / A, w1 + n1 / B, w2 + n2 / C
-        converged = abs(n0 - m0 - c * (s1 * v2 - s2 * v1)) <= tol \
-            and abs(n1 - m1 - c * (s2 * v0 - s0 * v2)) <= tol \
-            and abs(n2 - m2 - c * (s0 * v1 - s1 * v0)) <= tol
-        if converged and stalled:
-            break
-    if not converged:
-        raise ConvergenceError("symmetric free-top step did not converge")
-    return n0 / A, n1 / B, n2 / C, y[3], y[4], y[5]
+        if stalled or left == 1:
+            s0, s1, s2 = n0 + m0, n1 + m1, n2 + m2
+            v0, v1, v2 = w0 + n0 / A, w1 + n1 / B, w2 + n2 / C
+            if abs(n0 - m0 - c * (s1 * v2 - s2 * v1)) <= tol \
+                    and abs(n1 - m1 - c * (s2 * v0 - s0 * v2)) <= tol \
+                    and abs(n2 - m2 - c * (s0 * v1 - s1 * v0)) <= tol:
+                return n0 / A, n1 / B, n2 / C, y[3], y[4], y[5]
+    raise ConvergenceError("symmetric free-top step did not converge")
 
 
 def lagrange_step(y, p, h: float) -> tuple[float, ...]:

@@ -9,11 +9,11 @@ six floats in a Trajectory and writes no file; the other two keep the loop's
 last state and compare endpoints. None of them imports numpy. A Trajectory
 computes its invariants on floats, one sample at a time, when `to_csv`,
 `drift_report` or an invariant column first reads them, so `to_csv` and
-`drift_report` never import numpy. It makes each array attribute when it is
-first read; numpy enters only there and in `estimate_period`. `RunConfig`,
-`Model` and `InvariantDrift` are named tuples and `Trajectory` is a plain
-class: `dataclasses` would import `inspect`, and so `ast`, `dis` and
-`tokenize`, in every CLI process.
+`drift_report` never import numpy, nor does `estimate_period`, which takes
+floats. A Trajectory makes each array attribute when it is first read;
+numpy enters only there. `RunConfig`, `Model` and `InvariantDrift` are named
+tuples and `Trajectory` is a plain class: `dataclasses` would import
+`inspect`, and so `ast`, `dis` and `tokenize`, in every CLI process.
 """
 
 from __future__ import annotations
@@ -196,13 +196,21 @@ class Trajectory:
                                  f"{self._step_numbers[i]}")
         return columns
 
-    def column(self, name: str) -> np.ndarray:
+    def values(self, name: str) -> list[float]:
+        """A state column or an invariant of the model, one float per sample."""
         model = MODELS[self.config.model]
         if name in model.columns:
-            return self.states[:, model.columns.index(name)]
+            j = model.columns.index(name)
+            return [y[j] for y in self.samples]
         if name in model.invariant_names:
-            return self.invariant_values[:, model.invariant_names.index(name)]
+            return list(self._invariant_columns[model.invariant_names.index(name)])
         raise KeyError(name)
+
+    def column(self, name: str) -> np.ndarray:
+        """`values(name)` as a numpy array."""
+        import numpy as np
+
+        return np.array(self.values(name))
 
     def to_csv(self, path: str) -> None:
         """Write one row per sample. Every invariant is computed and checked
@@ -392,19 +400,22 @@ class PeriodEstimationError(ValueError):
     """Series does not oscillate enough to define a period."""
 
 
-def estimate_period(series: np.ndarray, dt: float) -> float:
+def estimate_period(series, dt: float) -> float:
     """Dominant oscillation period from the mean spacing of successive upward
-    mean-crossings, with linear interpolation at the crossings."""
-    import numpy as np
-
-    x = np.asarray(series, dtype=float) - float(np.mean(series))
-    idx = np.nonzero((x[:-1] <= 0.0) & (x[1:] > 0.0))[0]
-    crossings_total = int(np.sum((x[:-1] <= 0.0) != (x[1:] <= 0.0)))
-    if len(idx) < 2 or crossings_total < 3:
+    mean-crossings, with linear interpolation at the crossings, of any
+    sequence of floats. Both means are `math.fsum` sums; the series mean sums
+    each value divided by the count, so it cannot overflow."""
+    n = len(series)
+    try:
+        mean = math.fsum(v / n for v in series)
+    except ValueError:  # +inf and -inf, whose mean is NaN
+        mean = math.nan
+    x = [v - mean for v in series]
+    pairs = list(zip(x, x[1:]))
+    times = [(i - a / (b - a)) * dt for i, (a, b) in enumerate(pairs) if a <= 0.0 < b]
+    if len(times) < 2 or sum((a <= 0.0) != (b <= 0.0) for a, b in pairs) < 3:
         raise PeriodEstimationError("series crosses its mean fewer than 3 times")
-    frac = -x[idx] / (x[idx + 1] - x[idx])
-    times = (idx + frac) * dt
-    return float(np.mean(np.diff(times)))
+    return math.fsum(b - a for a, b in zip(times, times[1:])) / (len(times) - 1)
 
 
 def convergence_study(

@@ -4,18 +4,12 @@ The state is the packed y = (omega, gamma) in the body frame: angular
 velocity and the vertical unit vector. Angular momentum is
 m = diag(A, B, C) @ omega. Steps take and return the state as six floats, and
 so do the right-hand side and the invariant functions: each takes any
-sequence of six floats, one state, and returns floats. Only the matrix-form
-check and its skew-matrix helper import numpy.
+sequence of six floats, one state, and returns floats.
 Parameters are floats: the inertia (A, B, C) and the gravity-moment vector
 g = mg*(x0, y0, z0) as three each, and the Kowalevski c0 as one.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # The reduced Kowalevski top: A = B = 2, C = 1, gravity vector (c0, 0, 0).
 KOWALEVSKI_INERTIA = (2.0, 2.0, 1.0)
@@ -72,33 +66,3 @@ def kowalevski_invariants(y, c0: float) -> tuple:
     re, im = _xi_parts(y, c0)
     return (g0 * g0 + g1 * g1 + g2 * g2, 2.0 * (w0 * g0 + w1 * g1) + w2 * g2,
             w0 * w0 + w1 * w1 + 0.5 * (w2 * w2) + c0 * g0, re * re + im * im)
-
-
-def skew_apply_matrix(v) -> np.ndarray:
-    """Matrix K(v) with K(v) @ u == v x u, as a numpy 3x3 array."""
-    import numpy as np
-
-    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-
-
-def matrix_form_residual(y, inertia, g) -> float:
-    """Max-norm residual of the two commutator identities equivalent to the
-    component equations: dM/dt = [Om, M] + [G, Gam] and dGam/dt = [Om, Gam].
-
-    Analytically zero for every state; useful as a consistency check of sign
-    conventions.
-    """
-    import numpy as np
-
-    y = np.asarray(y, dtype=float)
-    dy = np.array(euler_poisson_rhs(y, inertia, g))
-    m = inertia * y[:3]
-    dm = inertia * dy[:3]
-
-    # Matrices in the layout K(v).T @ u == u x v.
-    M, Om, Gam, G, dM, dGam = (
-        skew_apply_matrix(v).T for v in (m, y[:3], y[3:], g, dm, dy[3:])
-    )
-    r1 = dM - (Om @ M - M @ Om) - (G @ Gam - Gam @ G)
-    r2 = dGam - (Om @ Gam - Gam @ Om)
-    return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))

@@ -2,12 +2,15 @@
 
 These deliberately re-derive results through different algorithms than the
 package (Cramer's rule, complete-pivot elimination, the dense 6x6 assembly of
-the hk step, the right-hand sides and RK4 in numpy vector arithmetic) so that
-agreement is a real cross-check.
+the hk step, the right-hand sides and RK4 in numpy vector arithmetic, the
+matrix-commutator form of the equations) so that agreement is a real
+cross-check.
 """
 
 import numpy as np
 import pytest
+
+from spintops.models import euler_poisson_rhs
 
 
 def vec3(x, y, z):
@@ -18,6 +21,33 @@ def cross(u, v):
     """Cross product u x v of two 3-vectors, by components."""
     return np.array([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
                      u[0] * v[1] - u[1] * v[0]])
+
+
+def skew_apply_matrix(v):
+    """Matrix K(v) with K(v) @ u == v x u, as a numpy 3x3 array."""
+    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
+
+
+def matrix_form_residual(y, inertia, g):
+    """Max-norm residual of the two commutator identities equivalent to the
+    component equations of `euler_poisson_rhs`: dM/dt = [Om, M] + [G, Gam]
+    and dGam/dt = [Om, Gam].
+
+    Analytically zero for every state; a consistency check of its sign
+    conventions.
+    """
+    y = np.asarray(y, dtype=float)
+    dy = np.array(euler_poisson_rhs(y, inertia, g))
+    m = inertia * y[:3]
+    dm = inertia * dy[:3]
+
+    # Matrices in the layout K(v).T @ u == u x v.
+    M, Om, Gam, G, dM, dGam = (
+        skew_apply_matrix(v).T for v in (m, y[:3], y[3:], g, dm, dy[3:])
+    )
+    r1 = dM - (Om @ M - M @ Om) - (G @ Gam - Gam @ G)
+    r2 = dGam - (Om @ Gam - Gam @ Om)
+    return float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
 
 
 def det3(a):

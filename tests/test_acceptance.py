@@ -17,7 +17,7 @@ from spintops.harness import (
 )
 from spintops.models import kowalevski_invariants
 
-from conftest import bohlin_reversal_defect, vec3
+from conftest import bohlin_reversal_defect, matrix_form_residual, vec3
 
 H = 0.001
 N = 50000
@@ -222,8 +222,6 @@ def test_criterion_9_convergence_orders():
 
 
 def test_criterion_10_matrix_form_residual():
-    from spintops.models import matrix_form_residual
-
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(100):

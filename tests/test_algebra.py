@@ -4,9 +4,10 @@ import pytest
 from spintops.algebra import SINGULAR_RTOL, SingularSystemError, bs_solve, solve3
 from spintops.hk import hk_step
 from spintops.kowalevski import gamma_step_rotation
-from spintops.models import KOWALEVSKI_INERTIA, skew_apply_matrix
+from spintops.models import KOWALEVSKI_INERTIA
 
-from conftest import assemble_system, cramer_solve3, cross, full_pivot_solve, vec3
+from conftest import (assemble_system, cramer_solve3, cross, full_pivot_solve, skew_apply_matrix,
+                      vec3)
 
 
 class TestCross:

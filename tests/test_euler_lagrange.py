@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from spintops import euler_lagrange
+from spintops.algebra import bs_solve
 from spintops.euler_lagrange import (
     ConvergenceError,
     bs_step_euler,
@@ -8,9 +10,9 @@ from spintops.euler_lagrange import (
     lagrange_step,
     symmetric_step_euler,
 )
-from spintops.models import skew_apply_matrix
+from spintops.hk import hk_omega
 
-from conftest import cramer_solve3, cross, vec3
+from conftest import cramer_solve3, cross, skew_apply_matrix, vec3
 
 I123 = np.array([1.0, 2.0, 3.0])
 
@@ -103,6 +105,25 @@ class TestSymmetricStepEuler:
         # h|omega| far beyond the fixed-point iteration's contraction range
         with pytest.raises(ConvergenceError):
             free_step(symmetric_step_euler, vec3(1, 20, 1), I123, 0.5)
+
+    def test_last_allowed_iterate_returns_if_it_satisfies_the_relation(self, monkeypatch):
+        # With one iterate allowed, the first is also the last. At h = 1e-3
+        # it has not stalled, but it satisfies the defining relation, so the
+        # step returns it; at h = 1e-2 it does not, so the step raises.
+        y, inertia = (0.7, -0.55, 0.4 / 3, 0.0, 0.0, 0.0), (1.0, 2.0, 3.0)
+        m = [i * w for i, w in zip(inertia, y[:3])]
+        w = [x / i for x, i in zip(m, inertia)]
+        seed = hk_omega((*w, 0.0, 0.0, 0.0), inertia, (0.0, 0.0, 0.0), 1e-3)
+        n = [i * o for i, o in zip(inertia, seed)]
+        first = bs_solve(m, [a + x / i for a, x, i in zip(w, n, inertia)], 0.25 * 1e-3)
+        assert max(abs(x - s) for x, s in zip(first, n)) > 1e-16
+        converged = symmetric_step_euler(y, inertia, 1e-3)
+        monkeypatch.setattr(euler_lagrange, "MAX_FIXED_POINT_ITERATIONS", 1)
+        out = symmetric_step_euler(y, inertia, 1e-3)
+        assert out == (*(x / i for x, i in zip(first, inertia)), *y[3:])
+        assert out != converged
+        with pytest.raises(ConvergenceError, match="symmetric free-top step did not converge"):
+            symmetric_step_euler(y, inertia, 1e-2)
 
 
 class TestLagrangeStep:

@@ -11,7 +11,8 @@ import pytest
 import spintops
 from spintops.algebra import NumericalError, bs_solve
 from spintops.cli import build_parser, main
-from spintops.euler_lagrange import FIXED_POINT_TOL, MAX_FIXED_POINT_ITERATIONS
+from spintops.euler_lagrange import (FIXED_POINT_TOL, MAX_FIXED_POINT_ITERATIONS,
+                                     ConvergenceError)
 from spintops.harness import (
     MODELS,
     ConfigError,
@@ -239,8 +240,9 @@ class TestRun:
     @pytest.mark.parametrize("model", MODELS)
     def test_csv_and_invariants_follow_the_model_schema(self, model, tmp_path):
         # Each model has exactly the invariants its function returns: the CSV
-        # header, every CSV row, the drift report, invariant_values and
-        # column() all follow its invariant_names, with no blank value.
+        # header, every CSV row, the drift report, invariant_values, values()
+        # and column() all follow its invariant_names, with no blank value;
+        # values() and column() of a state column read the states.
         invariant_names = {"euler": ("gamma_sq", "E"),
                            "lagrange": ("a_sq", "m_dot_p", "m_dot_a", "E"),
                            "kowalevski": ("gamma_sq", "two_ell", "E", "k_sq"),
@@ -263,6 +265,10 @@ class TestRun:
         assert traj.invariant_values.shape == (4, len(invariant_names))
         for j, name in enumerate(invariant_names):
             assert np.array_equal(traj.column(name), traj.invariant_values[:, j]), name
+            assert traj.values(name) == traj.invariant_values[:, j].tolist(), name
+        for j, name in enumerate(m.columns):
+            assert traj.values(name) == traj.states[:, j].tolist(), name
+            assert np.array_equal(traj.column(name), traj.states[:, j]), name
 
     def test_invariants_checked_when_read(self, tmp_path):
         # The bs step keeps this state finite, and its energy overflows: run
@@ -275,7 +281,8 @@ class TestRun:
         assert traj.states is traj.states
         path = tmp_path / "traj.csv"
         for read in (lambda: traj.invariant_values, lambda: traj.column("E"),
-                     lambda: drift_report(traj), lambda: traj.to_csv(str(path))):
+                     lambda: traj.values("E"), lambda: drift_report(traj),
+                     lambda: traj.to_csv(str(path))):
             with pytest.raises(NumericalError, match=r"^euler/bs run: invariant E overflows at step 0$"):
                 read()
         assert not path.exists()
@@ -369,30 +376,52 @@ class TestRun:
     def test_free_top_steppers_match_the_momentum_form(self, scheme, rng):
         # The free-top steppers advance the packed (omega, gamma): gamma comes
         # back bit for bit, and omega' bit for bit as the momentum-form step
-        # m -> m' written out below, with m = I omega and omega' = m' / I.
+        # m -> m' written out below, with m = I omega and omega' = m' / I. The
+        # symmetric form checks the defining relation on every iterate, and
+        # returns the first iterate that has stalled and satisfies it, or the
+        # last allowed one if that satisfies it; otherwise it raises
+        # ConvergenceError. Signed zeros, 1e+-300, inf and nan in the state
+        # and h = +-0 or 0.5 give the same bits or the same exception type.
         def momentum_step(m, inertia, h):
             w = m / inertia
             if scheme == "bs":
                 return np.array(bs_solve(m.tolist(), w.tolist(), 0.5 * h))
             n = inertia * np.array(hk_step((*w, 0.0, 0.0, 0.0), inertia, (0.0, 0.0, 0.0), h)[:3])
             scale, c = max(1.0, *np.abs(m)), 0.25 * h
-            for _ in range(MAX_FIXED_POINT_ITERATIONS):
+            for k in range(MAX_FIXED_POINT_ITERATIONS):
                 x = np.array(bs_solve(m.tolist(), (w + n / inertia).tolist(), c))
                 stalled = np.max(np.abs(x - n)) <= 1e-16 * scale
                 n = x
                 residual = n - m - c * np.cross(n + m, w + n / inertia)
-                if stalled and np.max(np.abs(residual)) <= FIXED_POINT_TOL * scale:
+                if np.max(np.abs(residual)) <= FIXED_POINT_TOL * scale \
+                        and (stalled or k == MAX_FIXED_POINT_ITERATIONS - 1):
                     return n
-            raise AssertionError("momentum-form step did not converge")
+            raise ConvergenceError("momentum-form step did not converge")
 
-        for _ in range(200):
-            inertia = rng.uniform(0.5, 3.0, 3)
+        def outcome(step):
+            try:
+                return np.array(step(), dtype=float).tobytes()
+            except Exception as e:
+                return type(e)
+
+        def check(inertia, y, h):
             cfg = RunConfig(model="euler", scheme=scheme, h=0.01, steps=1,
                             inertia=tuple(inertia.tolist()), init=np.zeros(6))
-            y, h = rng.normal(size=6), rng.uniform(-0.05, 0.05)
-            out = make_stepper(cfg)(tuple(y.tolist()), h)
-            assert out[3:] == tuple(y[3:].tolist())
-            assert np.array_equal(out[:3], momentum_step(inertia * y[:3], inertia, h) / inertia)
+            got = outcome(lambda: make_stepper(cfg)(tuple(y.tolist()), h))
+            with np.errstate(all="ignore"):
+                want = outcome(lambda: (*(momentum_step(inertia * y[:3], inertia, h) / inertia),
+                                        *y[3:]))
+            assert got == want, (inertia.tolist(), y.tolist(), h)
+
+        for _ in range(200):
+            check(rng.uniform(0.5, 3.0, 3), rng.normal(size=6), rng.uniform(-0.05, 0.05))
+        for h in (0.0, -0.0, 0.5, 0.01):
+            for v in (0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, np.inf, -np.inf, np.nan):
+                for i in range(6):
+                    y = rng.normal(size=6)
+                    y[i] = v
+                    check(rng.uniform(0.5, 3.0, 3), y, h)
+                check(rng.uniform(0.5, 3.0, 3), np.full(6, v), h)
 
 
 # Random parameters a model reads, for the reference stepper.
@@ -471,6 +500,15 @@ class TestEstimatePeriod:
         t = np.arange(0, 10, 0.01)
         series = 3.0 + 0.25 * np.sin(2 * np.pi * t / 2.5)
         assert estimate_period(series, 0.01) == pytest.approx(2.5, abs=0.025)
+
+    def test_mean_of_values_near_the_float_range(self):
+        # The sum of the values overflows, their mean does not.
+        assert estimate_period([1e308, 1e308, -1e308, -1e308] * 3, 1.0) == 4.0
+
+    def test_non_finite_series_rejected(self):
+        for series in ([math.inf, -math.inf, 0.0, 1.0] * 3, [math.nan, 0.0, 1.0] * 3):
+            with pytest.raises(PeriodEstimationError):
+                estimate_period(series, 1.0)
 
 
 class TestConvergenceStudy:
@@ -858,6 +896,34 @@ class TestCli:
         states = "\n".join(",".join(line.split(",")[:8]) for line in lines)
         assert hashlib.sha256(states.encode()).hexdigest() == \
             "b9688a1cdadf25ef55fab9623719a8f3da842a7c8df61b1a1196ff5722f0cd8c"
+
+    def test_period_runs_without_numpy(self):
+        # With numpy made unimportable, period reads a state column or an
+        # invariant column as floats and prints the periods recorded below:
+        # the README command, the Euler symmetric scheme and a Lagrange
+        # invariant.
+        script = """if True:
+            import sys
+            sys.modules["numpy"] = None
+            from spintops.cli import main
+            for argv in (
+                    ["--model", "kowalevski", "--scheme", "hk", "--h", "0.001", "--steps", "50000",
+                     "--stride", "10", "--column", "g3"],
+                    ["--model", "euler", "--scheme", "symmetric", "--h", "0.01", "--steps", "5000",
+                     "--stride", "1", "--inertia", "1,2,3", "--init", "1,1,1,1,0,0",
+                     "--column", "w1"],
+                    ["--model", "lagrange", "--scheme", "bs", "--h", "0.01", "--steps", "5000",
+                     "--stride", "1", "--p", "0,0,1", "--init", "0.2,-0.1,1,0.7071,0,0.7071",
+                     "--column", "E"]):
+                assert main(["period", *argv]) == 0
+        """
+        src = str(Path(spintops.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["estimated period of g3: 28.173",
+                                           "estimated period of w1: 6.42275",
+                                           "estimated period of E: 0.169706"]
 
     def test_negative_comma_list_values(self, capsys):
         for argv, energy in NEGATIVE_LIST_VALUES:

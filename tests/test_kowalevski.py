@@ -15,9 +15,9 @@ from spintops.kowalevski import (
     stereo_forward,
     stereo_inverse,
 )
-from spintops.models import kowalevski_invariants, skew_apply_matrix, xi
+from spintops.models import kowalevski_invariants, xi
 
-from conftest import bohlin_reversal_defect, cramer_solve3, cross, vec3
+from conftest import bohlin_reversal_defect, cramer_solve3, cross, skew_apply_matrix, vec3
 
 C0 = 1.0
 BENCH = np.array([2, 0, 0, np.sqrt(1 - 0.001**2), 0, 0.001])

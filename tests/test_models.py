@@ -15,11 +15,10 @@ from spintops.models import (
     euler_poisson_rhs,
     invariants,
     kowalevski_invariants,
-    matrix_form_residual,
     xi,
 )
 
-from conftest import componentwise_rhs, vec3
+from conftest import componentwise_rhs, matrix_form_residual, vec3
 
 # The reduced-top test point used throughout (w1=2, gamma_3=0.001).
 KOW_INIT = np.array([2, 0, 0, 0.9999995, 0, 0.001])
@@ -199,7 +198,6 @@ _OF_STATE = {
     "kowalevski_invariants": lambda y: kowalevski_invariants(y, C0),
     "lagrange_invariants": lambda y: lagrange_invariants(y, _P, _H),
     "xi": lambda y: xi(y, C0),
-    "matrix_form_residual": lambda y: matrix_form_residual(y, _INERTIA, _G),
 }
 
 
