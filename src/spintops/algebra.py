@@ -41,8 +41,9 @@ def numerical_guard(what: str):
 
 
 # Relative singularity cutoff of the hk system: hk_omega, the elimination
-# stage of hk_step, passes solve3 the cutoff that makes the 6x6 system
-# singular when |det6| <= SINGULAR_RTOL * ||M||_F ** 6.
+# stage of hk_step, and the seed of symmetric_step_euler, the same system at
+# gamma = 0 and g = 0 written out as one 3x3 system, pass solve3 the cutoff
+# that makes the 6x6 system singular when |det6| <= SINGULAR_RTOL * ||M||_F ** 6.
 SINGULAR_RTOL = 1e-14
 
 

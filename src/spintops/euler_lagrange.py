@@ -5,13 +5,15 @@ Free-top steps take the packed state (omega, gamma), advance the angular
 momentum m = diag(A, B, C) omega and return omega' with gamma unchanged. The
 inertial-frame solver advances (m, a) with a fixed vertical p. Each step takes
 any sequence of six floats and returns a tuple of six; the inertia and the
-vertical arrive as three floats each.
+vertical arrive as three floats each. The fully symmetric free-top step is
+seeded by the free-top bilinear step, one 3x3 solve.
 """
 
 from __future__ import annotations
 
-from .algebra import NumericalError, bs_solve
-from .hk import hk_omega
+import math
+
+from .algebra import SINGULAR_RTOL, NumericalError, bs_solve, solve3
 
 
 class ConvergenceError(NumericalError):
@@ -39,7 +41,13 @@ def symmetric_step_euler(y, inertia, h: float) -> tuple[float, ...]:
 
     Conserves both |m|^2 and m.omega and is symmetric under h -> -h, at the
     price of an implicit solve. Fixed-point iteration seeded by the bilinear
-    free-top step, hk_omega at gamma = 0 and g = 0. With
+    free-top step of Kahan, one 3x3 system in omega':
+
+        omega'_i - k_i (omega'_j omega_k + omega_j omega'_k) = omega_i,
+        k_i = h (I_j - I_k) / (2 I_i), (i, j, k) cyclic.
+
+    It is the hk system at gamma = 0 and g = 0, with the cutoff and the
+    overflow check of hk_omega and the same bits. With
     scale = max(1, |m1|, |m2|, |m3|), the step returns the first iterate that
     has stalled (each component moved by at most 1e-16 * scale) and satisfies
     the defining relation to FIXED_POINT_TOL * scale, or the last of
@@ -50,7 +58,26 @@ def symmetric_step_euler(y, inertia, h: float) -> tuple[float, ...]:
     A, B, C = inertia
     m0, m1, m2 = m = A * y[0], B * y[1], C * y[2]
     w0, w1, w2 = m0 / A, m1 / B, m2 / C
-    o0, o1, o2 = hk_omega((w0, w1, w2, 0.0, 0.0, 0.0), inertia, (0.0, 0.0, 0.0), h)
+    hh = 0.5 * h
+    k0, k1, k2 = h * (B - C) / (2.0 * A), h * (C - A) / (2.0 * B), h * (A - B) / (2.0 * C)
+    b0, b1, b2 = h / (2.0 * A), h / (2.0 * B), h / (2.0 * C)
+    s0, s1, s2 = hh * w0, hh * w1, hh * w2
+    s_sq = s0 * s0 + s1 * s1 + s2 * s2
+    # ||M||_F^2 of the 6x6 hk system. Its gravity terms, b_i^2 (e_j^2 + e_k^2)
+    # and (h/2)^2 |gamma|^2 with b_i = h/(2 I_i), are products with zero here:
+    # zero, or nan when b_i^2 or (h/2)^2 overflows, so they stay in the norm.
+    fro_sq = (6.0 + k0 * k0 * (w1 * w1 + w2 * w2) + k1 * k1 * (w0 * w0 + w2 * w2)
+              + k2 * k2 * (w0 * w0 + w1 * w1) + 2.0 * s_sq
+              + 0.0 * (b0 * b0 + b1 * b1 + b2 * b2 + hh * hh))
+    if not math.isfinite(fro_sq):
+        raise NumericalError(f"hk system overflows (||M||_F^2={fro_sq:.3e})")
+    # The dropped gravity rows add a zero to each entry off the diagonal, of
+    # the sign of I_i in row i, and +0 to each right-hand side: a sum with a
+    # zero can set the sign of a zero in omega', so both stay.
+    zA, zB, zC = 0.0 * A, 0.0 * B, 0.0 * C
+    o0, o1, o2 = solve3(((1.0, -k0 * w2 + zA, -k0 * w1 + zA), (-k1 * w2 + zB, 1.0, -k1 * w0 + zB),
+                         (-k2 * w1 + zC, -k2 * w0 + zC, 1.0)), (w0 + 0.0, w1 + 0.0, w2 + 0.0),
+                        1.0 / (1.0 + s_sq) * SINGULAR_RTOL * fro_sq * fro_sq * fro_sq)
     n0, n1, n2 = A * o0, B * o1, C * o2
     scale = max(1.0, abs(m0), abs(m1), abs(m2))
     tol, still, c = FIXED_POINT_TOL * scale, 1e-16 * scale, 0.25 * h

@@ -4,9 +4,9 @@ Each step is linear in the new (omega, gamma), so the update is one 6x6 linear
 system. The defining relations are invariant under h -> -h with the two time
 levels exchanged, which makes the scheme time-reversal symmetric. The step
 comes in two stages: hk_omega eliminates gamma' and solves for omega' alone,
-which is all that the hybrid predictor and the free-top seed of the symmetric
-step use, and hk_step then recovers gamma' in closed form. Both take any
-sequence of six floats; hk_step returns a tuple of six, hk_omega of three.
+which is all that the hybrid predictor uses, and hk_step then recovers gamma'
+in closed form. Both take any sequence of six floats; hk_step returns a tuple
+of six, hk_omega of three.
 """
 
 from __future__ import annotations

@@ -101,6 +101,29 @@ class TestSymmetricStepEuler:
         assert abs(m @ m - m0sq) <= 1e-11
         assert abs(m @ (m / I123) - mw0) <= 1e-11
 
+    @pytest.mark.parametrize("h", [1e-3, 1e-2, 5e-2])
+    def test_contract_on_random_states(self, h, rng):
+        # From 20 seeded random states and inertias, n = 100 steps keep |m|^2
+        # and m.omega to c eps sqrt(n) of their size, and n steps back with -h
+        # return to m within c eps sqrt(n) max|m|, with c = 8: roundoff, which
+        # grows like sqrt(n). gamma comes back bit for bit.
+        n = 100
+        bound = 8 * np.finfo(float).eps * np.sqrt(n)
+        for _ in range(20):
+            inertia = tuple(rng.uniform(0.5, 3.0, 3).tolist())
+            start = tuple(rng.normal(size=6).tolist())
+            y = start
+            for _ in range(n):
+                y = symmetric_step_euler(y, inertia, h)
+            m0, m = np.multiply(inertia, start[:3]), np.multiply(inertia, y[:3])
+            assert abs(m @ m - m0 @ m0) <= bound * (m0 @ m0)
+            assert abs(m @ y[:3] - m0 @ start[:3]) <= bound * (m0 @ start[:3])
+            for _ in range(n):
+                y = symmetric_step_euler(y, inertia, -h)
+            back = np.multiply(inertia, y[:3])
+            assert np.max(np.abs(back - m0)) <= bound * np.max(np.abs(m0))
+            assert y[3:] == start[3:]
+
     def test_non_convergence(self):
         # h|omega| far beyond the fixed-point iteration's contraction range
         with pytest.raises(ConvergenceError):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import spintops
-from spintops.algebra import NumericalError, bs_solve
+from spintops.algebra import NumericalError, SingularSystemError, bs_solve
 from spintops.cli import build_parser, main
 from spintops.euler_lagrange import (FIXED_POINT_TOL, MAX_FIXED_POINT_ITERATIONS,
                                      ConvergenceError)
@@ -377,11 +378,16 @@ class TestRun:
         # The free-top steppers advance the packed (omega, gamma): gamma comes
         # back bit for bit, and omega' bit for bit as the momentum-form step
         # m -> m' written out below, with m = I omega and omega' = m' / I. The
-        # symmetric form checks the defining relation on every iterate, and
+        # symmetric form is seeded by hk_step at gamma = 0 and g = 0, the full
+        # 6x6 elimination, checks the defining relation on every iterate, and
         # returns the first iterate that has stalled and satisfies it, or the
         # last allowed one if that satisfies it; otherwise it raises
-        # ConvergenceError. Signed zeros, 1e+-300, inf and nan in the state
-        # and h = +-0 or 0.5 give the same bits or the same exception type.
+        # ConvergenceError. Both sides give the same bytes, signed zeros
+        # included, or the same exception type and message, on random states,
+        # on signed zeros, 1e+-300, inf and nan in the state, and on the grid
+        # omega in {0, -0, 1, -1.5}^3 with inertias that make a k_i zero. On
+        # the grid, h = 10 reaches the signed zeros off the diagonal of the
+        # seed's 3x3 system, and h = 1e300 a norm that overflows.
         def momentum_step(m, inertia, h):
             w = m / inertia
             if scheme == "bs":
@@ -396,13 +402,13 @@ class TestRun:
                 if np.max(np.abs(residual)) <= FIXED_POINT_TOL * scale \
                         and (stalled or k == MAX_FIXED_POINT_ITERATIONS - 1):
                     return n
-            raise ConvergenceError("momentum-form step did not converge")
+            raise ConvergenceError("symmetric free-top step did not converge")
 
         def outcome(step):
             try:
                 return np.array(step(), dtype=float).tobytes()
             except Exception as e:
-                return type(e)
+                return type(e), str(e)
 
         def check(inertia, y, h):
             cfg = RunConfig(model="euler", scheme=scheme, h=0.01, steps=1,
@@ -412,6 +418,7 @@ class TestRun:
                 want = outcome(lambda: (*(momentum_step(inertia * y[:3], inertia, h) / inertia),
                                         *y[3:]))
             assert got == want, (inertia.tolist(), y.tolist(), h)
+            return got
 
         for _ in range(200):
             check(rng.uniform(0.5, 3.0, 3), rng.normal(size=6), rng.uniform(-0.05, 0.05))
@@ -422,6 +429,16 @@ class TestRun:
                     y[i] = v
                     check(rng.uniform(0.5, 3.0, 3), y, h)
                 check(rng.uniform(0.5, 3.0, 3), np.full(6, v), h)
+        outcomes = set()
+        for inertia in ((1.0, 2.0, 3.0), (1.0, 1.0, 2.0), (2.0, 2.0, 2.0), (3.0, 2.0, 2.0)):
+            for omega in itertools.product((0.0, -0.0, 1.0, -1.5), repeat=3):
+                for h in (0.01, -0.01, 0.0, -0.0, 0.5, -0.5, 10.0, 1e9, 1e300):
+                    got = check(np.array(inertia), np.array([*omega, 0.25, -0.0, 1.0]), h)
+                    outcomes.add(type(got) if type(got) is bytes else got[0])
+        # On the grid the symmetric step meets every outcome: a return, a
+        # singular system, an overflowing norm and non-convergence.
+        if scheme == "symmetric":
+            assert {bytes, SingularSystemError, NumericalError, ConvergenceError} <= outcomes
 
 
 # Random parameters a model reads, for the reference stepper.
