@@ -8,12 +8,12 @@ step through one checked loop, `_steps`. `run` keeps every stride-th state as
 six floats in a Trajectory and writes no file; the other two keep the loop's
 last state and compare endpoints. None of them imports numpy. A Trajectory
 computes its invariants on floats, one sample at a time, when `to_csv`,
-`drift_report` or an invariant column first reads them, so `to_csv` and
-`drift_report` never import numpy, nor does `estimate_period`, which takes
-floats. A Trajectory makes each array attribute when it is first read;
-numpy enters only there. `RunConfig`, `Model` and `InvariantDrift` are named
-tuples and `Trajectory` is a plain class: `dataclasses` would import
-`inspect`, and so `ast`, `dis` and `tokenize`, in every CLI process.
+`drift_report` or `values` first reads them, so `to_csv` and `drift_report`
+never import numpy, nor does `estimate_period`, which takes floats. numpy
+enters only in `Trajectory.states`, the one array, made when first read.
+`RunConfig`, `Model` and `InvariantDrift` are named tuples and `Trajectory`
+is a plain class: `dataclasses` would import `inspect`, and so `ast`, `dis`
+and `tokenize`, in every CLI process.
 """
 
 from __future__ import annotations
@@ -139,26 +139,17 @@ class RunConfig(NamedTuple):
 
 class Trajectory:
     """The states of a run at steps 0, stride, 2*stride, ... as six floats
-    each, from a validated config. The invariants and each array are
-    computed when first read, once."""
+    each, in `samples`, from a validated config. The invariants and the
+    `states` array are computed when first read, once."""
 
     def __init__(self, config: RunConfig, samples: list[tuple[float, ...]]):
         self.config = config
         self.samples = samples
 
     @property
-    def _step_numbers(self) -> range:
+    def steps(self) -> range:
+        """The step number of each sample."""
         return range(0, self.config.steps + 1, self.config.stride)
-
-    @cached_property
-    def steps(self) -> np.ndarray:
-        import numpy as np
-
-        return np.arange(0, self.config.steps + 1, self.config.stride)
-
-    @cached_property
-    def t(self) -> np.ndarray:
-        return self.steps * self.config.h
 
     @cached_property
     def states(self) -> np.ndarray:
@@ -168,13 +159,6 @@ class Trajectory:
         n = len(self.samples)
         # One flat pass over the floats: 2.5 times as fast as from the tuples.
         return np.fromiter(chain.from_iterable(self.samples), float, 6 * n).reshape(n, 6)
-
-    @cached_property
-    def invariant_values(self) -> np.ndarray:
-        """One column per invariant name of the model."""
-        import numpy as np
-
-        return np.column_stack(self._invariant_columns)
 
     @cached_property
     def _invariant_columns(self) -> list:
@@ -193,7 +177,7 @@ class Trajectory:
                        for j in bad)
             raise NumericalError(f"{config.model}/{config.scheme} run: invariant "
                                  f"{model.invariant_names[j]} overflows at step "
-                                 f"{self._step_numbers[i]}")
+                                 f"{self.steps[i]}")
         return columns
 
     def values(self, name: str) -> list[float]:
@@ -206,12 +190,6 @@ class Trajectory:
             return list(self._invariant_columns[model.invariant_names.index(name)])
         raise KeyError(name)
 
-    def column(self, name: str) -> np.ndarray:
-        """`values(name)` as a numpy array."""
-        import numpy as np
-
-        return np.array(self.values(name))
-
     def to_csv(self, path: str) -> None:
         """Write one row per sample. Every invariant is computed and checked
         before the file is opened."""
@@ -221,7 +199,7 @@ class Trajectory:
         names = ("step", "t") + model.columns + model.invariant_names
         with open(path, "w", newline="\n") as f:
             f.write(",".join(names) + "\n")
-            for n, state, invs in zip(self._step_numbers, self.samples, rows):
+            for n, state, invs in zip(self.steps, self.samples, rows):
                 cells = ",".join([f"{v:.17g}" for v in state + invs])
                 f.write(f"{n},{n * config.h:.17g},{cells}\n")
 
@@ -354,9 +332,13 @@ def _steps(config: RunConfig, hs, what: str):
 
 def run(config: RunConfig) -> Trajectory:
     """Iterate the configured scheme from the init as six floats and keep
-    every stride-th state. Raises NumericalError naming the first step whose
-    state is non-finite; the invariants are checked when first read."""
+    every stride-th state. Raises ConfigError, before any step, if the last
+    sample time steps*h is past the float range, and NumericalError naming
+    the first step whose state is non-finite; the invariants are checked when
+    first read."""
     config = config.validated()
+    if not math.isfinite(config.steps * config.h):
+        raise ConfigError(f"steps*h must be finite, not {config.steps}*{config.h:g}")
     stride = config.stride
     loop = _steps(config, repeat(config.h, config.steps), "run")
     return Trajectory(config, [config.init, *islice(loop, stride - 1, None, stride)])

@@ -49,13 +49,13 @@ def bohlin_a_traj():
 
 @pytest.mark.slow
 def test_criterion_1_hk_k_sq_band(hk_traj):
-    k = hk_traj.column("k_sq")
+    k = np.array(hk_traj.values("k_sq"))
     inc = np.diff(k)
     sign_changes = int(np.sum(np.sign(inc[:-1]) != np.sign(inc[1:])))
     # hk is symmetric, so its error is even in h: over the same T = N * H the
     # band width shrinks 4x each time h halves.
     widths = [np.ptp(run(RunConfig(model="kowalevski", scheme="hk", h=h, steps=round(N * H / h),
-                                   stride=1)).column("k_sq")) for h in (2 * H, H / 2)]
+                                   stride=1)).values("k_sq")) for h in (2 * H, H / 2)]
     ratios = (widths[0] / np.ptp(k), np.ptp(k) / widths[1])
     ok = (9.0000025 <= k.min() and k.max() <= 9.0000115 and sign_changes >= 10
           and all(abs(r - 4.0) <= 0.01 for r in ratios))
@@ -104,8 +104,8 @@ def test_criterion_4_bohlin_a_exactness_and_drift(bohlin_a_traj):
 
 @pytest.mark.slow
 def test_criterion_5_period_contrast(hk_traj, bohlin_a_traj):
-    p_hk = estimate_period(hk_traj.column("g3"), H)
-    p_a = estimate_period(bohlin_a_traj.column("g3"), H)
+    p_hk = estimate_period(hk_traj.values("g3"), H)
+    p_a = estimate_period(bohlin_a_traj.values("g3"), H)
     rel = abs(p_hk - p_a) / p_hk
     ok = rel > 0.05
     _check(5, ok, f"gamma_3 periods {p_hk:.4f} vs {p_a:.4f} ({100 * rel:.1f}% apart)")

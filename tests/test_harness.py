@@ -210,27 +210,47 @@ class TestRun:
         cfg = kow_cfg(steps=100, stride=7).validated()
         traj = run(cfg)
         assert len(traj.steps) == 100 // 7 + 1
-        assert np.array_equal(traj.steps, np.arange(0, 101, 7))
+        assert traj.steps == range(0, 101, 7)
         # Row i is the state after traj.steps[i] hand steps, bit for bit.
         step, y, n = make_stepper(cfg), cfg.init, 0
-        for k, state in zip(traj.steps.tolist(), traj.states):
+        for k, state in zip(traj.steps, traj.states):
             while n < k:
                 y, n = step(y, cfg.h), n + 1
             assert np.array_equal(state, y), k
 
-    def test_time_column(self):
+    def test_time_column(self, tmp_path):
+        # The t cell of each CSV row is its step number times h, to 17 digits.
         traj = run(kow_cfg(steps=20, stride=5))
-        assert np.allclose(traj.t, traj.steps * 0.001, atol=1e-18)
+        path = tmp_path / "traj.csv"
+        traj.to_csv(str(path))
+        rows = [row.split(",") for row in path.read_text().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [[str(n), f"{n * 0.001:.17g}"]
+                                             for n in range(0, 21, 5)]
 
     def test_invariant_columns_self_consistent(self):
         traj = run(kow_cfg(steps=50))
-        for i in range(len(traj.steps)):
+        rows = list(zip(*map(traj.values, MODELS["kowalevski"].invariant_names)))
+        assert len(rows) == len(traj.steps)
+        for i, row in enumerate(rows):
             y = traj.states[i]
             gamma_sq, _, energy = invariants(y, KOWALEVSKI_INERTIA, (1.0, 0.0, 0.0))
-            row = traj.invariant_values[i]
-            assert tuple(row.tolist()) == kowalevski_invariants(traj.samples[i], 1.0)
+            assert row == kowalevski_invariants(traj.samples[i], 1.0)
             assert abs(row[0] - gamma_sq) <= 1e-15
             assert abs(row[2] - energy) <= 1e-15
+
+    def test_last_sample_time_past_the_float_range(self, monkeypatch):
+        # 3 * 1e308 overflows, so the t of the last CSV row would be inf: run
+        # refuses the config before it steps. One step of 1e308 runs, and
+        # reversal_test and convergence_study, which ignore steps, run too.
+        cfg = RunConfig(model="euler", scheme="reference", h=1e308, steps=3, stride=1,
+                        init=(0, 0, 0, 1, 0, 0))
+        with monkeypatch.context() as m:
+            m.setattr("spintops.harness.make_stepper", None)
+            with pytest.raises(ConfigError, match=r"^steps\*h must be finite, not 3\*1e\+308$"):
+                run(cfg)
+        assert run(cfg._replace(steps=1)).steps == range(2)
+        assert reversal_test(cfg, 0) == 0.0
+        assert len(convergence_study(cfg, [0.02, 0.01, 0.005], 0.02)) == 3
 
     def test_determinism_identical_csv_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -241,9 +261,9 @@ class TestRun:
     @pytest.mark.parametrize("model", MODELS)
     def test_csv_and_invariants_follow_the_model_schema(self, model, tmp_path):
         # Each model has exactly the invariants its function returns: the CSV
-        # header, every CSV row, the drift report, invariant_values, values()
-        # and column() all follow its invariant_names, with no blank value;
-        # values() and column() of a state column read the states.
+        # header, every CSV row, the drift report and values() all follow its
+        # invariant_names, with no blank value; values() of a state column
+        # reads the states.
         invariant_names = {"euler": ("gamma_sq", "E"),
                            "lagrange": ("a_sq", "m_dot_p", "m_dot_a", "E"),
                            "kowalevski": ("gamma_sq", "two_ell", "E", "k_sq"),
@@ -263,13 +283,12 @@ class TestRun:
             cells = row.split(",")
             assert len(cells) == 2 + len(m.columns) + len(invariant_names) and all(cells), row
         assert tuple(drift_report(traj)) == invariant_names
-        assert traj.invariant_values.shape == (4, len(invariant_names))
+        invariants_of = m.invariants(traj.config)
         for j, name in enumerate(invariant_names):
-            assert np.array_equal(traj.column(name), traj.invariant_values[:, j]), name
-            assert traj.values(name) == traj.invariant_values[:, j].tolist(), name
+            assert traj.values(name) == [invariants_of(y)[j] for y in traj.samples], name
+            assert len(traj.values(name)) == 4, name
         for j, name in enumerate(m.columns):
             assert traj.values(name) == traj.states[:, j].tolist(), name
-            assert np.array_equal(traj.column(name), traj.states[:, j]), name
 
     def test_invariants_checked_when_read(self, tmp_path):
         # The bs step keeps this state finite, and its energy overflows: run
@@ -281,8 +300,7 @@ class TestRun:
         assert np.all(np.isfinite(traj.states))
         assert traj.states is traj.states
         path = tmp_path / "traj.csv"
-        for read in (lambda: traj.invariant_values, lambda: traj.column("E"),
-                     lambda: traj.values("E"), lambda: drift_report(traj),
+        for read in (lambda: traj.values("E"), lambda: drift_report(traj),
                      lambda: traj.to_csv(str(path))):
             with pytest.raises(NumericalError, match=r"^euler/bs run: invariant E overflows at step 0$"):
                 read()
@@ -305,23 +323,29 @@ class TestRun:
     def test_invariants_same_on_floats_and_on_columns(self, model, scheme, tmp_path,
                                                       monkeypatch):
         # A run computes its invariants on floats whether or not numpy is
-        # imported: the CSV and the drift report are the same to the bit
-        # either way, and the invariant_values columns hold those floats.
+        # imported: the CSV, the drift report, the step numbers and every
+        # column are the same to the bit either way, and the invariant
+        # columns hold the invariant function's floats.
         init = None if model == "kowalevski" else (0.3, -0.2, 0.9, 0.6, 0.0, 0.8)
         cfg = RunConfig(model=model, scheme=scheme, h=0.01, steps=60, stride=3, init=init)
+        names = MODELS[model].columns + MODELS[model].invariant_names
         with monkeypatch.context() as m:
             m.setitem(sys.modules, "numpy", None)
             without_numpy = run(cfg)
             without_numpy.to_csv(str(tmp_path / "without_numpy.csv"))
             report = drift_report(without_numpy)
+            steps = len(without_numpy.steps), list(without_numpy.steps)
+            values = [without_numpy.values(name) for name in names]
         with_numpy = run(cfg)
         with_numpy.to_csv(str(tmp_path / "with_numpy.csv"))
         assert ((tmp_path / "without_numpy.csv").read_bytes()
                 == (tmp_path / "with_numpy.csv").read_bytes())
         assert drift_report(with_numpy) == report
+        assert steps == (21, list(range(0, 61, 3)))
+        assert values == [with_numpy.values(name) for name in names]
         invariants_of = MODELS[model].invariants(with_numpy.config)
-        assert with_numpy.invariant_values.tolist() == [
-            list(invariants_of(y)) for y in with_numpy.samples]
+        assert values[len(MODELS[model].columns):] == [
+            list(col) for col in zip(*map(invariants_of, with_numpy.samples))]
 
     def test_many_samples_read_without_numpy(self):
         # A run of 20 001 samples writes its CSV and drift report with numpy
@@ -726,6 +750,14 @@ class TestCli:
                             (["reverse", *head, "--n", "1000"], "step 1 of the round trip\n")]:
             assert main(argv) == 3, argv
             assert capsys.readouterr().err.endswith(f"non-finite state at {where}"), argv
+
+    def test_last_sample_time_past_the_float_range_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        assert main(["run", "--model", "euler", "--scheme", "reference", "--h", "1e308",
+                     "--steps", "3", "--stride", "1", "--init", "0,0,0,1,0,0",
+                     "--out", str(path)]) == 2
+        assert capsys.readouterr() == ("", "config error: steps*h must be finite, not 3*1e+308\n")
+        assert not path.exists()
 
     def test_config_error_exit_code(self, capsys):
         for argv in CONFIG_ERRORS:
