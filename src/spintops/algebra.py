@@ -1,5 +1,5 @@
-"""Small kernels: the numerical guard, a 3x3 Cramer solve and the Cayley
-update.
+"""Small kernels and the numerical error types: a 3x3 Cramer solve and the
+Cayley update.
 
 Every step carries its state as six Python floats, and the two solve kernels
 it calls work on floats too: a vector is any sequence of three numbers and a
@@ -9,8 +9,6 @@ numpy. All functions are pure and thread-safe.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 
 class NumericalError(RuntimeError):
     """Base class for numerical failures (singular systems, non-convergence)."""
@@ -18,26 +16,6 @@ class NumericalError(RuntimeError):
 
 class SingularSystemError(NumericalError):
     """Raised when a linear system is singular to working precision."""
-
-
-@contextmanager
-def numerical_guard(what: str):
-    """Raise NumericalError when a float operation in the block raises: a
-    Python power or abs that overflows, a math or cmath call outside its
-    domain, which raises a plain ValueError (math.tan(inf)). Python float
-    arithmetic itself raises nothing: it yields inf or nan, which the callers
-    check for. A NumericalError raised in the block keeps its type, and its
-    message gets the prefix `what` too. Subclasses of ValueError are
-    configuration errors and pass through."""
-    try:
-        yield
-    except NumericalError as e:
-        e.args = (f"{what}: {e}",)
-        raise
-    except (ArithmeticError, ValueError) as e:
-        if isinstance(e, ValueError) and type(e) is not ValueError:
-            raise
-        raise NumericalError(f"{what}: {e}") from e
 
 
 # Relative singularity cutoff of the hk system: hk_omega, the elimination

@@ -41,20 +41,17 @@ def _reals(text: str) -> tuple[float, ...]:
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    """The flags of a run, one per RunConfig field, and --out. A parameter
-    flag that is not given keeps RunConfig's default."""
+    """The flags every command takes, one per RunConfig field but the counts.
+    A parameter flag that is not given keeps RunConfig's default."""
     p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--scheme", required=True,
                    choices=list(dict.fromkeys(s for m in MODELS.values() for s in m.schemes)))
     p.add_argument("--h", type=float, required=True)
-    p.add_argument("--steps", type=int, default=0)
-    p.add_argument("--stride", type=int, default=10)
     p.add_argument("--c0", type=float)
     p.add_argument("--init", help="6 comma-separated reals (w,gamma or m,a)")
     p.add_argument("--inertia", help="A,B,C")
     p.add_argument("--gravity", help="x0,y0,z0 (times mg=1)")
     p.add_argument("--p", dest="vertical", help="constant vertical (lagrange)")
-    p.add_argument("--out", dest="out_path")
 
 
 def _check_out(path: str | None) -> None:
@@ -157,22 +154,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="integrate and report invariant drift")
-    _add_run_flags(p_run)
-    p_run.set_defaults(func=_cmd_run)
-
     p_rev = sub.add_parser("reverse", help="forward/backward round-trip error")
-    _add_run_flags(p_rev)
+    p_conv = sub.add_parser("converge", help="observed-order study")
+    p_per = sub.add_parser("period", help="dominant oscillation period of a column")
+    for p in (p_run, p_rev, p_conv, p_per):
+        _add_run_flags(p)
+    # reverse validates --steps but does not use it, as converge does --h.
+    for p in (p_run, p_rev, p_per):
+        p.add_argument("--steps", type=int)
+    for p in (p_run, p_per):
+        p.add_argument("--stride", type=int, default=10)
+        p.add_argument("--out", dest="out_path")
+    p_run.set_defaults(func=_cmd_run)
     p_rev.add_argument("--n", type=int, default=1000, help="steps each direction")
     p_rev.set_defaults(func=_cmd_reverse)
-
-    p_conv = sub.add_parser("converge", help="observed-order study")
-    _add_run_flags(p_conv)
     p_conv.add_argument("--h-list", required=True, help="comma-separated step sizes")
     p_conv.add_argument("--t-end", type=float, required=True)
     p_conv.set_defaults(func=_cmd_converge)
-
-    p_per = sub.add_parser("period", help="dominant oscillation period of a column")
-    _add_run_flags(p_per)
     p_per.add_argument("--column", default="g3")
     p_per.set_defaults(func=_cmd_period)
 
@@ -184,8 +182,9 @@ def main(argv: list[str] | None = None) -> int:
         try:
             args = build_parser().parse_args(
                 _join_negative_values(sys.argv[1:] if argv is None else argv))
-            # Only the flags given reach RunConfig, which supplies the rest.
-            given = {name: getattr(args, name) for name in RunConfig._fields}
+            # Only the flags given reach RunConfig, which supplies the rest:
+            # a flag left out, or one the command does not take, reads None.
+            given = {name: getattr(args, name, None) for name in RunConfig._fields}
             config = RunConfig(**{name: _reals(value) if name in _VECTORS else value
                                   for name, value in given.items() if value is not None})
             return args.func(config.validated(), args)

@@ -4,16 +4,17 @@ emission.
 
 Every stepper, the RK4 `reference` included, takes the state as six floats
 and returns a tuple of six. `run`, `reversal_test` and `convergence_study`
-step through one checked loop, `_steps`. `run` keeps every stride-th state as
-six floats in a Trajectory and writes no file; the other two keep the loop's
-last state and compare endpoints. None of them imports numpy. A Trajectory
-computes its invariants on floats, one sample at a time, when `to_csv`,
-`drift_report` or `values` first reads them, so `to_csv` and `drift_report`
-never import numpy, nor does `estimate_period`, which takes floats. numpy
-enters only in `Trajectory.states`, the one array, made when first read.
-`RunConfig`, `Model` and `InvariantDrift` are named tuples and `Trajectory`
-is a plain class: `dataclasses` would import `inspect`, and so `ast`, `dis`
-and `tokenize`, in every CLI process.
+step through one checked loop, `_steps`, which turns every failure of a step
+into a NumericalError that names the model and scheme. `run` keeps every
+stride-th state as six floats in a Trajectory and writes no file; the other
+two keep the loop's last state and compare endpoints. None of them imports
+numpy. A Trajectory computes its invariants on floats, one sample at a time,
+when `to_csv`, `drift_report` or `values` first reads them, so `to_csv` and
+`drift_report` never import numpy, nor does `estimate_period`, which takes
+floats. numpy enters only in `Trajectory.states`, the one array, made when
+first read. `RunConfig`, `Model` and `InvariantDrift` are named tuples and
+`Trajectory` is a plain class: `dataclasses` would import `inspect`, and so
+`ast`, `dis` and `tokenize`, in every CLI process.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from itertools import chain, islice, repeat
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import euler_lagrange, kowalevski
-from .algebra import NumericalError, numerical_guard
+from .algebra import NumericalError
 from .hk import hk_step
 from .models import KOWALEVSKI_INERTIA, euler_poisson_rhs, invariants, kowalevski_invariants
 
@@ -92,7 +93,7 @@ class RunConfig(NamedTuple):
     model: str
     scheme: str
     h: float
-    steps: int
+    steps: int = 0
     stride: int = 1
     c0: float = 1.0
     inertia: tuple[float, float, float] = (1.0, 2.0, 3.0)
@@ -318,9 +319,12 @@ def _steps(config: RunConfig, hs, what: str):
     """Yield the state after each step of the configured scheme from the init,
     one step per h in hs, as six floats. Raises NumericalError, prefixed with
     the model, the scheme and `what`, naming the first step whose state is
-    non-finite."""
+    non-finite, and for any failure of a step: a NumericalError keeps its
+    type, and an ArithmeticError or a ValueError, such as the overflow of a
+    Python power or math.tan(inf), becomes one."""
     step, y = make_stepper(config), config.init
-    with numerical_guard(f"{config.model}/{config.scheme} {what}"):
+    prefix = f"{config.model}/{config.scheme} {what}: "
+    try:
         for k, h in enumerate(hs, 1):
             y = step(y, h)
             # A finite norm proves every component finite; a state of norm
@@ -328,6 +332,11 @@ def _steps(config: RunConfig, hs, what: str):
             if not math.isfinite(math.hypot(*y)) and not all(map(math.isfinite, y)):
                 raise NumericalError(f"non-finite state at step {k} of the {what}")
             yield y
+    except NumericalError as e:
+        e.args = (prefix + str(e),)
+        raise
+    except (ArithmeticError, ValueError) as e:
+        raise NumericalError(prefix + str(e)) from e
 
 
 def run(config: RunConfig) -> Trajectory:

@@ -290,6 +290,14 @@ class TestRun:
         for j, name in enumerate(m.columns):
             assert traj.values(name) == traj.states[:, j].tolist(), name
 
+    def test_values_of_an_unknown_name_is_a_key_error(self):
+        # A name that is neither a state column nor an invariant of the
+        # model: a Lagrange invariant read from a Kowalevski run, say.
+        traj = run(kow_cfg(steps=2))
+        for name in ("nope", "a_sq"):
+            with pytest.raises(KeyError, match=name):
+                traj.values(name)
+
     def test_invariants_checked_when_read(self, tmp_path):
         # The bs step keeps this state finite, and its energy overflows: run
         # returns, and every reader of the invariants raises, naming the
@@ -723,6 +731,36 @@ class TestCli:
                 assert main([*head, "--out", path]) == 2, (head, path)
                 assert capsys.readouterr().err == \
                     f"config error: cannot write --out {path!r}: {reason}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_write_failure_after_the_check_is_a_config_error(self, capsys):
+        # /dev/full passes the check before the run, and writing to it fails:
+        # exit 2 with the reason, and nothing on stdout.
+        assert main([*_KOW_RUN, "--out", "/dev/full"]) == 2
+        assert capsys.readouterr() == \
+            ("", "config error: cannot write --out '/dev/full': No space left on device\n")
+
+    def test_reverse_and_converge_take_no_sampling_flags(self, tmp_path, capsys):
+        # Neither command samples a run: argparse refuses --stride and --out,
+        # and --steps of converge, with exit 2, and no file is written.
+        # reverse keeps --steps, which it validates but does not use.
+        out = str(tmp_path / "x.csv")
+        reverse = ["reverse", "--model", "kowalevski", "--scheme", "hk", "--h", "0.001", "--n", "10"]
+        converge = ["converge", "--model", "kowalevski", "--scheme", "hybrid", "--h", "0.01",
+                    "--h-list", "0.02,0.01,0.005", "--t-end", "1.0"]
+        for head, flags in [(reverse, [["--out", out], ["--stride", "2"]]),
+                            (converge, [["--out", out], ["--stride", "2"], ["--steps", "3"]])]:
+            for flag in flags:
+                with pytest.raises(SystemExit) as e:
+                    main([*head, *flag])
+                err = capsys.readouterr().err
+                assert e.value.code == 2, flag
+                assert err.endswith(f"error: unrecognized arguments: {' '.join(flag)}\n"), err
+        assert not os.path.exists(out)
+        # The README's commands still run.
+        assert main([*reverse, "--steps", "1000"]) == 0
+        assert main(converge) == 0
+        capsys.readouterr()
 
     def test_overflowing_hk_system_is_not_called_singular(self, capsys):
         # |s|^2 and ||M||_F^2 overflow at this init, so no singularity cutoff

@@ -5,10 +5,12 @@ import pytest
 
 from spintops import hk
 from spintops.algebra import SINGULAR_RTOL, NumericalError, SingularSystemError, solve3
+from spintops.harness import RunConfig, make_stepper
 from spintops.hk import hk_omega, hk_step
 from spintops.models import KOWALEVSKI_INERTIA
 
-from conftest import assemble_system, cramer_solve3, full_pivot_solve, vec3
+from conftest import (assemble_system, componentwise_rhs, cramer_solve3, full_pivot_solve,
+                      jacobian, vec3)
 
 C0 = 1.0
 KOW_G = (C0, 0.0, 0.0)
@@ -373,3 +375,51 @@ class TestHkStepEuler:
             values.append(integrals(w))
         spread = np.ptp(np.array(values), axis=0)
         assert np.all(spread <= 1e-13), spread
+
+
+def kahan_determinant_residual(step, inertia, g, y, h):
+    """Relative distance of det DPhi(y) from det(I + (h/2) f'(y')) /
+    det(I - (h/2) f'(y)), for the step y' = Phi(y) and f the right-hand side,
+    all three Jacobians by finite differences."""
+    eye = np.eye(6)
+    rhs_jacobian = lambda x: jacobian(lambda z: componentwise_rhs(z, inertia, g), x)
+    det = np.linalg.det(jacobian(step, y))
+    kahan = (np.linalg.det(eye + 0.5 * h * rhs_jacobian(step(y)))
+             / np.linalg.det(eye - 0.5 * h * rhs_jacobian(y)))
+    return abs(det - kahan) / abs(kahan)
+
+
+# (inertia, gravity) of the euler, kowalevski (c0 = 1) and general models.
+KAHAN_BODIES = {"euler": ((1.0, 2.0, 3.0), NO_G), "kowalevski": (KOWALEVSKI_INERTIA, KOW_G),
+                "general": ((1.0, 2.0, 3.0), (0.3, -0.5, 0.7))}
+
+
+def random_states(rng, n):
+    for _ in range(n):
+        gamma = rng.normal(size=3)
+        yield np.concatenate([rng.uniform(-1.0, 1.0, 3), gamma / np.linalg.norm(gamma)])
+
+
+class TestKahanMap:
+    # hk is Kahan's map of the Euler-Poisson equations, so its Jacobian
+    # determinant is det(I + (h/2) f'(y')) / det(I - (h/2) f'(y)) (Celledoni,
+    # McLachlan, Owren and Quispel, J. Phys. A 46 (2013) 025201). This checks
+    # the elimination with no code shared with the assembly oracle.
+    @pytest.mark.parametrize("h", [0.1, 0.05])
+    @pytest.mark.parametrize("model", KAHAN_BODIES)
+    def test_jacobian_determinant(self, model, h, rng):
+        inertia, g = KAHAN_BODIES[model]
+        for y in random_states(rng, 8):
+            residual = kahan_determinant_residual(lambda x: hk_step(x, inertia, g, h),
+                                                  inertia, g, y, h)
+            assert residual <= 1e-10, (y, residual)
+
+    @pytest.mark.parametrize("scheme", ["reference", "bohlin-a"])
+    def test_other_kowalevski_steps_miss_it(self, scheme, rng):
+        # The identity tells Kahan's map apart: at h = 0.1 the RK4 reference
+        # and bohlin-a miss it at every state, by 100 times the bound or more.
+        inertia, g = KAHAN_BODIES["kowalevski"]
+        step = make_stepper(RunConfig("kowalevski", scheme, 0.1, 0).validated())
+        best = min(kahan_determinant_residual(lambda x: step(x, 0.1), inertia, g, y, 0.1)
+                   for y in random_states(rng, 8))
+        assert best > 1e-8, best

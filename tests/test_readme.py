@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import spintops
+from spintops.harness import MODELS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -45,3 +46,20 @@ def test_star_import_binds_no_module():
     modules = [name for name in spintops.__all__
                if isinstance(getattr(spintops, name), ModuleType)]
     assert not modules, modules
+
+
+def test_scheme_table_names_the_models_and_their_schemes():
+    # The README's table of which schemes each model runs lists exactly the
+    # models and schemes of MODELS, the one list of them; `bohlin-a/b/c`
+    # stands for bohlin-a, bohlin-b and bohlin-c.
+    text = README.read_text()
+    table = text[text.index("Which schemes each model runs"):].split("\n\n")[1]
+    listed = {}
+    for row in table.splitlines()[2:]:
+        model, _, schemes = (cell.strip() for cell in row.strip("|").split("|"))
+        names = []
+        for first, *rest in (s.split("/") for s in re.findall(r"`([^`]+)`", schemes)):
+            names += [first, *(first[:-1] + suffix for suffix in rest)]
+        listed[model.strip("`")] = sorted(names)
+    assert listed == {model: sorted(m.schemes) for model, m in MODELS.items()}
+    assert list(listed) == list(MODELS)
