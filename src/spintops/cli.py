@@ -117,6 +117,9 @@ def _cmd_period(config: RunConfig, args) -> int:
     model = MODELS[config.model]
     if args.column not in model.columns + model.invariant_names:
         raise ConfigError(f"model {config.model!r} has no column {args.column!r}")
+    if args.column in model.schemes[config.scheme].exact:
+        raise ConfigError(f"{config.model}/{config.scheme} keeps {args.column!r} exact, "
+                          "so it holds only roundoff and has no period")
     traj = _run_to_csv(config, args.out_path)
     period = estimate_period(traj.values(args.column), config.h * config.stride)
     print(f"estimated period of {args.column}: {period:.6g}")
@@ -159,6 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_per = sub.add_parser("period", help="dominant oscillation period of a column")
     for p in (p_run, p_rev, p_conv, p_per):
         _add_run_flags(p)
+        p.set_defaults(parser=p)
     # reverse validates --steps but does not use it, as converge does --h.
     for p in (p_run, p_rev, p_per):
         p.add_argument("--steps", type=int)
@@ -180,8 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         try:
-            args = build_parser().parse_args(
+            args, unknown = build_parser().parse_known_args(
                 _join_negative_values(sys.argv[1:] if argv is None else argv))
+            if unknown:
+                # Reported with the usage of the command, not of spintops.
+                args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
             # Only the flags given reach RunConfig, which supplies the rest:
             # a flag left out, or one the command does not take, reads None.
             given = {name: getattr(args, name, None) for name in RunConfig._fields}

@@ -1,6 +1,7 @@
-"""Run driver: the model/scheme table, trajectory generation, invariant drift
-reports, reversibility and convergence diagnostics, period estimation, CSV
-emission.
+"""Run driver: the model/scheme table `MODELS`, which also declares each
+scheme's order, reversibility and exact invariant columns; trajectory
+generation, invariant drift reports, reversibility and convergence
+diagnostics, period estimation, CSV emission.
 
 Every stepper, the RK4 `reference` included, takes the state as six floats
 and returns a tuple of six. `run`, `reversal_test` and `convergence_study`
@@ -12,9 +13,9 @@ numpy. A Trajectory computes its invariants on floats, one sample at a time,
 when `to_csv`, `drift_report` or `values` first reads them, so `to_csv` and
 `drift_report` never import numpy, nor does `estimate_period`, which takes
 floats. numpy enters only in `Trajectory.states`, the one array, made when
-first read. `RunConfig`, `Model` and `InvariantDrift` are named tuples and
-`Trajectory` is a plain class: `dataclasses` would import `inspect`, and so
-`ast`, `dis` and `tokenize`, in every CLI process.
+first read. `RunConfig`, `Model`, `Scheme` and `InvariantDrift` are named
+tuples and `Trajectory` is a plain class: `dataclasses` would import
+`inspect`, and so `ast`, `dis` and `tokenize`, in every CLI process.
 """
 
 from __future__ import annotations
@@ -39,17 +40,31 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
+class Scheme(NamedTuple):
+    """A scheme of a model: `make` builds its step function (y, h) -> y' from
+    a validated RunConfig, and the rest is what it promises, which
+    tests/test_contracts.py checks on random states. `order` is its order of
+    accuracy, or None where it claims none; `reversible` whether a step with
+    -h undoes a step with h, to roundoff; `exact` the invariant columns of the
+    model that it keeps to roundoff."""
+
+    make: Callable[[RunConfig], Callable]
+    order: int | None
+    reversible: bool
+    exact: tuple[str, ...] = ()
+
+
 class Model(NamedTuple):
-    """A model's column names and constructors, each from a validated RunConfig:
-    to a function of one state -> one float per name of `invariant_names`, and
-    per scheme to a step function (y, h) -> y'.
+    """A model's column names; `invariants`, which builds from a validated
+    RunConfig the function of one state -> one float per name of
+    `invariant_names`; and its schemes by name, each with its contract.
     `reads` names the model parameters (c0, inertia, gravity, vertical) that
     the model uses; the others must keep their defaults."""
 
     columns: tuple[str, ...]
     invariant_names: tuple[str, ...]
     invariants: Callable[[RunConfig], Callable]
-    schemes: dict[str, Callable[[RunConfig], Callable]]
+    schemes: dict[str, Scheme]
     reads: tuple[str, ...]
     default_init: tuple[float, ...] | None = None
 
@@ -273,36 +288,48 @@ def _lagrange_reference(config: RunConfig):
 _BODY_COLUMNS = ("w1", "w2", "w3", "g1", "g2", "g3")
 _BODY_INVARIANTS = ("gamma_sq", "E")
 _BODY_SCHEMES = {
-    "hk": lambda c: _stepper(hk_step, c.body(), ()),
-    "reference": _body_reference,
+    "hk": Scheme(lambda c: _stepper(hk_step, c.body(), ()), 2, True),
+    "reference": Scheme(_body_reference, 4, False),
 }
+_KOWALEVSKI_EXACT = ("gamma_sq", "k_sq")
 
-# The one list of models and of the schemes each runs. Step and invariant
-# functions are looked up when they are used, not when this table is built.
+# The one list of models, of the schemes each runs and of what each scheme
+# promises. Step and invariant functions are looked up when they are used,
+# not when this table is built. The free-top bs and symmetric steps leave
+# gamma where it is, so they claim no order (ROADMAP item 2).
 MODELS: dict[str, Model] = {
     "euler": Model(_BODY_COLUMNS, _BODY_INVARIANTS, _body_invariants, {
         **_BODY_SCHEMES,
-        "bs": lambda c: _stepper(euler_lagrange.bs_step_euler, (c.inertia,), ()),
-        "symmetric": lambda c: _stepper(euler_lagrange.symmetric_step_euler, (c.inertia,), ()),
+        "bs": Scheme(lambda c: _stepper(euler_lagrange.bs_step_euler, (c.inertia,), ()),
+                     None, False, ("gamma_sq",)),
+        "symmetric": Scheme(
+            lambda c: _stepper(euler_lagrange.symmetric_step_euler, (c.inertia,), ()),
+            None, True, ("gamma_sq", "E")),
     }, reads=("inertia",)),
     "lagrange": Model(
         ("m1", "m2", "m3", "a1", "a2", "a3"), ("a_sq", "m_dot_p", "m_dot_a", "E"),
         _lagrange_invariants, {
-            "bs": lambda c: _stepper(euler_lagrange.lagrange_step, (c.vertical,), ()),
-            "reference": _lagrange_reference,
+            "bs": Scheme(lambda c: _stepper(euler_lagrange.lagrange_step, (c.vertical,), ()),
+                         1, False, ("a_sq", "m_dot_p", "m_dot_a", "E")),
+            # RK4 keeps every linear invariant, and m.p is linear.
+            "reference": Scheme(_lagrange_reference, 4, False, ("m_dot_p",)),
         }, reads=("vertical",),
     ),
     # The default init is the standard test point: w = (2, 0, 0), gamma_3 = 0.001.
     "kowalevski": Model(_BODY_COLUMNS, ("gamma_sq", "two_ell", "E", "k_sq"),
                         lambda c: lambda y: kowalevski_invariants(y, c.c0), {
         **_BODY_SCHEMES,
-        "bohlin-a": lambda c: _stepper(kowalevski.bohlin_algorithm_step, (c.c0,),
-                                       (kowalevski.gamma_step_bs,)),
-        "bohlin-b": lambda c: _stepper(kowalevski.bohlin_algorithm_step, (c.c0,),
-                                       (kowalevski.gamma_step_stereo,)),
-        "bohlin-c": lambda c: _stepper(kowalevski.bohlin_algorithm_step, (c.c0,),
-                                       (kowalevski.gamma_step_rotation,)),
-        "hybrid": lambda c: _stepper(kowalevski.hybrid_step, (c.c0,), ()),
+        "bohlin-a": Scheme(lambda c: _stepper(kowalevski.bohlin_algorithm_step, (c.c0,),
+                                              (kowalevski.gamma_step_bs,)),
+                           1, False, _KOWALEVSKI_EXACT),
+        "bohlin-b": Scheme(lambda c: _stepper(kowalevski.bohlin_algorithm_step, (c.c0,),
+                                              (kowalevski.gamma_step_stereo,)),
+                           1, False, _KOWALEVSKI_EXACT),
+        "bohlin-c": Scheme(lambda c: _stepper(kowalevski.bohlin_algorithm_step, (c.c0,),
+                                              (kowalevski.gamma_step_rotation,)),
+                           1, False, _KOWALEVSKI_EXACT),
+        "hybrid": Scheme(lambda c: _stepper(kowalevski.hybrid_step, (c.c0,), ()),
+                         2, False, _KOWALEVSKI_EXACT),
     }, reads=("c0",),
         default_init=(2.0, 0.0, 0.0, math.sqrt(1.0 - 0.001**2), 0.0, 0.001)),
     "general": Model(_BODY_COLUMNS, _BODY_INVARIANTS, _body_invariants, _BODY_SCHEMES,
@@ -312,7 +339,7 @@ MODELS: dict[str, Model] = {
 
 def make_stepper(config: RunConfig):
     """Packed-state step function y -> y' for the configured model/scheme."""
-    return MODELS[config.model].schemes[config.scheme](config)
+    return MODELS[config.model].schemes[config.scheme].make(config)
 
 
 def _steps(config: RunConfig, hs, what: str):

@@ -100,11 +100,6 @@ class TestHkStep:
             assert np.allclose(mat, mat2, atol=1e-14)
             assert np.allclose(rhs, rhs2, atol=1e-14)
 
-    def test_single_step_reversal(self):
-        h = 0.001
-        back = hk_step(hk_step(BENCH, KOWALEVSKI_INERTIA, KOW_G, h), KOWALEVSKI_INERTIA, KOW_G, -h)
-        assert np.max(np.abs(back - BENCH)) <= 1e-10
-
     def test_accumulated_reversal_1000_steps(self):
         h = 0.001
         y = BENCH

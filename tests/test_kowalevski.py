@@ -314,14 +314,6 @@ class TestHybridStep:
         back = hybrid_step(hybrid_step(BENCH, C0, 0.001), C0, -0.001)
         assert np.max(np.abs(back - BENCH)) <= 1e-13
 
-    def test_second_order_accuracy(self):
-        from spintops.harness import RunConfig, convergence_study
-
-        cfg = RunConfig(model="kowalevski", scheme="hybrid", h=0.01, steps=1)
-        rows = convergence_study(cfg, [0.02, 0.01, 0.005], 1.0)
-        for _, _, order in rows[1:]:
-            assert order == pytest.approx(2.0, abs=0.25)
-
 
 @pytest.mark.slow
 @pytest.mark.parametrize(

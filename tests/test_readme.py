@@ -48,18 +48,43 @@ def test_star_import_binds_no_module():
     assert not modules, modules
 
 
+def table(after: str) -> list[list[str]]:
+    """The cells of each body row of the first table after the text `after`;
+    an escaped pipe stays in its cell."""
+    text = README.read_text()
+    block = text[text.index(after):].split("\n\n")[1]
+    return [[cell.strip() for cell in re.split(r"(?<!\\)\|", row.strip()[1:-1])]
+            for row in block.splitlines()[2:]]
+
+
+def names(cell: str) -> list[str]:
+    """The backticked names of a cell; `bohlin-a/b/c` stands for bohlin-a,
+    bohlin-b and bohlin-c."""
+    out = []
+    for first, *rest in (s.split("/") for s in re.findall(r"`([^`]+)`", cell)):
+        out += [first, *(first[:-1] + suffix for suffix in rest)]
+    return out
+
+
 def test_scheme_table_names_the_models_and_their_schemes():
     # The README's table of which schemes each model runs lists exactly the
-    # models and schemes of MODELS, the one list of them; `bohlin-a/b/c`
-    # stands for bohlin-a, bohlin-b and bohlin-c.
-    text = README.read_text()
-    table = text[text.index("Which schemes each model runs"):].split("\n\n")[1]
-    listed = {}
-    for row in table.splitlines()[2:]:
-        model, _, schemes = (cell.strip() for cell in row.strip("|").split("|"))
-        names = []
-        for first, *rest in (s.split("/") for s in re.findall(r"`([^`]+)`", schemes)):
-            names += [first, *(first[:-1] + suffix for suffix in rest)]
-        listed[model.strip("`")] = sorted(names)
+    # models and schemes of MODELS, the one list of them.
+    listed = {model.strip("`"): sorted(names(schemes))
+              for model, _, schemes in table("Which schemes each model runs")}
     assert listed == {model: sorted(m.schemes) for model, m in MODELS.items()}
     assert list(listed) == list(MODELS)
+
+
+def test_scheme_contracts_match_the_table():
+    # The README's scheme table gives, for each model and scheme, what the
+    # Scheme of MODELS declares: its exact columns, whether it is reversible
+    # and its order, where a dash is no order.
+    listed = {}
+    for scheme, models, _, exact, _, reversible, order in table("## Schemes"):
+        assert reversible.split()[0] in ("yes", "no"), reversible
+        for pair in ((m, s) for m in names(models) for s in names(scheme)):
+            assert pair not in listed, pair
+            listed[pair] = (tuple(names(exact)), reversible.startswith("yes"),
+                            int(order) if order.isdigit() else None)
+    assert listed == {(m, s): (c.exact, c.reversible, c.order)
+                      for m, model in MODELS.items() for s, c in model.schemes.items()}
