@@ -4,9 +4,12 @@ generation, invariant drift reports, reversibility and convergence
 diagnostics, period estimation, CSV emission.
 
 Every stepper, the RK4 `reference` included, takes the state as six floats
-and returns a tuple of six. `run`, `reversal_test` and `convergence_study`
-step through one checked loop, `_steps`, which turns every failure of a step
-into a NumericalError that names the model and scheme. `run` keeps every
+and returns a tuple of six; `make_stepper(config, h)` binds it to the model
+parameters and h once, where a function form such as `hk_step` binds on
+every call. `run`, `reversal_test` and `convergence_study` step through one
+checked loop, `_steps`, over legs of (h, n), one stepper per leg, which turns
+every failure of a step into a NumericalError that names the model and
+scheme. `run` keeps every
 stride-th state as six floats in a Trajectory and writes no file; the other
 two keep the loop's last state and compare endpoints. None of them imports
 numpy. A Trajectory computes its invariants on floats, one sample at a time,
@@ -24,12 +27,12 @@ import math
 import numbers
 import sys
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import euler_lagrange, kowalevski
 from .algebra import NumericalError
-from .hk import hk_step
+from .hk import hk_stepper
 from .models import KOWALEVSKI_INERTIA, euler_poisson_rhs, invariants, kowalevski_invariants
 
 if TYPE_CHECKING:
@@ -41,14 +44,14 @@ class ConfigError(ValueError):
 
 
 class Scheme(NamedTuple):
-    """A scheme of a model: `make` builds its step function (y, h) -> y' from
-    a validated RunConfig, and the rest is what it promises, which
-    tests/test_contracts.py checks on random states. `order` is its order of
-    accuracy, or None where it claims none; `reversible` whether a step with
-    -h undoes a step with h, to roundoff; `exact` the invariant columns of the
-    model that it keeps to roundoff."""
+    """A scheme of a model: `make` builds its step function y -> y' from a
+    validated RunConfig and a step size h, and the rest is what it promises,
+    which tests/test_contracts.py checks on random states. `order` is its
+    order of accuracy, or None where it claims none; `reversible` whether a
+    step with -h undoes a step with h, to roundoff; `exact` the invariant
+    columns of the model that it keeps to roundoff."""
 
-    make: Callable[[RunConfig], Callable]
+    make: Callable[[RunConfig, float], Callable]
     order: int | None
     reversible: bool
     exact: tuple[str, ...] = ()
@@ -70,14 +73,17 @@ class Model(NamedTuple):
 
 
 def _is_real(x) -> bool:
-    """Whether x is a real number, a numpy scalar included, and not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    """Whether x is a real number, a numpy scalar included, and not a bool.
+    A float is tested first: the ABC check is several times slower."""
+    return isinstance(x, float) or isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 def _is_count(x) -> bool:
     """Whether x is an integer from 0 to sys.maxsize, a numpy integer
-    included, and not a bool: a count that repeat and islice take."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and 0 <= x <= sys.maxsize
+    included, and not a bool: a count that range and islice take. A plain int
+    is tested first: the ABC check is several times slower."""
+    return ((type(x) is int or isinstance(x, numbers.Integral) and not isinstance(x, bool))
+            and 0 <= x <= sys.maxsize)
 
 
 def _is_step(x) -> bool:
@@ -220,12 +226,14 @@ class Trajectory:
                 f.write(f"{n},{n * config.h:.17g},{cells}\n")
 
 
-def _rk4(rhs):
-    """Classical RK4 step of dy = rhs(y) on six floats. Each stage state and
-    the update are formed componentwise, in numpy's elementwise order."""
-    def step(y, h: float) -> tuple[float, ...]:
+def _rk4(rhs, h: float):
+    """Classical RK4 step y -> y' of dy = rhs(y) on six floats, at step h.
+    Each stage state and the update are formed componentwise, in numpy's
+    elementwise order."""
+    hh, h6 = 0.5 * h, h / 6.0
+
+    def step(y) -> tuple[float, ...]:
         y0, y1, y2, y3, y4, y5 = y
-        hh = 0.5 * h
         a0, a1, a2, a3, a4, a5 = rhs(y)
         b0, b1, b2, b3, b4, b5 = rhs((y0 + hh * a0, y1 + hh * a1, y2 + hh * a2,
                                       y3 + hh * a3, y4 + hh * a4, y5 + hh * a5))
@@ -233,7 +241,6 @@ def _rk4(rhs):
                                       y3 + hh * b3, y4 + hh * b4, y5 + hh * b5))
         d0, d1, d2, d3, d4, d5 = rhs((y0 + h * c0, y1 + h * c1, y2 + h * c2,
                                       y3 + h * c3, y4 + h * c4, y5 + h * c5))
-        h6 = h / 6.0
         return (y0 + h6 * (((a0 + 2.0 * b0) + 2.0 * c0) + d0),
                 y1 + h6 * (((a1 + 2.0 * b1) + 2.0 * c1) + d1),
                 y2 + h6 * (((a2 + 2.0 * b2) + 2.0 * c2) + d2),
@@ -244,18 +251,13 @@ def _rk4(rhs):
     return step
 
 
-def _stepper(step, params, options):
-    """Stepper (y, h) -> y' of step(y, *params, h, *options). The arguments are
-    bound once; each shape in use is written out, so a call passes them as
-    plain positional arguments and unpacks nothing per step."""
-    if len(params) == 2:
-        a, b = params
-        return lambda y, h: step(y, a, b, h)
-    (a,) = params
-    if options:
-        (o,) = options
-        return lambda y, h: step(y, a, h, o)
-    return lambda y, h: step(y, a, h)
+def _stepper(step, a, h: float, option=None):
+    """Stepper y -> y' of step(y, a, h), or of step(y, a, h, option). The
+    arguments are bound once, so a call passes them as plain positional
+    arguments and unpacks nothing per step."""
+    if option is None:
+        return lambda y: step(y, a, h)
+    return lambda y: step(y, a, h, option)
 
 
 def _body_invariants(config: RunConfig):
@@ -268,12 +270,12 @@ def _lagrange_invariants(config: RunConfig):
     return lambda y: euler_lagrange.lagrange_invariants(y, config.vertical, config.h)
 
 
-def _body_reference(config: RunConfig):
+def _body_reference(config: RunConfig, h: float):
     inertia, g = config.body()
-    return _rk4(lambda y: euler_poisson_rhs(y, inertia, g))
+    return _rk4(lambda y: euler_poisson_rhs(y, inertia, g), h)
 
 
-def _lagrange_reference(config: RunConfig):
+def _lagrange_reference(config: RunConfig, h: float):
     p0, p1, p2 = config.vertical
 
     def rhs(y) -> tuple[float, ...]:
@@ -282,13 +284,13 @@ def _lagrange_reference(config: RunConfig):
         return (p1 * a2 - p2 * a1, p2 * a0 - p0 * a2, p0 * a1 - p1 * a0,
                 m1 * a2 - m2 * a1, m2 * a0 - m0 * a2, m0 * a1 - m1 * a0)
 
-    return _rk4(rhs)
+    return _rk4(rhs, h)
 
 
 _BODY_COLUMNS = ("w1", "w2", "w3", "g1", "g2", "g3")
 _BODY_INVARIANTS = ("gamma_sq", "E")
 _BODY_SCHEMES = {
-    "hk": Scheme(lambda c: _stepper(hk_step, c.body(), ()), 2, True),
+    "hk": Scheme(lambda c, h: hk_stepper(*c.body(), h), 2, True),
     "reference": Scheme(_body_reference, 4, False),
 }
 _KOWALEVSKI_EXACT = ("gamma_sq", "k_sq")
@@ -300,16 +302,16 @@ _KOWALEVSKI_EXACT = ("gamma_sq", "k_sq")
 MODELS: dict[str, Model] = {
     "euler": Model(_BODY_COLUMNS, _BODY_INVARIANTS, _body_invariants, {
         **_BODY_SCHEMES,
-        "bs": Scheme(lambda c: _stepper(euler_lagrange.bs_step_euler, (c.inertia,), ()),
+        "bs": Scheme(lambda c, h: _stepper(euler_lagrange.bs_step_euler, c.inertia, h),
                      None, False, ("gamma_sq",)),
         "symmetric": Scheme(
-            lambda c: _stepper(euler_lagrange.symmetric_step_euler, (c.inertia,), ()),
+            lambda c, h: _stepper(euler_lagrange.symmetric_step_euler, c.inertia, h),
             None, True, ("gamma_sq", "E")),
     }, reads=("inertia",)),
     "lagrange": Model(
         ("m1", "m2", "m3", "a1", "a2", "a3"), ("a_sq", "m_dot_p", "m_dot_a", "E"),
         _lagrange_invariants, {
-            "bs": Scheme(lambda c: _stepper(euler_lagrange.lagrange_step, (c.vertical,), ()),
+            "bs": Scheme(lambda c, h: _stepper(euler_lagrange.lagrange_step, c.vertical, h),
                          1, False, ("a_sq", "m_dot_p", "m_dot_a", "E")),
             # RK4 keeps every linear invariant, and m.p is linear.
             "reference": Scheme(_lagrange_reference, 4, False, ("m_dot_p",)),
@@ -319,16 +321,16 @@ MODELS: dict[str, Model] = {
     "kowalevski": Model(_BODY_COLUMNS, ("gamma_sq", "two_ell", "E", "k_sq"),
                         lambda c: lambda y: kowalevski_invariants(y, c.c0), {
         **_BODY_SCHEMES,
-        "bohlin-a": Scheme(lambda c: _stepper(kowalevski.bohlin_algorithm_step, (c.c0,),
-                                              (kowalevski.gamma_step_bs,)),
+        "bohlin-a": Scheme(lambda c, h: _stepper(kowalevski.bohlin_algorithm_step, c.c0, h,
+                                                 kowalevski.gamma_step_bs),
                            1, False, _KOWALEVSKI_EXACT),
-        "bohlin-b": Scheme(lambda c: _stepper(kowalevski.bohlin_algorithm_step, (c.c0,),
-                                              (kowalevski.gamma_step_stereo,)),
+        "bohlin-b": Scheme(lambda c, h: _stepper(kowalevski.bohlin_algorithm_step, c.c0, h,
+                                                 kowalevski.gamma_step_stereo),
                            1, False, _KOWALEVSKI_EXACT),
-        "bohlin-c": Scheme(lambda c: _stepper(kowalevski.bohlin_algorithm_step, (c.c0,),
-                                              (kowalevski.gamma_step_rotation,)),
+        "bohlin-c": Scheme(lambda c, h: _stepper(kowalevski.bohlin_algorithm_step, c.c0, h,
+                                                 kowalevski.gamma_step_rotation),
                            1, False, _KOWALEVSKI_EXACT),
-        "hybrid": Scheme(lambda c: _stepper(kowalevski.hybrid_step, (c.c0,), ()),
+        "hybrid": Scheme(lambda c, h: kowalevski.hybrid_stepper(c.c0, h),
                          2, False, _KOWALEVSKI_EXACT),
     }, reads=("c0",),
         default_init=(2.0, 0.0, 0.0, math.sqrt(1.0 - 0.001**2), 0.0, 0.001)),
@@ -337,28 +339,34 @@ MODELS: dict[str, Model] = {
 }
 
 
-def make_stepper(config: RunConfig):
-    """Packed-state step function y -> y' for the configured model/scheme."""
-    return MODELS[config.model].schemes[config.scheme].make(config)
+def make_stepper(config: RunConfig, h: float):
+    """Packed-state step function y -> y' of the configured model/scheme at
+    step size h, from a validated config. Everything that depends only on the
+    config and h is bound here, once."""
+    return MODELS[config.model].schemes[config.scheme].make(config, h)
 
 
-def _steps(config: RunConfig, hs, what: str):
+def _steps(config: RunConfig, legs, what: str):
     """Yield the state after each step of the configured scheme from the init,
-    one step per h in hs, as six floats. Raises NumericalError, prefixed with
-    the model, the scheme and `what`, naming the first step whose state is
-    non-finite, and for any failure of a step: a NumericalError keeps its
-    type, and an ArithmeticError or a ValueError, such as the overflow of a
-    Python power or math.tan(inf), becomes one."""
-    step, y = make_stepper(config), config.init
+    as six floats, over legs of (h, n): n steps at h, with the step bound once
+    per leg. Steps are numbered from 1 across the legs. Raises NumericalError,
+    prefixed with the model, the scheme and `what`, naming the first step
+    whose state is non-finite, and for any failure of a step: a
+    NumericalError keeps its type, and an ArithmeticError or a ValueError,
+    such as the overflow of a Python power or math.tan(inf), becomes one."""
+    y, done = config.init, 0
     prefix = f"{config.model}/{config.scheme} {what}: "
     try:
-        for k, h in enumerate(hs, 1):
-            y = step(y, h)
-            # A finite norm proves every component finite; a state of norm
-            # above 1.8e308 can be finite too, so only then check each one.
-            if not math.isfinite(math.hypot(*y)) and not all(map(math.isfinite, y)):
-                raise NumericalError(f"non-finite state at step {k} of the {what}")
-            yield y
+        for h, n in legs:
+            step = make_stepper(config, h)
+            for k in range(done + 1, done + n + 1):
+                y = step(y)
+                # A finite norm proves every component finite; a state of norm
+                # above 1.8e308 can be finite too, so only then check each one.
+                if not math.isfinite(math.hypot(*y)) and not all(map(math.isfinite, y)):
+                    raise NumericalError(f"non-finite state at step {k} of the {what}")
+                yield y
+            done += n
     except NumericalError as e:
         e.args = (prefix + str(e),)
         raise
@@ -376,7 +384,7 @@ def run(config: RunConfig) -> Trajectory:
     if not math.isfinite(config.steps * config.h):
         raise ConfigError(f"steps*h must be finite, not {config.steps}*{config.h:g}")
     stride = config.stride
-    loop = _steps(config, repeat(config.h, config.steps), "run")
+    loop = _steps(config, [(config.h, config.steps)], "run")
     return Trajectory(config, [config.init, *islice(loop, stride - 1, None, stride)])
 
 
@@ -388,7 +396,7 @@ def reversal_test(config: RunConfig, n: int) -> float:
     if not _is_count(n):
         raise ConfigError(f"n must be an integer from 0 to {sys.maxsize}")
     y = config.init
-    for y in _steps(config, chain(repeat(config.h, n), repeat(-config.h, n)), "round trip"):
+    for y in _steps(config, [(config.h, n), (-config.h, n)], "round trip"):
         pass
     return max(abs(a - b) for a, b in zip(y, config.init))
 
@@ -468,14 +476,14 @@ def convergence_study(
 
     ref_cfg = config._replace(scheme="reference")
     y_ref = ref_cfg.init
-    for y_ref in _steps(ref_cfg, repeat(h_ref, round(t_end / h_ref)), "run"):
+    for y_ref in _steps(ref_cfg, [(h_ref, round(t_end / h_ref))], "run"):
         pass
 
     rows: list[tuple[float, float, float | None]] = []
     prev: tuple[float, float] | None = None
     for h in sorted(h_list, reverse=True):
         y = config.init
-        for y in _steps(config, repeat(h, round(t_end / h)), "run"):
+        for y in _steps(config, [(h, round(t_end / h))], "run"):
             pass
         err = max(abs(a - b) for a, b in zip(y, y_ref))
         order = None

@@ -7,7 +7,9 @@ root nearer a one-step predictor, and a hybrid predictor-corrector that keeps
 both |gamma|^2 and |xi|^2 exact but is not time-reversal symmetric. Each
 step, and bohlin_step, the recovery stage they share, takes the packed state
 (omega, gamma) as any sequence of six floats and returns a tuple of six; the
-one parameter is the float c0.
+one parameter is the float c0. `hybrid_stepper` binds c0 and h once and
+returns the step as a function of the state alone; `hybrid_step` is its
+function form, which binds on every call.
 """
 
 from __future__ import annotations
@@ -16,13 +18,9 @@ import cmath
 import math
 from typing import Callable
 
-from .algebra import NumericalError, bs_solve
-from .hk import hk_omega
+from .algebra import bs_solve
+from .hk import hk_omega_stage
 from .models import KOWALEVSKI_INERTIA
-
-
-class SouthPoleError(NumericalError):
-    """Stereographic chart breaks down at gamma_3 = -1."""
 
 
 def gamma_step_bs(gamma, omega, h: float) -> tuple[float, float, float]:
@@ -30,14 +28,10 @@ def gamma_step_bs(gamma, omega, h: float) -> tuple[float, float, float]:
     return bs_solve(gamma, omega, 0.5 * h)
 
 
-SOUTH_POLE_TOL = 1e-12
-
-
 def stereo_forward(gamma) -> complex:
-    """z = (gamma_1 + i*gamma_2) / (1 + gamma_3)."""
+    """z = (gamma_1 + i*gamma_2) / (1 + gamma_3), the chart of the sphere
+    without its south pole gamma_3 = -1."""
     g0, g1, g2 = gamma
-    if 1.0 + g2 < SOUTH_POLE_TOL:
-        raise SouthPoleError("gamma_3 too close to -1 for the stereographic chart")
     return complex(g0, g1) / (1.0 + g2)
 
 
@@ -52,8 +46,17 @@ def gamma_step_stereo(gamma, omega, h: float) -> tuple[float, float, float]:
     in the stereographic variable, mapped back to the sphere.
 
     The inverse map lands on the unit sphere by construction, so |gamma'| = 1
-    regardless of the substep error.
+    regardless of the substep error. The substep is unstable near the south
+    pole, so for gamma_3 < -1/2 it runs in the second chart: on (R gamma,
+    R omega) with R = diag(1, -1, -1), the rotation by pi about e1 under which
+    gamma_dot = gamma x omega keeps its form, mapped back by R. So |z| <= sqrt(3)
+    in the chart in use.
     """
+    if gamma[2] < -0.5:
+        g0, g1, g2 = gamma
+        w0, w1, w2 = omega
+        n0, n1, n2 = gamma_step_stereo((g0, -g1, -g2), (w0, -w1, -w2), h)
+        return n0, -n1, -n2
     z = stereo_forward(gamma)
     w0, w1, w2 = omega
     w = complex(w0, w1)
@@ -122,10 +125,10 @@ def bohlin_algorithm_step(y, c0: float, h: float,
     return bohlin_step(y, gam_next, omega3_update(y[2], y[4], gam_next[1], h, c0), h, c0)
 
 
-def hybrid_step(y, c0: float, h: float) -> tuple[float, ...]:
-    """Predictor-corrector step: bilinear 6x6 predictor, then a midpoint-type
-    re-solve of gamma against the averaged omega, then the square-root
-    recovery of (w1, w2).
+def hybrid_stepper(c0: float, h: float):
+    """Predictor-corrector step y -> y' as six floats: the bilinear 6x6
+    predictor's omega' stage, then a midpoint-type re-solve of gamma against
+    the averaged omega, then the square-root recovery of (w1, w2).
 
     Keeps |gamma|^2 = 1 and |xi|^2 exact. The new w3 is the predictor's.
     Not symmetric under h -> -h: 50 steps out and back from 200 random states
@@ -135,6 +138,17 @@ def hybrid_step(y, c0: float, h: float) -> tuple[float, ...]:
     the default point, omega_2 = 0, is the 1000-step round trip at h = 1e-3
     as small as 7.0e-14.
     """
-    p0, p1, p2 = hk_omega(y, KOWALEVSKI_INERTIA, (c0, 0.0, 0.0), h)
-    gam_next = bs_solve(y[3:], (p0 + y[0], p1 + y[1], p2 + y[2]), 0.25 * h)
-    return bohlin_step(y, gam_next, p2, h, c0)
+    omega_stage = hk_omega_stage(KOWALEVSKI_INERTIA, (c0, 0.0, 0.0), h)
+    quarter_h = 0.25 * h
+
+    def step(y) -> tuple[float, ...]:
+        p0, p1, p2, _, _, _, _ = omega_stage(y)
+        gam_next = bs_solve(y[3:], (p0 + y[0], p1 + y[1], p2 + y[2]), quarter_h)
+        return bohlin_step(y, gam_next, p2, h, c0)
+
+    return step
+
+
+def hybrid_step(y, c0: float, h: float) -> tuple[float, ...]:
+    """One hybrid step from y: hybrid_stepper(c0, h)(y)."""
+    return hybrid_stepper(c0, h)(y)

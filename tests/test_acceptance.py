@@ -4,6 +4,8 @@ The long Kowalevski runs (h=0.001, 50000 steps, the default near-vertical initia
 are shared across criteria through module-scoped fixtures.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,10 @@ from spintops.harness import (
     reversal_test,
     run,
 )
-from spintops.models import kowalevski_invariants
+from spintops.models import KOWALEVSKI_INERTIA, kowalevski_invariants
 
-from conftest import bohlin_reversal_defect, matrix_form_residual, vec3
+from conftest import (bohlin_reversal_defect, componentwise_rhs, jacobian, matrix_form_residual,
+                      vec3)
 
 H = 0.001
 N = 50000
@@ -109,6 +112,26 @@ def test_criterion_5_period_contrast(hk_traj, bohlin_a_traj):
     rel = abs(p_hk - p_a) / p_hk
     ok = rel > 0.05
     _check(5, ok, f"gamma_3 periods {p_hk:.4f} vs {p_a:.4f} ({100 * rel:.1f}% apart)")
+
+
+@pytest.mark.slow
+def test_criterion_5_period_law():
+    # The default point lies next to the equilibrium y* = (2, 0, 0, 1, 0, 0),
+    # omega || gamma || e1, a saddle: its Jacobian has eigenvalues +-i sqrt(3),
+    # +-1/sqrt(2) and 0 twice. Near a saddle of rate lambda a period grows like
+    # ln(1/delta) / lambda, with delta the distance from the separatrix, and
+    # bohlin-a's O(h) drift of E and 2l sets delta. So quartering h adds
+    # ln 4 / lambda to bohlin-a's gamma_3 period.
+    rhs = lambda y: componentwise_rhs(y, KOWALEVSKI_INERTIA, (1.0, 0.0, 0.0))
+    lam = max(np.linalg.eigvals(jacobian(rhs, (2.0, 0.0, 0.0, 1.0, 0.0, 0.0))).real)
+    t_end, dt = 60.0, 1e-3
+    periods = [estimate_period(run(RunConfig(model="kowalevski", scheme="bohlin-a", h=h,
+                                             steps=round(t_end / h), stride=round(dt / h)))
+                               .values("g3"), dt) for h in (1e-3, 2.5e-4)]
+    gap, law = periods[1] - periods[0], math.log(4.0) / lam
+    ok = abs(gap - law) <= 0.02 * law
+    _check(5, ok, f"bohlin-a gamma_3 periods {periods[0]:.4f} and {periods[1]:.4f} at h=1e-3 and "
+                  f"2.5e-4: gap {gap:.4f} against ln 4/lambda = {law:.4f}, lambda = {lam:.6f}")
 
 
 @pytest.mark.slow

@@ -12,8 +12,10 @@ import pytest
 import spintops
 from spintops.algebra import NumericalError, SingularSystemError, bs_solve
 from spintops.cli import build_parser, main
+from spintops import harness, kowalevski
 from spintops.euler_lagrange import (FIXED_POINT_TOL, MAX_FIXED_POINT_ITERATIONS,
-                                     ConvergenceError)
+                                     ConvergenceError, bs_step_euler, lagrange_step,
+                                     symmetric_step_euler)
 from spintops.harness import (
     MODELS,
     ConfigError,
@@ -27,6 +29,7 @@ from spintops.harness import (
     run,
 )
 from spintops.hk import hk_step
+from spintops.kowalevski import bohlin_algorithm_step, hybrid_step
 from spintops.models import KOWALEVSKI_INERTIA, invariants, kowalevski_invariants
 
 from conftest import vector_body_rhs, vector_lagrange_rhs, vector_rk4
@@ -212,10 +215,10 @@ class TestRun:
         assert len(traj.steps) == 100 // 7 + 1
         assert traj.steps == range(0, 101, 7)
         # Row i is the state after traj.steps[i] hand steps, bit for bit.
-        step, y, n = make_stepper(cfg), cfg.init, 0
+        step, y, n = make_stepper(cfg, cfg.h), cfg.init, 0
         for k, state in zip(traj.steps, traj.states):
             while n < k:
-                y, n = step(y, cfg.h), n + 1
+                y, n = step(y), n + 1
             assert np.array_equal(state, y), k
 
     def test_time_column(self, tmp_path):
@@ -396,13 +399,13 @@ class TestRun:
         # not write and which gives the same result.
         init = None if model == "kowalevski" else np.array([0.3, -0.2, 0.9, 0.6, 0, 0.8])
         cfg = RunConfig(model=model, scheme=scheme, h=0.01, steps=1, init=init).validated()
-        step = make_stepper(cfg)
-        out = step(cfg.init, cfg.h)
+        step = make_stepper(cfg, cfg.h)
+        out = step(cfg.init)
         assert len(out) == 6
         assert all(isinstance(v, float) and math.isfinite(v) for v in out)
         y = np.array(cfg.init)
         y.setflags(write=False)
-        assert np.array_equal(step(y, cfg.h), out)
+        assert np.array_equal(step(y), out)
         assert np.array_equal(y, cfg.init)
 
     @pytest.mark.parametrize("scheme", ["bs", "symmetric"])
@@ -445,7 +448,7 @@ class TestRun:
         def check(inertia, y, h):
             cfg = RunConfig(model="euler", scheme=scheme, h=0.01, steps=1,
                             inertia=tuple(inertia.tolist()), init=np.zeros(6))
-            got = outcome(lambda: make_stepper(cfg)(tuple(y.tolist()), h))
+            got = outcome(lambda: make_stepper(cfg, h)(tuple(y.tolist())))
             with np.errstate(all="ignore"):
                 want = outcome(lambda: (*(momentum_step(inertia * y[:3], inertia, h) / inertia),
                                         *y[3:]))
@@ -495,11 +498,97 @@ class TestReference:
             h = sign * float(rng.uniform(1e-3, 0.05))
             rhs, params = ((vector_lagrange_rhs, (cfg.vertical,)) if model == "lagrange"
                            else (vector_body_rhs, cfg.body()))
-            step, y, expected = make_stepper(cfg), cfg.init, np.array(cfg.init)
+            step, y, expected = make_stepper(cfg, h), cfg.init, np.array(cfg.init)
             for _ in range(50):
-                y, expected = step(y, h), vector_rk4(lambda v: rhs(v, *params), expected, h)
+                y, expected = step(y), vector_rk4(lambda v: rhs(v, *params), expected, h)
             assert type(y) is tuple
             assert np.array_equal(y, expected), (cfg, h)
+
+
+def _reference_form(c):
+    rhs, params = ((vector_lagrange_rhs, (c.vertical,)) if c.model == "lagrange"
+                   else (vector_body_rhs, c.body()))
+    return lambda y, h: tuple(vector_rk4(lambda v: rhs(v, *params), np.array(y), h).tolist())
+
+
+# Each scheme's step as a function form (y, h) -> y' of a validated config,
+# called with every argument on every step: nothing bound once. The
+# reference is RK4 in numpy vector arithmetic, which TestReference shows
+# equal to the float stepper bit for bit.
+FUNCTION_FORMS = {
+    "hk": lambda c: lambda y, h: hk_step(y, *c.body(), h),
+    "reference": _reference_form,
+    "bs": lambda c: ((lambda y, h: lagrange_step(y, c.vertical, h)) if c.model == "lagrange"
+                     else lambda y, h: bs_step_euler(y, c.inertia, h)),
+    "symmetric": lambda c: lambda y, h: symmetric_step_euler(y, c.inertia, h),
+    "bohlin-a": lambda c: lambda y, h: bohlin_algorithm_step(y, c.c0, h, kowalevski.gamma_step_bs),
+    "bohlin-b": lambda c: lambda y, h: bohlin_algorithm_step(y, c.c0, h,
+                                                             kowalevski.gamma_step_stereo),
+    "bohlin-c": lambda c: lambda y, h: bohlin_algorithm_step(y, c.c0, h,
+                                                             kowalevski.gamma_step_rotation),
+    "hybrid": lambda c: lambda y, h: hybrid_step(y, c.c0, h),
+}
+
+# One config per model with its parameters away from their defaults. The
+# Kowalevski state starts at gamma_3 = -0.8, in bohlin-b's second chart.
+_FORM_CONFIGS = {
+    "euler": dict(inertia=(1.0, 2.0, 3.0), init=(1.0, 1.0, 1.0, 1.0, 0.0, 0.0)),
+    "lagrange": dict(vertical=(0.0, 0.6, 0.8), init=(0.2, -0.1, 1.0, 0.7071, 0.0, 0.7071)),
+    "kowalevski": dict(c0=1.3, init=(1.0, 0.5, -0.3, 0.6, 0.0, -0.8)),
+    "general": dict(inertia=(1.0, 2.0, 3.0), gravity=(0.5, 0.0, 1.0),
+                    init=(1.0, 1.0, 1.0, 1.0, 0.0, 0.0)),
+}
+
+
+def _hex(states):
+    return [[float.hex(float(v)) for v in y] for y in states]
+
+
+class TestBoundSteppers:
+    # run, reversal_test and convergence_study bind each step once per leg
+    # through make_stepper(config, h); stepping the function forms by hand
+    # gives the same bits.
+    @pytest.mark.parametrize("model,scheme", [(m, s) for m in MODELS for s in MODELS[m].schemes],
+                             ids=lambda x: x)
+    def test_diagnostics_match_the_function_forms(self, model, scheme, monkeypatch):
+        cfg = RunConfig(model, scheme, 0.01, 40, stride=7, **_FORM_CONFIGS[model]).validated()
+
+        def by_hand(c, legs):
+            form, y, states = FUNCTION_FORMS[c.scheme](c), c.init, [c.init]
+            for h, n in legs:
+                for _ in range(n):
+                    y = form(y, h)
+                    states.append(y)
+            return states
+
+        def miss(y, z):
+            return max(abs(a - b) for a, b in zip(y, z))
+
+        assert _hex(run(cfg).samples) == _hex(by_hand(cfg, [(cfg.h, cfg.steps)])[::cfg.stride])
+        trip = by_hand(cfg, [(cfg.h, 15), (-cfg.h, 15)])
+        assert float.hex(reversal_test(cfg, 15)) == float.hex(miss(trip[-1], cfg.init))
+
+        h_list, t_end = [0.04, 0.02, 0.01], 0.2
+        y_ref = by_hand(cfg._replace(scheme="reference"), [(0.0005, 400)])[-1]
+        errors = [miss(by_hand(cfg, [(h, round(t_end / h))])[-1], y_ref) for h in h_list]
+        rows = convergence_study(cfg, h_list, t_end)
+        assert [(float.hex(h), float.hex(e)) for h, e, _ in rows] == \
+            [(float.hex(h), float.hex(e)) for h, e in zip(h_list, errors)]
+
+        # A step that fails on the third step of the -h leg: steps are
+        # numbered across the legs, so the message names step 15 + 3.
+        make = harness.make_stepper
+
+        def failing_on_the_third_step_back(config, h):
+            step, calls = make(config, h), itertools.count(1)
+            if h > 0:
+                return step
+            return lambda y: (math.nan,) * 6 if next(calls) == 3 else step(y)
+
+        monkeypatch.setattr(harness, "make_stepper", failing_on_the_third_step_back)
+        with pytest.raises(NumericalError, match=rf"^{model}/{scheme} round trip: non-finite "
+                                                 r"state at step 18 of the round trip$"):
+            reversal_test(cfg, 15)
 
 
 class TestReversalTest:
@@ -650,9 +739,6 @@ NUMERICAL_ERRORS = [
     ["reverse", "--model", "kowalevski", "--scheme", "bohlin-c", "--h", "1e300", "--n", "2"],
     ["run", "--model", "kowalevski", "--scheme", "hybrid", "--h", "1e200", "--steps", "3"],
     ["run", "--model", "kowalevski", "--scheme", "bohlin-b", "--h", "1e200", "--steps", "3"],
-    # gamma at the south pole, where bohlin-b's stereographic chart has no point
-    ["run", "--model", "kowalevski", "--scheme", "bohlin-b", "--h", "0.01", "--steps", "10",
-     "--init", "0,0,0,0,0,-1"],
     # the final state is not a sample at stride 10, and is checked all the same
     ["run", "--model", "kowalevski", "--scheme", "bohlin-a", "--h", "1e200", "--steps", "3",
      "--stride", "10"],
@@ -885,6 +971,13 @@ class TestCli:
         assert main([*_KOW_RUN, "--c0", "-inf"]) == 2
         assert capsys.readouterr().err == \
             "config error: parameters and init must be finite, inertia positive\n"
+
+    def test_south_pole_init_runs(self, capsys):
+        # bohlin-b steps gamma_3 < -1/2 in its second stereographic chart,
+        # where the south pole is the centre.
+        assert main(["run", "--model", "kowalevski", "--scheme", "bohlin-b", "--h", "0.01",
+                     "--steps", "10", "--init", "0,0,0,0,0,-1"]) == 0
+        assert "gamma_sq: initial=1 min=1 max=1 " in capsys.readouterr().out
 
     def test_numerical_error_exit_code(self, capsys):
         for argv in NUMERICAL_ERRORS:

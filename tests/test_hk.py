@@ -258,8 +258,23 @@ def bit_cases(rng, n):
     return cases
 
 
+def hk_configs(inertia, g):
+    """The validated configs whose hk stepper steps with this inertia and
+    gravity vector: general always, euler where every component of g is a
+    zero, of either sign, and kowalevski where the body is the reduced top,
+    whose gravity (c0, +0, +0) RunConfig.body() forms."""
+    init = (0.0,) * 6
+    configs = [RunConfig("general", "hk", 0.01, inertia=inertia, gravity=g, init=init)]
+    if not any(g):
+        configs.append(RunConfig("euler", "hk", 0.01, inertia=inertia, gravity=g, init=init))
+    if tuple(inertia) == KOWALEVSKI_INERTIA and [float.hex(e) for e in g[1:]] == ["0x0.0p+0"] * 2:
+        configs.append(RunConfig("kowalevski", "hk", 0.01, c0=g[0]))
+    return [config.validated() for config in configs]
+
+
 class TestOmegaStage:
-    # hk_step is hk_omega followed by the closed-form gamma' recovery.
+    # hk_step is hk_omega followed by the closed-form gamma' recovery, and a
+    # run steps through the same kernel, bound once by make_stepper(cfg, h).
 
     def test_matches_the_loop_form_bit_for_bit(self, rng):
         bench = BENCH.tolist()
@@ -286,8 +301,15 @@ class TestOmegaStage:
         want = [outcome(loop_form_hk_step, *case) for case in errors]
         assert [w[0] for w in want] == [SingularSystemError, NumericalError, NumericalError]
         assert all(w[1].startswith("hk system overflows (") for w in want[1:])
+        models = set()
         for case in cases + errors + bit_cases(rng, 2400):
-            assert outcome(hk_step, *case) == outcome(loop_form_hk_step, *case), case
+            want = outcome(loop_form_hk_step, *case)
+            assert outcome(hk_step, *case) == want, case
+            y, inertia, g, h = case
+            for cfg in hk_configs(inertia, g):
+                assert outcome(make_stepper(cfg, h), y) == want, (cfg.model, case)
+                models.add(cfg.model)
+        assert models == {"kowalevski", "euler", "general"}
 
     def test_omega_is_the_first_three_of_the_step(self, rng):
         for case in bit_cases(rng, 500):
@@ -414,7 +436,7 @@ class TestKahanMap:
         # The identity tells Kahan's map apart: at h = 0.1 the RK4 reference
         # and bohlin-a miss it at every state, by 100 times the bound or more.
         inertia, g = KAHAN_BODIES["kowalevski"]
-        step = make_stepper(RunConfig("kowalevski", scheme, 0.1, 0).validated())
-        best = min(kahan_determinant_residual(lambda x: step(x, 0.1), inertia, g, y, 0.1)
+        step = make_stepper(RunConfig("kowalevski", scheme, 0.1, 0).validated(), 0.1)
+        best = min(kahan_determinant_residual(lambda x: step(x), inertia, g, y, 0.1)
                    for y in random_states(rng, 8))
         assert best > 1e-8, best

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from spintops.kowalevski import (
-    SouthPoleError,
     bohlin_algorithm_step,
     bohlin_step,
     gamma_step_bs,
@@ -76,10 +75,6 @@ class TestStereo:
             g = np.array(stereo_inverse(z))
             assert abs(g @ g - 1.0) <= 1e-15
 
-    def test_south_pole_error(self):
-        with pytest.raises(SouthPoleError):
-            stereo_forward(vec3(0, 0, -1))
-
 
 class TestGammaStepStereo:
     def test_zero_step(self):
@@ -96,16 +91,24 @@ class TestGammaStepStereo:
         assert np.max(np.abs(out_b - out_a)) <= 1e-5
 
     def test_unit_norm_exact(self, rng):
+        # Over the whole sphere: gamma_3 < -1/2 runs in the second chart.
         for _ in range(50):
             g = random_unit(rng)
-            if g[2] <= -0.9:
-                continue
             out = np.array(gamma_step_stereo(g, rng.normal(size=3), 0.05))
             assert abs(out @ out - 1.0) <= 1e-14
 
-    def test_south_pole_error(self):
-        with pytest.raises(SouthPoleError):
-            gamma_step_stereo(vec3(0, 0, -1.0), vec3(1, 0, 0), 0.01)
+    def test_second_chart_agrees_with_bs_to_second_order(self):
+        # gamma_3 < -1/2: the substep runs in the chart about the south pole.
+        g, w = vec3(0.3, 0.4, -0.8) / np.sqrt(0.89), vec3(1.2, -1.0, 0.8)
+        out_b = np.array(gamma_step_stereo(g, w, 0.001))
+        out_a = np.array(gamma_step_bs(g, w, 0.001))
+        assert np.max(np.abs(out_b - out_a)) <= 1e-5
+
+    def test_south_pole_lands_on_sphere(self):
+        # gamma_3 < -1/2 runs in the second chart, which the south pole is the
+        # centre of.
+        out = np.array(gamma_step_stereo(vec3(0, 0, -1.0), vec3(1, 0, 0), 0.01))
+        assert abs(out @ out - 1.0) <= 1e-15
 
 
 class TestGammaStepRotation:
