@@ -18,10 +18,10 @@ class SingularSystemError(NumericalError):
     """Raised when a linear system is singular to working precision."""
 
 
-# Relative singularity cutoff of the hk system: hk_omega, the elimination
-# stage of hk_step, and the seed of symmetric_step_euler, the same system at
-# gamma = 0 and g = 0 written out as one 3x3 system, pass solve3 the cutoff
-# that makes the 6x6 system singular when |det6| <= SINGULAR_RTOL * ||M||_F ** 6.
+# Relative singularity cutoff of the hk system: hk_omega_stage, the
+# elimination stage of hk_stepper, and the seed of symmetric_stepper, the same
+# system at gamma = 0 and g = 0 written out as one 3x3 system, pass solve3 the
+# cutoff that makes the 6x6 system singular when |det6| <= SINGULAR_RTOL * ||M||_F ** 6.
 SINGULAR_RTOL = 1e-14
 
 

@@ -3,9 +3,10 @@ explicit inertial-frame solver for the symmetric heavy top.
 
 Free-top steps take the packed state (omega, gamma), advance the angular
 momentum m = diag(A, B, C) omega and return omega' with gamma unchanged. The
-inertial-frame solver advances (m, a) with a fixed vertical p. Each step takes
-any sequence of six floats and returns a tuple of six; the inertia and the
-vertical arrive as three floats each. The fully symmetric free-top step is
+inertial-frame solver advances (m, a) with a fixed vertical p. Each factory
+takes the inertia or the vertical as three floats, then h, computes once what
+depends only on those, and returns the step, which takes any sequence of six
+floats and returns a tuple of six. The fully symmetric free-top step is
 seeded by the free-top bilinear step, one 3x3 solve.
 """
 
@@ -24,20 +25,27 @@ MAX_FIXED_POINT_ITERATIONS = 100
 FIXED_POINT_TOL = 1e-13
 
 
-def bs_step_euler(y, inertia, h: float) -> tuple[float, ...]:
-    """Advance m = I omega by m' - m = (h/2)(m' + m) x omega, omega taken at
-    the old level: a single linear solve. |m|^2 is preserved to roundoff, but
-    the step is not symmetric under h -> -h.
+def bs_stepper(inertia, h: float):
+    """Free-top step y = (omega, gamma) -> y' as six floats: m = I omega
+    advanced by m' - m = (h/2)(m' + m) x omega, omega taken at the old level,
+    in a single linear solve. |m|^2 is preserved to roundoff, but the step is
+    not symmetric under h -> -h.
     """
-    w0, w1, w2, g0, g1, g2 = y
     A, B, C = inertia
-    m0, m1, m2 = A * w0, B * w1, C * w2
-    n0, n1, n2 = bs_solve((m0, m1, m2), (m0 / A, m1 / B, m2 / C), 0.5 * h)
-    return n0 / A, n1 / B, n2 / C, g0, g1, g2
+    hh = 0.5 * h
+
+    def step(y) -> tuple[float, ...]:
+        w0, w1, w2, g0, g1, g2 = y
+        m0, m1, m2 = A * w0, B * w1, C * w2
+        n0, n1, n2 = bs_solve((m0, m1, m2), (m0 / A, m1 / B, m2 / C), hh)
+        return n0 / A, n1 / B, n2 / C, g0, g1, g2
+
+    return step
 
 
-def symmetric_step_euler(y, inertia, h: float) -> tuple[float, ...]:
-    """Advance m = I omega by m' - m = (h/4)(m' + m) x (omega' + omega).
+def symmetric_stepper(inertia, h: float):
+    """Free-top step y = (omega, gamma) -> y' as six floats: m = I omega
+    advanced by m' - m = (h/4)(m' + m) x (omega' + omega).
 
     Conserves both |m|^2 and m.omega and is symmetric under h -> -h, at the
     price of an implicit solve. Fixed-point iteration seeded by the bilinear
@@ -47,68 +55,83 @@ def symmetric_step_euler(y, inertia, h: float) -> tuple[float, ...]:
         k_i = h (I_j - I_k) / (2 I_i), (i, j, k) cyclic.
 
     It is the hk system at gamma = 0 and g = 0, with the cutoff and the
-    overflow check of hk_omega and the same bits. With
+    overflow check of hk_omega_stage and the same bits. With
     scale = max(1, |m1|, |m2|, |m3|), the step returns the first iterate that
     has stalled (each component moved by at most 1e-16 * scale) and satisfies
     the defining relation to FIXED_POINT_TOL * scale, or the last of
     MAX_FIXED_POINT_ITERATIONS iterates if that one satisfies it, stalled or
     not; otherwise it raises ConvergenceError. The relation is evaluated only
-    on those iterates, the only ones that can end the loop.
+    on those iterates, the only ones that can end the loop. Both module
+    constants are read when the step runs.
     """
     A, B, C = inertia
-    m0, m1, m2 = m = A * y[0], B * y[1], C * y[2]
-    w0, w1, w2 = m0 / A, m1 / B, m2 / C
-    hh = 0.5 * h
+    hh, c = 0.5 * h, 0.25 * h
     k0, k1, k2 = h * (B - C) / (2.0 * A), h * (C - A) / (2.0 * B), h * (A - B) / (2.0 * C)
+    nk0, nk1, nk2 = -k0, -k1, -k2
+    kk0, kk1, kk2 = k0 * k0, k1 * k1, k2 * k2
     b0, b1, b2 = h / (2.0 * A), h / (2.0 * B), h / (2.0 * C)
-    s0, s1, s2 = hh * w0, hh * w1, hh * w2
-    s_sq = s0 * s0 + s1 * s1 + s2 * s2
-    # ||M||_F^2 of the 6x6 hk system. Its gravity terms, b_i^2 (e_j^2 + e_k^2)
+    # The gravity terms of ||M||_F^2 of the 6x6 hk system, b_i^2 (e_j^2 + e_k^2)
     # and (h/2)^2 |gamma|^2 with b_i = h/(2 I_i), are products with zero here:
     # zero, or nan when b_i^2 or (h/2)^2 overflows, so they stay in the norm.
-    fro_sq = (6.0 + k0 * k0 * (w1 * w1 + w2 * w2) + k1 * k1 * (w0 * w0 + w2 * w2)
-              + k2 * k2 * (w0 * w0 + w1 * w1) + 2.0 * s_sq
-              + 0.0 * (b0 * b0 + b1 * b1 + b2 * b2 + hh * hh))
-    if not math.isfinite(fro_sq):
-        raise NumericalError(f"hk system overflows (||M||_F^2={fro_sq:.3e})")
+    zero_g = 0.0 * (b0 * b0 + b1 * b1 + b2 * b2 + hh * hh)
     # The dropped gravity rows add a zero to each entry off the diagonal, of
     # the sign of I_i in row i, and +0 to each right-hand side: a sum with a
     # zero can set the sign of a zero in omega', so both stay.
     zA, zB, zC = 0.0 * A, 0.0 * B, 0.0 * C
-    o0, o1, o2 = solve3(((1.0, -k0 * w2 + zA, -k0 * w1 + zA), (-k1 * w2 + zB, 1.0, -k1 * w0 + zB),
-                         (-k2 * w1 + zC, -k2 * w0 + zC, 1.0)), (w0 + 0.0, w1 + 0.0, w2 + 0.0),
-                        1.0 / (1.0 + s_sq) * SINGULAR_RTOL * fro_sq * fro_sq * fro_sq)
-    n0, n1, n2 = A * o0, B * o1, C * o2
-    scale = max(1.0, abs(m0), abs(m1), abs(m2))
-    tol, still, c = FIXED_POINT_TOL * scale, 1e-16 * scale, 0.25 * h
-    for left in range(MAX_FIXED_POINT_ITERATIONS, 0, -1):
-        x0, x1, x2 = bs_solve(m, (w0 + n0 / A, w1 + n1 / B, w2 + n2 / C), c)
-        stalled = (-still <= x0 - n0 <= still and -still <= x1 - n1 <= still
-                   and -still <= x2 - n2 <= still)
-        n0, n1, n2 = x0, x1, x2
-        if stalled or left == 1:
-            s0, s1, s2 = n0 + m0, n1 + m1, n2 + m2
-            v0, v1, v2 = w0 + n0 / A, w1 + n1 / B, w2 + n2 / C
-            if abs(n0 - m0 - c * (s1 * v2 - s2 * v1)) <= tol \
-                    and abs(n1 - m1 - c * (s2 * v0 - s0 * v2)) <= tol \
-                    and abs(n2 - m2 - c * (s0 * v1 - s1 * v0)) <= tol:
-                return n0 / A, n1 / B, n2 / C, y[3], y[4], y[5]
-    raise ConvergenceError("symmetric free-top step did not converge")
+
+    def step(y) -> tuple[float, ...]:
+        m0, m1, m2 = m = A * y[0], B * y[1], C * y[2]
+        w0, w1, w2 = m0 / A, m1 / B, m2 / C
+        s0, s1, s2 = hh * w0, hh * w1, hh * w2
+        s_sq = s0 * s0 + s1 * s1 + s2 * s2
+        fro_sq = (6.0 + kk0 * (w1 * w1 + w2 * w2) + kk1 * (w0 * w0 + w2 * w2)
+                  + kk2 * (w0 * w0 + w1 * w1) + 2.0 * s_sq + zero_g)
+        if not math.isfinite(fro_sq):
+            raise NumericalError(f"hk system overflows (||M||_F^2={fro_sq:.3e})")
+        o0, o1, o2 = solve3(((1.0, nk0 * w2 + zA, nk0 * w1 + zA),
+                             (nk1 * w2 + zB, 1.0, nk1 * w0 + zB),
+                             (nk2 * w1 + zC, nk2 * w0 + zC, 1.0)),
+                            (w0 + 0.0, w1 + 0.0, w2 + 0.0),
+                            1.0 / (1.0 + s_sq) * SINGULAR_RTOL * fro_sq * fro_sq * fro_sq)
+        n0, n1, n2 = A * o0, B * o1, C * o2
+        scale = max(1.0, abs(m0), abs(m1), abs(m2))
+        tol, still = FIXED_POINT_TOL * scale, 1e-16 * scale
+        for left in range(MAX_FIXED_POINT_ITERATIONS, 0, -1):
+            x0, x1, x2 = bs_solve(m, (w0 + n0 / A, w1 + n1 / B, w2 + n2 / C), c)
+            stalled = (-still <= x0 - n0 <= still and -still <= x1 - n1 <= still
+                       and -still <= x2 - n2 <= still)
+            n0, n1, n2 = x0, x1, x2
+            if stalled or left == 1:
+                s0, s1, s2 = n0 + m0, n1 + m1, n2 + m2
+                v0, v1, v2 = w0 + n0 / A, w1 + n1 / B, w2 + n2 / C
+                if abs(n0 - m0 - c * (s1 * v2 - s2 * v1)) <= tol \
+                        and abs(n1 - m1 - c * (s2 * v0 - s0 * v2)) <= tol \
+                        and abs(n2 - m2 - c * (s0 * v1 - s1 * v0)) <= tol:
+                    return n0 / A, n1 / B, n2 / C, y[3], y[4], y[5]
+        raise ConvergenceError("symmetric free-top step did not converge")
+
+    return step
 
 
-def lagrange_step(y, p, h: float) -> tuple[float, ...]:
-    """Two-stage explicit step on y = (m, a) with vertical p (three floats):
+def lagrange_stepper(p, h: float):
+    """Two-stage explicit step y = (m, a) -> y' as six floats, with vertical
+    p (three floats):
 
         m' = m + h * p x a
         a' - a = (h/2) m' x (a' + a)   (one 3x3 solve; |a| preserved exactly)
     """
-    m0, m1, m2, a0, a1, a2 = y
     p0, p1, p2 = p
-    m_next = (m0 + h * (p1 * a2 - p2 * a1), m1 + h * (p2 * a0 - p0 * a2),
-              m2 + h * (p0 * a1 - p1 * a0))
     # a' + a crossed with m' from the right: reuse the norm-preserving solve
     # with v = m' and reversed sign, since m' x (a'+a) = -(a'+a) x m'.
-    return (*m_next, *bs_solve((a0, a1, a2), m_next, -0.5 * h))
+    back = -0.5 * h
+
+    def step(y) -> tuple[float, ...]:
+        m0, m1, m2, a0, a1, a2 = y
+        m_next = (m0 + h * (p1 * a2 - p2 * a1), m1 + h * (p2 * a0 - p0 * a2),
+                  m2 + h * (p0 * a1 - p1 * a0))
+        return (*m_next, *bs_solve((a0, a1, a2), m_next, back))
+
+    return step
 
 
 def lagrange_invariants(y, p, h: float) -> tuple:

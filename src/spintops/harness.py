@@ -3,20 +3,18 @@ scheme's order, reversibility and exact invariant columns; trajectory
 generation, invariant drift reports, reversibility and convergence
 diagnostics, period estimation, CSV emission.
 
-Every stepper, the RK4 `reference` included, takes the state as six floats
-and returns a tuple of six; `make_stepper(config, h)` binds it to the model
-parameters and h once, where a function form such as `hk_step` binds on
-every call. `run`, `reversal_test` and `convergence_study` step through one
-checked loop, `_steps`, over legs of (h, n), one stepper per leg, which turns
-every failure of a step into a NumericalError that names the model and
-scheme. `run` keeps every
-stride-th state as six floats in a Trajectory and writes no file; the other
-two keep the loop's last state and compare endpoints. None of them imports
-numpy. A Trajectory computes its invariants on floats, one sample at a time,
-when `to_csv`, `drift_report` or `values` first reads them, so `to_csv` and
-`drift_report` never import numpy, nor does `estimate_period`, which takes
-floats. numpy enters only in `Trajectory.states`, the one array, made when
-first read. `RunConfig`, `Model`, `Scheme` and `InvariantDrift` are named
+Each `MODELS` scheme's `make` calls one stepper factory, the RK4 `reference`
+included: it takes the model parameters, then h, and returns the step, which
+takes the state as six floats and returns a tuple of six. `run`,
+`reversal_test` and `convergence_study` step through one checked loop,
+`_steps`, over legs of (h, n), with the step bound once per leg by
+`make_stepper(config, h)`; it turns every failure of a step into a
+NumericalError that names the model and scheme. `run` keeps every stride-th
+state as six floats in a Trajectory and writes no file; the other two keep
+the loop's last state and compare endpoints. A Trajectory computes its
+invariants on floats, one sample at a time, when first read, so nothing here
+imports numpy but `Trajectory.states`, the one array, which needs the
+`array` extra. `RunConfig`, `Model`, `Scheme` and `InvariantDrift` are named
 tuples and `Trajectory` is a plain class: `dataclasses` would import
 `inspect`, and so `ast`, `dis` and `tokenize`, in every CLI process.
 """
@@ -175,8 +173,11 @@ class Trajectory:
 
     @cached_property
     def states(self) -> np.ndarray:
-        """Rows of 6 state components."""
-        import numpy as np
+        """Rows of 6 state components, a numpy array: the `array` extra."""
+        try:
+            import numpy as np
+        except ImportError as e:
+            raise ImportError("Trajectory.states needs numpy: pip install 'spintops[array]'") from e
 
         n = len(self.samples)
         # One flat pass over the floats: 2.5 times as fast as from the tuples.
@@ -251,15 +252,6 @@ def _rk4(rhs, h: float):
     return step
 
 
-def _stepper(step, a, h: float, option=None):
-    """Stepper y -> y' of step(y, a, h), or of step(y, a, h, option). The
-    arguments are bound once, so a call passes them as plain positional
-    arguments and unpacks nothing per step."""
-    if option is None:
-        return lambda y: step(y, a, h)
-    return lambda y: step(y, a, h, option)
-
-
 def _body_invariants(config: RunConfig):
     """y -> (gamma_sq, E)."""
     inertia, g = config.body()
@@ -296,22 +288,21 @@ _BODY_SCHEMES = {
 _KOWALEVSKI_EXACT = ("gamma_sq", "k_sq")
 
 # The one list of models, of the schemes each runs and of what each scheme
-# promises. Step and invariant functions are looked up when they are used,
-# not when this table is built. The free-top bs and symmetric steps leave
-# gamma where it is, so they claim no order (ROADMAP item 2).
+# promises. Factories are looked up when a run binds a step, invariant
+# functions when they run. The free-top bs and symmetric steps leave gamma
+# where it is, so they claim no order (ROADMAP item 2).
 MODELS: dict[str, Model] = {
     "euler": Model(_BODY_COLUMNS, _BODY_INVARIANTS, _body_invariants, {
         **_BODY_SCHEMES,
-        "bs": Scheme(lambda c, h: _stepper(euler_lagrange.bs_step_euler, c.inertia, h),
+        "bs": Scheme(lambda c, h: euler_lagrange.bs_stepper(c.inertia, h),
                      None, False, ("gamma_sq",)),
-        "symmetric": Scheme(
-            lambda c, h: _stepper(euler_lagrange.symmetric_step_euler, c.inertia, h),
-            None, True, ("gamma_sq", "E")),
+        "symmetric": Scheme(lambda c, h: euler_lagrange.symmetric_stepper(c.inertia, h),
+                            None, True, ("gamma_sq", "E")),
     }, reads=("inertia",)),
     "lagrange": Model(
         ("m1", "m2", "m3", "a1", "a2", "a3"), ("a_sq", "m_dot_p", "m_dot_a", "E"),
         _lagrange_invariants, {
-            "bs": Scheme(lambda c, h: _stepper(euler_lagrange.lagrange_step, c.vertical, h),
+            "bs": Scheme(lambda c, h: euler_lagrange.lagrange_stepper(c.vertical, h),
                          1, False, ("a_sq", "m_dot_p", "m_dot_a", "E")),
             # RK4 keeps every linear invariant, and m.p is linear.
             "reference": Scheme(_lagrange_reference, 4, False, ("m_dot_p",)),
@@ -321,15 +312,15 @@ MODELS: dict[str, Model] = {
     "kowalevski": Model(_BODY_COLUMNS, ("gamma_sq", "two_ell", "E", "k_sq"),
                         lambda c: lambda y: kowalevski_invariants(y, c.c0), {
         **_BODY_SCHEMES,
-        "bohlin-a": Scheme(lambda c, h: _stepper(kowalevski.bohlin_algorithm_step, c.c0, h,
-                                                 kowalevski.gamma_step_bs),
-                           1, False, _KOWALEVSKI_EXACT),
-        "bohlin-b": Scheme(lambda c, h: _stepper(kowalevski.bohlin_algorithm_step, c.c0, h,
-                                                 kowalevski.gamma_step_stereo),
-                           1, False, _KOWALEVSKI_EXACT),
-        "bohlin-c": Scheme(lambda c, h: _stepper(kowalevski.bohlin_algorithm_step, c.c0, h,
-                                                 kowalevski.gamma_step_rotation),
-                           1, False, _KOWALEVSKI_EXACT),
+        "bohlin-a": Scheme(
+            lambda c, h: kowalevski.bohlin_stepper(c.c0, h, kowalevski.gamma_step_bs),
+            1, False, _KOWALEVSKI_EXACT),
+        "bohlin-b": Scheme(
+            lambda c, h: kowalevski.bohlin_stepper(c.c0, h, kowalevski.gamma_step_stereo),
+            1, False, _KOWALEVSKI_EXACT),
+        "bohlin-c": Scheme(
+            lambda c, h: kowalevski.bohlin_stepper(c.c0, h, kowalevski.gamma_step_rotation),
+            1, False, _KOWALEVSKI_EXACT),
         "hybrid": Scheme(lambda c, h: kowalevski.hybrid_stepper(c.c0, h),
                          2, False, _KOWALEVSKI_EXACT),
     }, reads=("c0",),

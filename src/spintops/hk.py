@@ -7,10 +7,9 @@ comes in two stages: the omega' stage eliminates gamma' and solves for omega'
 alone, which is all that the hybrid predictor uses, and the step then recovers
 gamma' in closed form.
 
-`hk_omega_stage` and `hk_stepper` bind the inertia, the gravity vector and h
-once, computing every term that depends only on those; a run binds its step
-this way once per leg. `hk_omega` and `hk_step` are the function forms, which
-bind on every call. Each takes any sequence of six floats.
+`hk_omega_stage` and `hk_stepper` take the inertia, the gravity vector and h,
+compute once every term that depends only on those, and return a function of
+the state alone, which takes any sequence of six floats.
 """
 
 from __future__ import annotations
@@ -124,14 +123,3 @@ def hk_stepper(inertia, g, h: float):
                 q * (z1 - (s2 * z0 - s0 * z2) + sz * s1), q * (z2 - (s0 * z1 - s1 * z0) + sz * s2))
 
     return step
-
-
-def hk_omega(y, inertia, g, h: float) -> tuple[float, float, float]:
-    """The omega' of one bilinear step from y, as three floats: the first
-    three that hk_omega_stage(inertia, g, h) returns."""
-    return hk_omega_stage(inertia, g, h)(y)[:3]
-
-
-def hk_step(y, inertia, g, h: float) -> tuple[float, ...]:
-    """One bilinear step from y: hk_stepper(inertia, g, h)(y)."""
-    return hk_stepper(inertia, g, h)(y)

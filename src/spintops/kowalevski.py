@@ -7,9 +7,8 @@ root nearer a one-step predictor, and a hybrid predictor-corrector that keeps
 both |gamma|^2 and |xi|^2 exact but is not time-reversal symmetric. Each
 step, and bohlin_step, the recovery stage they share, takes the packed state
 (omega, gamma) as any sequence of six floats and returns a tuple of six; the
-one parameter is the float c0. `hybrid_stepper` binds c0 and h once and
-returns the step as a function of the state alone; `hybrid_step` is its
-function form, which binds on every call.
+one parameter is the float c0. `bohlin_stepper` and `hybrid_stepper` take c0
+and h and return the step as a function of the state alone.
 """
 
 from __future__ import annotations
@@ -100,15 +99,15 @@ def bohlin_step(y, gamma_next, omega3_next: float, h: float, c0: float) -> tuple
     return w.real, w.imag, omega3_next, n0, n1, n2
 
 
-def bohlin_algorithm_step(y, c0: float, h: float,
-                          gamma_step: Callable = gamma_step_bs) -> tuple[float, ...]:
-    """Three-stage step on y = (omega, gamma): gamma by gamma_step (one of the
-    sphere-preserving gamma_step_bs, _stereo and _rotation), then the
-    trapezoidal w3 update, then the square-root recovery of (w1, w2).
+def bohlin_stepper(c0: float, h: float, gamma_step: Callable):
+    """Three-stage step y = (omega, gamma) -> y' as six floats: gamma by
+    gamma_step(gamma, omega, h) (one of the sphere-preserving gamma_step_bs,
+    _stereo and _rotation), then the trapezoidal w3 update, then the
+    square-root recovery of (w1, w2).
 
     Keeps |gamma|^2 = 1 and |xi|^2 exact; not symmetric under h -> -h since
-    the gamma stage uses omega at the old level only. With the default
-    Cayley gamma stage, one forward/backward pair leaves
+    the gamma stage uses omega at the old level only. With the Cayley gamma
+    stage gamma_step_bs, one forward/backward pair leaves
 
         Phi_{-h}(Phi_h(y)) - y = h^2 d(y) + O(h^3),
         d_gamma = -gamma x omega_dot,   d_omega3 = 0,
@@ -121,8 +120,11 @@ def bohlin_algorithm_step(y, c0: float, h: float,
     |d| = 5.0e-4 there, against a median of order 1 over random states; this is
     why the 1000-step round trip at h = 1e-3 is only 9.3e-7.
     """
-    gam_next = gamma_step(y[3:], y[:3], h)
-    return bohlin_step(y, gam_next, omega3_update(y[2], y[4], gam_next[1], h, c0), h, c0)
+    def step(y) -> tuple[float, ...]:
+        gam_next = gamma_step(y[3:], y[:3], h)
+        return bohlin_step(y, gam_next, omega3_update(y[2], y[4], gam_next[1], h, c0), h, c0)
+
+    return step
 
 
 def hybrid_stepper(c0: float, h: float):
@@ -147,8 +149,3 @@ def hybrid_stepper(c0: float, h: float):
         return bohlin_step(y, gam_next, p2, h, c0)
 
     return step
-
-
-def hybrid_step(y, c0: float, h: float) -> tuple[float, ...]:
-    """One hybrid step from y: hybrid_stepper(c0, h)(y)."""
-    return hybrid_stepper(c0, h)(y)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spintops.algebra import SINGULAR_RTOL, SingularSystemError, bs_solve, solve3
-from spintops.hk import hk_step
+from spintops.hk import hk_stepper
 from spintops.kowalevski import gamma_step_rotation
 from spintops.models import KOWALEVSKI_INERTIA
 
@@ -91,13 +91,13 @@ def random_top(rng):
 
 
 class TestSolve6:
-    # The 6x6 kernel is hk_step: the block elimination of the hk system
-    # assembled densely by conftest.assemble_system.
+    # The 6x6 kernel is the step of hk_stepper: the block elimination of the
+    # hk system assembled densely by conftest.assemble_system.
 
     def test_identity(self, rng):
         # at h = 0 the system is I x = y
         inertia, g, y = random_top(rng)
-        assert np.array_equal(hk_step(y, inertia, g, 0.0), y)
+        assert np.array_equal(hk_stepper(inertia, g, 0.0)(y), y)
 
     def test_block_diagonal_matches_solve3(self, rng):
         # Without gravity the omega rows decouple from gamma': the omega block
@@ -106,7 +106,7 @@ class TestSolve6:
             inertia, _, y = random_top(rng)
             h = rng.uniform(0.01, 0.5)
             mat, rhs = assemble_system(np.array(y), inertia, (0.0, 0.0, 0.0), h)
-            x = hk_step(y, inertia, (0.0, 0.0, 0.0), h)
+            x = hk_stepper(inertia, (0.0, 0.0, 0.0), h)(y)
             omega = solve3(mat[:3, :3].tolist(), rhs[:3].tolist(), cutoff(mat[:3, :3]))
             gamma = solve3(mat[3:, 3:].tolist(), (rhs[3:] - mat[3:, :3] @ omega).tolist(),
                            cutoff(mat[3:, 3:]))
@@ -118,7 +118,7 @@ class TestSolve6:
             inertia, g, y = random_top(rng)
             h = rng.uniform(0.01, 0.5)
             mat, rhs = assemble_system(np.array(y), inertia, g, h)
-            x = np.array(hk_step(y, inertia, g, h))
+            x = np.array(hk_stepper(inertia, g, h)(y))
             assert np.allclose(x, full_pivot_solve(mat, rhs), atol=1e-12)
             assert np.max(np.abs(mat @ x - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
@@ -131,7 +131,7 @@ class TestSolve6:
             ((2.0, 0.0, 0.0, 1.0, 0.0, 0.001), KOWALEVSKI_INERTIA, (1.0, 0.0, 0.0), 1e9),
         ]:
             with pytest.raises(SingularSystemError):
-                hk_step(y, inertia, g, h)
+                hk_stepper(inertia, g, h)(y)
 
 
 def rotation_matrix(theta):

@@ -12,10 +12,8 @@ import pytest
 import spintops
 from spintops.algebra import NumericalError, SingularSystemError, bs_solve
 from spintops.cli import build_parser, main
-from spintops import harness, kowalevski
-from spintops.euler_lagrange import (FIXED_POINT_TOL, MAX_FIXED_POINT_ITERATIONS,
-                                     ConvergenceError, bs_step_euler, lagrange_step,
-                                     symmetric_step_euler)
+from spintops import harness
+from spintops.euler_lagrange import FIXED_POINT_TOL, MAX_FIXED_POINT_ITERATIONS, ConvergenceError
 from spintops.harness import (
     MODELS,
     ConfigError,
@@ -28,8 +26,7 @@ from spintops.harness import (
     reversal_test,
     run,
 )
-from spintops.hk import hk_step
-from spintops.kowalevski import bohlin_algorithm_step, hybrid_step
+from spintops.hk import hk_stepper
 from spintops.models import KOWALEVSKI_INERTIA, invariants, kowalevski_invariants
 
 from conftest import vector_body_rhs, vector_lagrange_rhs, vector_rk4
@@ -317,6 +314,17 @@ class TestRun:
                 read()
         assert not path.exists()
 
+    def test_states_without_numpy_names_the_extra(self, monkeypatch):
+        # numpy is not a dependency of the package: without it a run returns
+        # its samples, and only `states` raises, naming the extra to install.
+        traj = run(kow_cfg(steps=2))
+        with monkeypatch.context() as m:
+            m.setitem(sys.modules, "numpy", None)
+            with pytest.raises(ImportError, match=r"^Trajectory\.states needs numpy: "
+                                                  r"pip install 'spintops\[array\]'$"):
+                traj.states
+        assert np.array_equal(traj.states, traj.samples)
+
     def test_invariant_overflow_names_the_first_invariant(self):
         # gamma_sq overflows first at this init, and |xi| is past the float
         # range too: the error names gamma_sq.
@@ -413,7 +421,7 @@ class TestRun:
         # The free-top steppers advance the packed (omega, gamma): gamma comes
         # back bit for bit, and omega' bit for bit as the momentum-form step
         # m -> m' written out below, with m = I omega and omega' = m' / I. The
-        # symmetric form is seeded by hk_step at gamma = 0 and g = 0, the full
+        # symmetric form is seeded by the hk step at gamma = 0 and g = 0, the full
         # 6x6 elimination, checks the defining relation on every iterate, and
         # returns the first iterate that has stalled and satisfies it, or the
         # last allowed one if that satisfies it; otherwise it raises
@@ -427,7 +435,8 @@ class TestRun:
             w = m / inertia
             if scheme == "bs":
                 return np.array(bs_solve(m.tolist(), w.tolist(), 0.5 * h))
-            n = inertia * np.array(hk_step((*w, 0.0, 0.0, 0.0), inertia, (0.0, 0.0, 0.0), h)[:3])
+            seed = hk_stepper(inertia, (0.0, 0.0, 0.0), h)((*w, 0.0, 0.0, 0.0))
+            n = inertia * np.array(seed[:3])
             scale, c = max(1.0, *np.abs(m)), 0.25 * h
             for k in range(MAX_FIXED_POINT_ITERATIONS):
                 x = np.array(bs_solve(m.tolist(), (w + n / inertia).tolist(), c))
@@ -505,30 +514,6 @@ class TestReference:
             assert np.array_equal(y, expected), (cfg, h)
 
 
-def _reference_form(c):
-    rhs, params = ((vector_lagrange_rhs, (c.vertical,)) if c.model == "lagrange"
-                   else (vector_body_rhs, c.body()))
-    return lambda y, h: tuple(vector_rk4(lambda v: rhs(v, *params), np.array(y), h).tolist())
-
-
-# Each scheme's step as a function form (y, h) -> y' of a validated config,
-# called with every argument on every step: nothing bound once. The
-# reference is RK4 in numpy vector arithmetic, which TestReference shows
-# equal to the float stepper bit for bit.
-FUNCTION_FORMS = {
-    "hk": lambda c: lambda y, h: hk_step(y, *c.body(), h),
-    "reference": _reference_form,
-    "bs": lambda c: ((lambda y, h: lagrange_step(y, c.vertical, h)) if c.model == "lagrange"
-                     else lambda y, h: bs_step_euler(y, c.inertia, h)),
-    "symmetric": lambda c: lambda y, h: symmetric_step_euler(y, c.inertia, h),
-    "bohlin-a": lambda c: lambda y, h: bohlin_algorithm_step(y, c.c0, h, kowalevski.gamma_step_bs),
-    "bohlin-b": lambda c: lambda y, h: bohlin_algorithm_step(y, c.c0, h,
-                                                             kowalevski.gamma_step_stereo),
-    "bohlin-c": lambda c: lambda y, h: bohlin_algorithm_step(y, c.c0, h,
-                                                             kowalevski.gamma_step_rotation),
-    "hybrid": lambda c: lambda y, h: hybrid_step(y, c.c0, h),
-}
-
 # One config per model with its parameters away from their defaults. The
 # Kowalevski state starts at gamma_3 = -0.8, in bohlin-b's second chart.
 _FORM_CONFIGS = {
@@ -546,18 +531,19 @@ def _hex(states):
 
 class TestBoundSteppers:
     # run, reversal_test and convergence_study bind each step once per leg
-    # through make_stepper(config, h); stepping the function forms by hand
-    # gives the same bits.
+    # through make_stepper(config, h); binding and stepping it by hand, leg
+    # by leg, gives the same bits.
     @pytest.mark.parametrize("model,scheme", [(m, s) for m in MODELS for s in MODELS[m].schemes],
                              ids=lambda x: x)
     def test_diagnostics_match_the_function_forms(self, model, scheme, monkeypatch):
         cfg = RunConfig(model, scheme, 0.01, 40, stride=7, **_FORM_CONFIGS[model]).validated()
 
         def by_hand(c, legs):
-            form, y, states = FUNCTION_FORMS[c.scheme](c), c.init, [c.init]
+            y, states = c.init, [c.init]
             for h, n in legs:
+                step = make_stepper(c, h)
                 for _ in range(n):
-                    y = form(y, h)
+                    y = step(y)
                     states.append(y)
             return states
 
@@ -589,6 +575,49 @@ class TestBoundSteppers:
         with pytest.raises(NumericalError, match=rf"^{model}/{scheme} round trip: non-finite "
                                                  r"state at step 18 of the round trip$"):
             reversal_test(cfg, 15)
+
+
+# The final state of a 40-step run at h = 0.01 from each config of
+# _FORM_CONFIGS, as float.hex. A change to any scheme's arithmetic that moves
+# a bit shows here; one that moves it on purpose records the new values.
+_FINAL_STATE_BITS = {
+    ("euler", "hk"): "0x1.2123dd211a355p-1 0x1.4beb786b4f24dp+0 0x1.c224b06d1d19cp-1 "
+                     "0x1.a7093dd404a19p-1 -0x1.26173c0c5d27dp-2 0x1.f03f5f263d578p-2",
+    ("euler", "reference"): "0x1.2123aaab12d05p-1 0x1.4bebccd99ff3dp+0 0x1.c224edd35ef41p-1 "
+                            "0x1.a706e2b59fd71p-1 -0x1.261d9fdbe77f2p-2 0x1.f04038b910e88p-2",
+    ("euler", "bs"): "0x1.240cef04d642ap-1 0x1.4cd45269e6113p+0 0x1.c0bdb03c2092cp-1 "
+                     "0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0",
+    ("euler", "symmetric"): "0x1.2123fba507d4bp-1 0x1.4bebbb371192ap+0 0x1.c224ff2a03631p-1 "
+                            "0x1.0000000000000p+0 0x0.0p+0 0x0.0p+0",
+    ("lagrange", "bs"): "0x1.5dc640887018bp-2 0x1.f19ba998233d7p-4 0x1.aaf301b3564bbp-1 "
+                        "0x1.5ad5232d92112p-1 0x1.64552dfcfe934p-3 0x1.6df006a95aeedp-1",
+    ("lagrange", "reference"): "0x1.5d01923be7c13p-2 0x1.f0765da28544dp-4 0x1.ab0e80d25d1b2p-1 "
+                               "0x1.5a467b9bde27fp-1 0x1.665b30d1852c3p-3 0x1.6e5773a15318dp-1",
+    ("kowalevski", "hk"): "0x1.f3932a5d39d91p-1 0x1.7748182c294f7p-2 -0x1.ef7ec9ce32d42p-3 "
+                          "0x1.79d7c7e7359b0p-1 -0x1.b187aa1d25f1ap-3 -0x1.4812670eeeeeap-1",
+    ("kowalevski", "reference"): "0x1.f39314d71834bp-1 0x1.774811fabb84ap-2 "
+                                 "-0x1.ef7dbbbff9660p-3 0x1.79d7ff4f696aep-1 "
+                                 "-0x1.b187fcd6e5ffap-3 -0x1.48127294967d0p-1",
+    ("kowalevski", "bohlin-a"): "0x1.f3bcfbef42662p-1 0x1.774a6093c9404p-2 -0x1.ef8abfcd20ed0p-3 "
+                                "0x1.7a1631723f2bep-1 -0x1.b12297e8d86abp-3 -0x1.47d323b879ce5p-1",
+    ("kowalevski", "bohlin-b"): "0x1.f37ce67a91de9p-1 0x1.772007ed6474cp-2 -0x1.ef484bb00a3b4p-3 "
+                                "0x1.79c04a1200139p-1 -0x1.b2332bf973892p-3 -0x1.481f994961a80p-1",
+    ("kowalevski", "bohlin-c"): "0x1.f3bd06b6454d0p-1 0x1.774a05b903ff8p-2 -0x1.ef8a74d61af20p-3 "
+                                "0x1.7a165934e9ed4p-1 -0x1.b12391a01cff3p-3 -0x1.47d2e13e355efp-1",
+    ("kowalevski", "hybrid"): "0x1.f3931e34ed612p-1 0x1.774805dda21d7p-2 -0x1.ef7eb07a4bf83p-3 "
+                              "0x1.79d7e0165a73dp-1 -0x1.b18827f10a2cfp-3 -0x1.481292fabc523p-1",
+    ("general", "hk"): "0x1.0ec2b9940b901p-1 0x1.208888a8a64b6p+0 0x1.cd20623f2415dp-1 "
+                       "0x1.aea71055032dcp-1 -0x1.2f4064823b3dap-2 0x1.cf6ee41eb200fp-2",
+    ("general", "reference"): "0x1.0ec18387574dbp-1 0x1.20889edb1a471p+0 0x1.cd20a2ffc47dcp-1 "
+                              "0x1.aea5b0870cf11p-1 -0x1.2f467438e1c63p-2 0x1.cf6f5d7517b3ep-2",
+}
+
+
+@pytest.mark.parametrize("model,scheme", [(m, s) for m in MODELS for s in MODELS[m].schemes],
+                         ids=lambda x: x)
+def test_final_state_keeps_its_bits(model, scheme):
+    final = run(RunConfig(model, scheme, 0.01, 40, **_FORM_CONFIGS[model])).samples[-1]
+    assert " ".join(map(float.hex, final)) == _FINAL_STATE_BITS[model, scheme]
 
 
 class TestReversalTest:

@@ -6,7 +6,7 @@ import pytest
 from spintops import hk
 from spintops.algebra import SINGULAR_RTOL, NumericalError, SingularSystemError, solve3
 from spintops.harness import RunConfig, make_stepper
-from spintops.hk import hk_omega, hk_step
+from spintops.hk import hk_omega_stage, hk_stepper
 from spintops.models import KOWALEVSKI_INERTIA
 
 from conftest import (assemble_system, componentwise_rhs, cramer_solve3, full_pivot_solve,
@@ -67,19 +67,19 @@ def assemble_by_probing(y, inertia, gv, h):
 class TestHkStep:
     def test_zero_step_is_identity(self):
         y = np.array([0.4, -1.2, 0.3, 0.1, 0.2, 0.9])
-        out = hk_step(y, KOWALEVSKI_INERTIA, KOW_G, 0.0)
+        out = hk_stepper(KOWALEVSKI_INERTIA, KOW_G, 0.0)(y)
         assert np.array_equal(out, y)
 
     def test_free_principal_rotation_fixes_omega(self):
         inertia = (1.0, 2.0, 3.0)
         y = np.array([0, 0, 1.7, 0.3, 0.1, 0.94])
-        out = hk_step(y, inertia, NO_G, 0.05)
+        out = hk_stepper(inertia, NO_G, 0.05)(y)
         assert np.allclose(out[:3], y[:3], atol=1e-15)
         assert bilinear_residual(y, out, inertia, NO_G, 0.05) <= 1e-14
 
     def test_matches_independent_assembly_and_oracle(self):
         h = 0.001
-        out = hk_step(BENCH, KOWALEVSKI_INERTIA, KOW_G, h)
+        out = hk_stepper(KOWALEVSKI_INERTIA, KOW_G, h)(BENCH)
         mat, rhs = assemble_by_probing(BENCH, KOWALEVSKI_INERTIA, KOW_G, h)
         expected = full_pivot_solve(mat, rhs)
         assert np.max(np.abs(out - expected)) <= 1e-12
@@ -88,7 +88,7 @@ class TestHkStep:
         for _ in range(20):
             y = np.concatenate([rng.normal(size=3), rng.normal(size=3)])
             inertia, g = rng.uniform(0.5, 3.0, 3), rng.normal(size=3)
-            out = hk_step(y, inertia, g, 0.01)
+            out = hk_stepper(inertia, g, 0.01)(y)
             assert bilinear_residual(y, out, inertia, g, 0.01) <= 1e-12
 
     def test_assembly_matches_probing(self, rng):
@@ -103,10 +103,12 @@ class TestHkStep:
     def test_accumulated_reversal_1000_steps(self):
         h = 0.001
         y = BENCH
+        forward = hk_stepper(KOWALEVSKI_INERTIA, KOW_G, h)
+        backward = hk_stepper(KOWALEVSKI_INERTIA, KOW_G, -h)
         for _ in range(1000):
-            y = hk_step(y, KOWALEVSKI_INERTIA, KOW_G, h)
+            y = forward(y)
         for _ in range(1000):
-            y = hk_step(y, KOWALEVSKI_INERTIA, KOW_G, -h)
+            y = backward(y)
         assert np.max(np.abs(y - BENCH)) <= 1e-9
 
     def test_second_order_consistency(self):
@@ -114,9 +116,9 @@ class TestHkStep:
         t_end = 0.5
 
         def endpoint(h):
-            y = BENCH
+            y, step = BENCH, hk_stepper(KOWALEVSKI_INERTIA, KOW_G, h)
             for _ in range(round(t_end / h)):
-                y = hk_step(y, KOWALEVSKI_INERTIA, KOW_G, h)
+                y = step(y)
             return np.array(y)
 
         ref = endpoint(1e-4)
@@ -127,14 +129,14 @@ class TestHkStep:
     def test_lagrange_params_conserve_omega3_exactly(self, rng):
         # A=B, x0=y0=0: the third omega relation degenerates to w3'=w3
         y = np.concatenate([rng.normal(size=3), rng.normal(size=3)])
-        out = hk_step(y, (2.0, 2.0, 1.0), vec3(0, 0, 0.8), 0.02)
+        out = hk_stepper((2.0, 2.0, 1.0), vec3(0, 0, 0.8), 0.02)(y)
         assert out[2] == y[2]
         # and over random C, gravity and h (a Cramer solve that divides
         # after summing loses the exact w3 in about 1 % of these)
         for _ in range(2000):
             inertia, g = (2.0, 2.0, rng.uniform(0.5, 3.0)), vec3(0, 0, rng.normal())
             y = rng.normal(size=6)
-            assert hk_step(y, inertia, g, rng.uniform(0.001, 0.5))[2] == y[2]
+            assert hk_stepper(inertia, g, rng.uniform(0.001, 0.5))(y)[2] == y[2]
 
 
 def random_system(rng):
@@ -144,7 +146,7 @@ def random_system(rng):
 
 
 class TestBlockSolve:
-    # hk_step eliminates gamma' in closed form and solves one 3x3 system; the
+    # The hk step eliminates gamma' in closed form and solves one 3x3 system; the
     # oracle solves the dense 6x6 by complete pivoting.
 
     def test_matches_dense_oracle(self, rng):
@@ -152,7 +154,7 @@ class TestBlockSolve:
         for _ in range(2000):
             y, inertia, g, h = random_system(rng)
             want = full_pivot_solve(*assemble_system(y, inertia, g, h))
-            got = hk_step(y, inertia, g, h)
+            got = hk_stepper(inertia, g, h)(y)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_det6_is_det3_over_q(self, rng):
@@ -180,16 +182,17 @@ class TestBlockSolve:
         for (y, inertia, g, h), ratio in zip(systems, ratios):
             if abs(ratio / rtol - 1.0) <= 1e-9:
                 continue
+            step = hk_stepper(inertia, g, h)
             if ratio > rtol:
-                hk_step(y, inertia, g, h)
+                step(y)
             else:
                 with pytest.raises(SingularSystemError):
-                    hk_step(y, inertia, g, h)
+                    step(y)
 
 
 def loop_form_hk_step(y, inertia, g, h):
-    """hk_step as it read when it built the three omega rows in a loop, before
-    its omega' stage was split out as hk_omega."""
+    """The hk step as it read when it built the three omega rows in a loop,
+    before its omega' stage was split out as hk_omega_stage."""
     w0, w1, w2, g0, g1, g2 = y
     A, B, C = inertia
     e0, e1, e2 = g
@@ -273,8 +276,9 @@ def hk_configs(inertia, g):
 
 
 class TestOmegaStage:
-    # hk_step is hk_omega followed by the closed-form gamma' recovery, and a
-    # run steps through the same kernel, bound once by make_stepper(cfg, h).
+    # The step of hk_stepper is the omega' stage of hk_omega_stage followed by
+    # the closed-form gamma' recovery, and a run steps through the same
+    # kernel, bound once by make_stepper(cfg, h).
 
     def test_matches_the_loop_form_bit_for_bit(self, rng):
         bench = BENCH.tolist()
@@ -304,22 +308,23 @@ class TestOmegaStage:
         models = set()
         for case in cases + errors + bit_cases(rng, 2400):
             want = outcome(loop_form_hk_step, *case)
-            assert outcome(hk_step, *case) == want, case
             y, inertia, g, h = case
+            assert outcome(hk_stepper(inertia, g, h), y) == want, case
             for cfg in hk_configs(inertia, g):
                 assert outcome(make_stepper(cfg, h), y) == want, (cfg.model, case)
                 models.add(cfg.model)
         assert models == {"kowalevski", "euler", "general"}
 
     def test_omega_is_the_first_three_of_the_step(self, rng):
-        for case in bit_cases(rng, 500):
-            assert outcome(hk_omega, *case) == outcome(hk_step, *case)[:3], case
+        for y, inertia, g, h in bit_cases(rng, 500):
+            assert outcome(hk_omega_stage(inertia, g, h), y)[:3] \
+                == outcome(hk_stepper(inertia, g, h), y)[:3], (y, inertia, g, h)
 
 
 def free_step(w, inertia, h):
-    """hk_step at gamma = 0 and g = 0: the free-top bilinear step in omega
+    """The hk step at gamma = 0 and g = 0: the free-top bilinear step in omega
     alone."""
-    return np.array(hk_step((*w, 0.0, 0.0, 0.0), inertia, NO_G, h)[:3])
+    return np.array(hk_stepper(inertia, NO_G, h)((*w, 0.0, 0.0, 0.0))[:3])
 
 
 class TestHkStepEuler:
@@ -348,7 +353,7 @@ class TestHkStepEuler:
         inertia = (1.3, 0.9, 2.2)
         w = rng.normal(size=3)
         y = np.concatenate([w, rng.normal(size=3)])
-        full = hk_step(y, inertia, NO_G, 0.03)
+        full = hk_stepper(inertia, NO_G, 0.03)(y)
         assert np.allclose(free_step(w, inertia, 0.03), full[:3], atol=1e-13)
 
     def test_m_sq_drift_is_nonzero_and_second_order(self):
@@ -427,8 +432,7 @@ class TestKahanMap:
     def test_jacobian_determinant(self, model, h, rng):
         inertia, g = KAHAN_BODIES[model]
         for y in random_states(rng, 8):
-            residual = kahan_determinant_residual(lambda x: hk_step(x, inertia, g, h),
-                                                  inertia, g, y, h)
+            residual = kahan_determinant_residual(hk_stepper(inertia, g, h), inertia, g, y, h)
             assert residual <= 1e-10, (y, residual)
 
     @pytest.mark.parametrize("scheme", ["reference", "bohlin-a"])

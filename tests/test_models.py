@@ -4,12 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spintops.euler_lagrange import (bs_step_euler, lagrange_invariants, lagrange_step,
-                                     symmetric_step_euler)
+from spintops.euler_lagrange import (bs_stepper, lagrange_invariants, lagrange_stepper,
+                                     symmetric_stepper)
 from spintops.harness import RunConfig
-from spintops.hk import hk_omega, hk_step
-from spintops.kowalevski import (bohlin_algorithm_step, bohlin_step, gamma_step_bs,
-                                 gamma_step_rotation, gamma_step_stereo, hybrid_step)
+from spintops.hk import hk_omega_stage, hk_stepper
+from spintops.kowalevski import (bohlin_step, bohlin_stepper, gamma_step_bs, gamma_step_rotation,
+                                 gamma_step_stereo, hybrid_stepper)
 from spintops.models import (
     KOWALEVSKI_INERTIA,
     euler_poisson_rhs,
@@ -182,16 +182,17 @@ class TestMatrixFormResidual:
 
 _Y = (0.3, -0.2, 0.9, 0.6, 0.0, 0.8)
 _INERTIA, _G, _P, _H = (1.0, 2.0, 3.0), (0.5, 0.0, 1.0), (0.0, 0.0, 1.0), 0.01
-# Every public function of a state, called on a state y.
+# Every public function of a state, called on a state y: each step and the
+# omega' stage as its factory returns it, keyed by the name of the step.
 _OF_STATE = {
-    "hk_step": lambda y: hk_step(y, _INERTIA, _G, _H),
-    "hk_omega": lambda y: hk_omega(y, _INERTIA, _G, _H),
-    "bs_step_euler": lambda y: bs_step_euler(y, _INERTIA, _H),
-    "symmetric_step_euler": lambda y: symmetric_step_euler(y, _INERTIA, _H),
-    "lagrange_step": lambda y: lagrange_step(y, _P, _H),
-    **{f"bohlin_algorithm_step-{g.__name__}": lambda y, g=g: bohlin_algorithm_step(y, C0, _H, g)
+    "hk_step": hk_stepper(_INERTIA, _G, _H),
+    "hk_omega": lambda y: hk_omega_stage(_INERTIA, _G, _H)(y)[:3],
+    "bs_step_euler": bs_stepper(_INERTIA, _H),
+    "symmetric_step_euler": symmetric_stepper(_INERTIA, _H),
+    "lagrange_step": lagrange_stepper(_P, _H),
+    **{f"bohlin_algorithm_step-{g.__name__}": bohlin_stepper(C0, _H, g)
        for g in (gamma_step_bs, gamma_step_stereo, gamma_step_rotation)},
-    "hybrid_step": lambda y: hybrid_step(y, C0, _H),
+    "hybrid_step": hybrid_stepper(C0, _H),
     "bohlin_step": lambda y: bohlin_step(y, (0.6, 0.1, 0.79), 0.85, _H, C0),
     "euler_poisson_rhs": lambda y: euler_poisson_rhs(y, _INERTIA, _G),
     "invariants": lambda y: invariants(y, _INERTIA, _G),

@@ -2,8 +2,12 @@
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -88,3 +92,29 @@ def test_scheme_contracts_match_the_table():
                             int(order) if order.isdigit() else None)
     assert listed == {(m, s): (c.exact, c.reversible, c.order)
                       for m, model in MODELS.items() for s, c in model.schemes.items()}
+
+
+def test_cli_commands_run_without_numpy(tmp_path):
+    # numpy is not a dependency of the package: with it made unimportable,
+    # every command of the README's CLI block exits 0, in one fresh
+    # interpreter that imports neither numpy nor dataclasses.
+    text = README.read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", text, re.S).group(1)
+    commands = [shlex.split(line, comments=True)
+                for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv[1:] for argv in commands if argv]
+    assert len(commands) == 8 and all(argv[0] in ("run", "reverse", "converge", "period")
+                                      for argv in commands)
+    script = f"""if True:
+        import sys
+        sys.modules["numpy"] = None
+        from spintops.cli import main
+        for argv in {commands!r}:
+            assert main(argv) == 0, argv
+        assert "dataclasses" not in sys.modules
+    """
+    src = str(Path(spintops.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "traj.csv").is_file()
