@@ -7,10 +7,22 @@ matrix-commutator form of the equations, Jacobians by finite differences) so
 that agreement is a real cross-check.
 """
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
 from spintops.models import euler_poisson_rhs
+
+
+def roundoff(n: int) -> float:
+    """Relative roundoff bound for n steps, c*eps*sqrt(n) with c = 8: the
+    rounding errors of the steps add up like a random walk (Hairer, Lubich
+    and Wanner, Geometric Numerical Integration, 2006). A quantity that a
+    scheme keeps exactly stays within roundoff(n) * max(1, |initial value|)
+    of its initial value over n steps."""
+    return 8 * sys.float_info.epsilon * math.sqrt(n)
 
 
 def vec3(x, y, z):

@@ -1,7 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
 The long Kowalevski runs (h=0.001, 50000 steps, the default near-vertical initial data)
-are shared across criteria through module-scoped fixtures.
+are shared across criteria through module-scoped fixtures. An invariant that a
+scheme keeps exactly stays within roundoff(n) * max(1, |initial value|) over n
+steps, roundoff(n) = 8 eps sqrt(n) (conftest).
 """
 
 import math
@@ -20,7 +22,7 @@ from spintops.harness import (
 from spintops.models import KOWALEVSKI_INERTIA, kowalevski_invariants
 
 from conftest import (bohlin_reversal_defect, componentwise_rhs, jacobian, matrix_form_residual,
-                      vec3)
+                      roundoff, vec3)
 
 H = 0.001
 N = 50000
@@ -29,6 +31,11 @@ N = 50000
 def _check(criterion, ok, detail):
     print(f"[criterion {criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {criterion}: {detail}"
+
+
+def _exact(d, n):
+    """Whether the drift d of an exact invariant over n steps is roundoff."""
+    return d.max_abs_deviation <= roundoff(n) * max(1.0, abs(d.initial))
 
 
 def _kow_run(scheme):
@@ -87,8 +94,9 @@ def test_criterion_3_hybrid_exactness(hybrid_traj):
     rep = drift_report(hybrid_traj)
     gamma_dev = rep["gamma_sq"].max_abs_deviation
     k_rel = rep["k_sq"].max_abs_deviation / rep["k_sq"].initial
-    ok = gamma_dev <= 1e-12 and k_rel <= 1e-10
-    _check(3, ok, f"max|gamma^2-1|={gamma_dev:.3e}, rel k^2 drift={k_rel:.3e}")
+    ok = _exact(rep["gamma_sq"], N) and _exact(rep["k_sq"], N)
+    _check(3, ok, f"max|gamma^2-1|={gamma_dev:.3e}, rel k^2 drift={k_rel:.3e}, "
+                  f"bound {roundoff(N):.3e}")
 
 
 @pytest.mark.slow
@@ -97,11 +105,12 @@ def test_criterion_4_bohlin_a_exactness_and_drift(bohlin_a_traj):
     gamma_dev = rep["gamma_sq"].max_abs_deviation
     k_rel = rep["k_sq"].max_abs_deviation / rep["k_sq"].initial
     e_drift = rep["E"].max_abs_deviation
-    ok = gamma_dev <= 1e-12 and k_rel <= 1e-10 and 1e-9 < e_drift < 1e-2
+    ok = _exact(rep["gamma_sq"], N) and _exact(rep["k_sq"], N) and 1e-9 < e_drift < 1e-2
     _check(
         4,
         ok,
-        f"max|gamma^2-1|={gamma_dev:.3e}, rel k^2 drift={k_rel:.3e}, E drift={e_drift:.3e}",
+        f"max|gamma^2-1|={gamma_dev:.3e}, rel k^2 drift={k_rel:.3e} (bound {roundoff(N):.3e}), "
+        f"E drift={e_drift:.3e}",
     )
 
 
@@ -116,22 +125,34 @@ def test_criterion_5_period_contrast(hk_traj, bohlin_a_traj):
 
 @pytest.mark.slow
 def test_criterion_5_period_law():
+    _period_law(1.0)
+
+
+@pytest.mark.slow
+def test_criterion_5_period_law_at_c0_2():
+    _period_law(2.0)
+
+
+def _period_law(c0):
     # The default point lies next to the equilibrium y* = (2, 0, 0, 1, 0, 0),
-    # omega || gamma || e1, a saddle: its Jacobian has eigenvalues +-i sqrt(3),
-    # +-1/sqrt(2) and 0 twice. Near a saddle of rate lambda a period grows like
-    # ln(1/delta) / lambda, with delta the distance from the separatrix, and
-    # bohlin-a's O(h) drift of E and 2l sets delta. So quartering h adds
-    # ln 4 / lambda to bohlin-a's gamma_3 period.
-    rhs = lambda y: componentwise_rhs(y, KOWALEVSKI_INERTIA, (1.0, 0.0, 0.0))
+    # omega || gamma || e1, a saddle: for 0 < c0 < 4 its Jacobian has
+    # eigenvalues +-i sqrt(4 - c0), +-sqrt(c0 / 2) and 0 twice, so lambda is
+    # 1/sqrt(2) at c0 = 1 and 1 at c0 = 2. Near a saddle of rate lambda a
+    # period grows like ln(1/delta) / lambda, with delta the distance from the
+    # separatrix, and bohlin-a's O(h) drift of E and 2l sets delta. So
+    # quartering h adds ln 4 / lambda to bohlin-a's gamma_3 period.
+    rhs = lambda y: componentwise_rhs(y, KOWALEVSKI_INERTIA, (c0, 0.0, 0.0))
     lam = max(np.linalg.eigvals(jacobian(rhs, (2.0, 0.0, 0.0, 1.0, 0.0, 0.0))).real)
     t_end, dt = 60.0, 1e-3
     periods = [estimate_period(run(RunConfig(model="kowalevski", scheme="bohlin-a", h=h,
-                                             steps=round(t_end / h), stride=round(dt / h)))
-                               .values("g3"), dt) for h in (1e-3, 2.5e-4)]
+                                             steps=round(t_end / h), stride=round(dt / h),
+                                             c0=c0)).values("g3"), dt)
+               for h in (1e-3, 2.5e-4)]
     gap, law = periods[1] - periods[0], math.log(4.0) / lam
     ok = abs(gap - law) <= 0.02 * law
-    _check(5, ok, f"bohlin-a gamma_3 periods {periods[0]:.4f} and {periods[1]:.4f} at h=1e-3 and "
-                  f"2.5e-4: gap {gap:.4f} against ln 4/lambda = {law:.4f}, lambda = {lam:.6f}")
+    _check(5, ok, f"c0 = {c0}: bohlin-a gamma_3 periods {periods[0]:.4f} and {periods[1]:.4f} at "
+                  f"h=1e-3 and 2.5e-4: gap {gap:.4f} against ln 4/lambda = {law:.4f}, "
+                  f"lambda = {lam:.6f}")
 
 
 @pytest.mark.slow
@@ -144,11 +165,12 @@ def test_criterion_6_lagrange_exact_invariants():
                     init=init)
     rep = drift_report(run(cfg))
     rels = {
-        name: d.max_abs_deviation / max(1e-30, abs(d.initial))
+        name: d.max_abs_deviation / max(1.0, abs(d.initial))
         for name, d in rep.items()
     }
-    ok = all(r <= 1e-11 for r in rels.values())
-    _check(6, ok, ", ".join(f"{k} rel drift {v:.3e}" for k, v in rels.items()))
+    ok = all(_exact(d, cfg.steps) for d in rep.values())
+    _check(6, ok, ", ".join(f"{k} rel drift {v:.3e}" for k, v in rels.items())
+           + f", bound {roundoff(cfg.steps):.3e}")
 
 
 @pytest.mark.slow
@@ -178,28 +200,32 @@ def test_criterion_7_euler_top_schemes():
             worst = max(worst, abs(float(mm @ mm) - float(m0 @ m0)))
         return worst
 
+    # hk breaks |m|^2, and its drift shrinks about 4x when h halves
     d1 = hk_m_drift(0.02)
     d2 = hk_m_drift(0.01)
 
     m = diag * vec3(1, 1, 1)
     m0_sq = float(m @ m)
     mw0 = float(m @ (m / diag))
+    n_sym = 1000
     y, step = (1.0, 1.0, 1.0, *gamma), symmetric_stepper(inertia, 0.01)
-    for _ in range(1000):
+    for _ in range(n_sym):
         y = step(y)
     m = diag * y[:3]
     sym_msq = abs(m @ m - m0_sq)
     sym_mw = abs(m @ (m / diag) - mw0)
 
     ok = (
+        # roundoff(100000) * |m|^2 = 7.9e-12 would be looser than this bound
         bs_drift <= 1e-12
-        and d1 > 0 and d2 > 0 and 3.0 <= d1 / d2 <= 5.5
-        and sym_msq <= 1e-11 and sym_mw <= 1e-11
+        and d1 > 1e-6 and d2 > 0 and 3.0 <= d1 / d2 <= 5.5
+        and sym_msq <= roundoff(n_sym) * max(1.0, m0_sq)
+        and sym_mw <= roundoff(n_sym) * max(1.0, mw0)
     )
     _check(
         7,
         ok,
-        f"bs |m|^2 drift {bs_drift:.3e}; hk drift ratio {d1 / d2:.2f}; "
+        f"bs |m|^2 drift {bs_drift:.3e}; hk drift {d1:.3e}, ratio {d1 / d2:.2f}; "
         f"symmetric drifts {sym_msq:.3e}/{sym_mw:.3e}",
     )
 

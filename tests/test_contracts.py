@@ -8,12 +8,13 @@ seeded random states:
   it by far more than roundoff;
 - `order`: `convergence_study` observes the declared order on every state.
 
-Roundoff grows like a random walk, so a bound on n steps is c*eps*sqrt(n)
-times the size of what it bounds, with c = 8. On these states the declared
-exact columns drift by at most 1.0e-14 (bound 2.5e-14) and the others by
-8.7e-7 or more; reversible schemes come back within 8.7e-15 (bound 1.8e-14),
-and the smallest median miss of the others is 8.5e-8 (the RK4 reference);
-the observed orders are within 0.071 of the declared ones.
+Roundoff grows like a random walk, so a bound on n steps is `roundoff(n)` of
+conftest, c*eps*sqrt(n) with c = 8, times the size of what it bounds. On
+these states the declared exact columns drift by at most 1.0e-14 (bound
+2.5e-14) and the others by 8.7e-7 or more; reversible schemes come back
+within 8.7e-15 (bound 1.8e-14), and the smallest median miss of the others
+is 8.5e-8 (the RK4 reference); the observed orders are within 0.075 of the
+declared ones (bound ORDER_TOL = 0.15).
 
 A scheme that declares no order is left out of the order test. The Euler
 `bs` and `symmetric` steps declare none while they leave gamma where it is
@@ -21,9 +22,7 @@ A scheme that declares no order is left out of the order test. The Euler
 show once gamma moves.
 """
 
-import math
 import statistics
-import sys
 from functools import cache
 
 import numpy as np
@@ -31,11 +30,13 @@ import pytest
 
 from spintops.harness import MODELS, RunConfig, convergence_study, reversal_test, run
 
+from conftest import roundoff
+
 SEED = 20260823
 N_STATES = 20
 H_DRIFT, N_DRIFT = 0.05, 200
 H_TRIP, N_TRIP = (0.01, 0.05), 50
-H_ORDER, T_ORDER, N_ORDER_STATES, ORDER_TOL = [0.04, 0.02, 0.01], 1.0, 4, 0.2
+H_ORDER, T_ORDER, N_ORDER_STATES, ORDER_TOL = [0.04, 0.02, 0.01], 1.0, 4, 0.15
 # A scheme declared not reversible misses the start, in the median over the
 # states at the largest h, by at least this many times the roundoff bound.
 IRREVERSIBLE_FACTOR = 1e4
@@ -46,10 +47,6 @@ DRIFT_FACTOR = 100.0
 PAIRS = [(model, scheme) for model in MODELS for scheme in MODELS[model].schemes]
 ORDERED = [(model, scheme) for model, scheme in PAIRS
            if MODELS[model].schemes[scheme].order is not None]
-
-
-def roundoff(n: int) -> float:
-    return 8 * sys.float_info.epsilon * math.sqrt(n)
 
 
 def unit(rng) -> tuple[float, ...]:

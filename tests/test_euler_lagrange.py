@@ -12,7 +12,7 @@ from spintops.euler_lagrange import (
 )
 from spintops.hk import hk_omega_stage
 
-from conftest import cramer_solve3, cross, skew_apply_matrix, vec3
+from conftest import cramer_solve3, cross, roundoff, skew_apply_matrix, vec3
 
 I123 = np.array([1.0, 2.0, 3.0])
 
@@ -85,23 +85,13 @@ class TestSymmetricStepEuler:
         res = mn - m - 0.25 * h * cross(mn + m, mn / I123 + m / I123)
         assert np.max(np.abs(res)) <= 1e-13 * max(1.0, np.max(np.abs(m)))
 
-    def test_long_run_invariants(self):
-        m = vec3(1, 1, 1)
-        m0sq = float(m @ m)
-        mw0 = float(m @ (m / I123))
-        for _ in range(1000):
-            m = free_step(symmetric_stepper, m, I123, 0.01)
-        assert abs(m @ m - m0sq) <= 1e-11
-        assert abs(m @ (m / I123) - mw0) <= 1e-11
-
     @pytest.mark.parametrize("h", [1e-3, 1e-2, 5e-2])
     def test_contract_on_random_states(self, h, rng):
         # From 20 seeded random states and inertias, n = 100 steps keep |m|^2
-        # and m.omega to c eps sqrt(n) of their size, and n steps back with -h
-        # return to m within c eps sqrt(n) max|m|, with c = 8: roundoff, which
-        # grows like sqrt(n). gamma comes back bit for bit.
+        # and m.omega to roundoff(n) of their size, and n steps back with -h
+        # return to m within roundoff(n) max|m|. gamma comes back bit for bit.
         n = 100
-        bound = 8 * np.finfo(float).eps * np.sqrt(n)
+        bound = roundoff(n)
         for _ in range(20):
             inertia = tuple(rng.uniform(0.5, 3.0, 3).tolist())
             start = tuple(rng.normal(size=6).tolist())
@@ -186,16 +176,6 @@ class TestLagrangeStep:
         y = self.tilted()
         out = np.array(lagrange_stepper(self.P, 0.05)(y))
         assert out[:3] @ self.P == y[:3] @ self.P
-
-    def test_trajectory_conservation(self):
-        y = self.tilted()
-        h = 0.01
-        initial = np.array(lagrange_invariants(y, self.P, h))
-        step = lagrange_stepper(self.P, h)
-        for _ in range(5000):
-            y = np.array(step(y))
-        final = np.array(lagrange_invariants(y, self.P, h))
-        assert np.max(np.abs(final - initial) / np.maximum(1.0, np.abs(initial))) <= 1e-12
 
 
 class TestLagrangeInvariants:

@@ -18,20 +18,12 @@ from spintops.models import (
     xi,
 )
 
-from conftest import componentwise_rhs, matrix_form_residual, vec3
+from conftest import componentwise_rhs, matrix_form_residual, vec3, vector_rk4
 
 # The reduced-top test point used throughout (w1=2, gamma_3=0.001).
 KOW_INIT = np.array([2, 0, 0, 0.9999995, 0, 0.001])
 C0 = 1.0
 KOW_TOP = (KOWALEVSKI_INERTIA, (C0, 0.0, 0.0))  # (inertia, g) of the reduced top
-
-
-def rk4(y, inertia, g, h):
-    k1 = np.array(euler_poisson_rhs(y, inertia, g))
-    k2 = np.array(euler_poisson_rhs(y + 0.5 * h * k1, inertia, g))
-    k3 = np.array(euler_poisson_rhs(y + 0.5 * h * k2, inertia, g))
-    k4 = np.array(euler_poisson_rhs(y + h * k3, inertia, g))
-    return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 class TestRhs:
@@ -102,8 +94,9 @@ class TestInvariants:
         for _ in range(10):
             y = np.concatenate([rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)])
             inertia, g = rng.uniform(0.5, 2.0, 3), rng.uniform(-1, 1, 3)
-            plus = invariants(rk4(y, inertia, g, delta), inertia, g)
-            minus = invariants(rk4(y, inertia, g, -delta), inertia, g)
+            rhs = lambda z: np.array(euler_poisson_rhs(z, inertia, g))
+            plus = invariants(vector_rk4(rhs, y, delta), inertia, g)
+            minus = invariants(vector_rk4(rhs, y, -delta), inertia, g)
             for name, a, b in zip(("gamma_sq", "m_dot_gamma", "energy"), plus, minus):
                 assert abs((a - b) / (2 * delta)) <= 1e-12, name
 

@@ -94,6 +94,7 @@ def test_scheme_contracts_match_the_table():
                       for m, model in MODELS.items() for s, c in model.schemes.items()}
 
 
+@pytest.mark.slow
 def test_cli_commands_run_without_numpy(tmp_path):
     # numpy is not a dependency of the package: with it made unimportable,
     # every command of the README's CLI block exits 0, in one fresh
