@@ -9,9 +9,8 @@ from .euler_lagrange import (ConvergenceError, bs_stepper, lagrange_invariants,
 from .harness import (ConfigError, RunConfig, Trajectory, convergence_study, drift_report,
                       estimate_period, reversal_test, run)
 from .hk import hk_omega_stage, hk_stepper
-from .kowalevski import (bohlin_step, bohlin_stepper, gamma_step_bs, gamma_step_rotation,
-                         gamma_step_stereo, hybrid_stepper, omega3_update, stereo_forward,
-                         stereo_inverse)
+from .kowalevski import (bohlin_stage, bohlin_stepper, gamma_step_bs, gamma_step_rotation,
+                         gamma_step_stereo, hybrid_stepper)
 from .models import KOWALEVSKI_INERTIA, euler_poisson_rhs, invariants, kowalevski_invariants, xi
 
 __all__ = [name for name, value in globals().items()

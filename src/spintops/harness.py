@@ -352,9 +352,10 @@ def _steps(config: RunConfig, legs, what: str):
             step = make_stepper(config, h)
             for k in range(done + 1, done + n + 1):
                 y = step(y)
-                # A finite norm proves every component finite; a state of norm
-                # above 1.8e308 can be finite too, so only then check each one.
-                if not math.isfinite(math.hypot(*y)) and not all(map(math.isfinite, y)):
+                # A finite sum proves every component finite; a sum that
+                # overflows can come from finite ones, so only then check each.
+                a, b, c, d, e, f = y
+                if not math.isfinite(a + b + c + d + e + f) and not all(map(math.isfinite, y)):
                     raise NumericalError(f"non-finite state at step {k} of the {what}")
                 yield y
             done += n

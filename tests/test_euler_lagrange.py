@@ -46,12 +46,6 @@ class TestBsStepEuler:
         assert abs(mn @ mn - 3.0) <= 1e-13
         assert np.max(np.abs(mn - bs_oracle(m, m / I123, h))) <= 1e-13
 
-    def test_norm_conserved_long_run(self):
-        m = vec3(1, 1, 1)
-        for _ in range(2000):
-            m = free_step(bs_stepper, m, I123, 0.05)
-        assert abs(m @ m - 3.0) <= 1e-12
-
     def test_breaks_time_reversal(self):
         # the documented asymmetry: round trip error far above roundoff
         m = vec3(1, 1, 1)
@@ -69,13 +63,6 @@ class TestSymmetricStepEuler:
         m = vec3(1, 2, 3)
         assert np.allclose(free_step(symmetric_stepper, m, (1.5, 1.5, 1.5), 0.05), m,
                            atol=1e-13)
-
-    def test_both_invariants_conserved(self):
-        m = vec3(1, 1, 1)
-        mn = free_step(symmetric_stepper, m, I123, 0.05)
-        w, wn = m / I123, mn / I123
-        assert abs(mn @ mn - m @ m) <= 1e-12
-        assert abs(mn @ wn - m @ w) <= 1e-12
 
     def test_defining_relation(self):
         m = vec3(0.7, -1.1, 0.4)
@@ -163,14 +150,6 @@ class TestLagrangeStep:
         a_next = cramer_solve3(lhs, a + 0.5 * h * cross(m_next, a))
         assert np.allclose(out[:3], m_next, atol=1e-16)
         assert np.max(np.abs(out[3:] - a_next)) <= 1e-14
-
-    def test_all_four_invariants_single_step(self):
-        y = self.tilted()
-        h = 0.01
-        before = lagrange_invariants(y, self.P, h)
-        after = lagrange_invariants(np.array(lagrange_stepper(self.P, h)(y)), self.P, h)
-        for x, y in zip(before, after):
-            assert abs(x - y) <= 1e-13
 
     def test_m_dot_p_exactly_conserved(self):
         y = self.tilted()

@@ -100,21 +100,6 @@ class TestHkStep:
             assert np.allclose(mat, mat2, atol=1e-14)
             assert np.allclose(rhs, rhs2, atol=1e-14)
 
-    def test_second_order_consistency(self):
-        # endpoint error vs a tiny-step run of the same scheme
-        t_end = 0.5
-
-        def endpoint(h):
-            y, step = BENCH, hk_stepper(KOWALEVSKI_INERTIA, KOW_G, h)
-            for _ in range(round(t_end / h)):
-                y = step(y)
-            return np.array(y)
-
-        ref = endpoint(1e-4)
-        e1 = np.max(np.abs(endpoint(0.01) - ref))
-        e2 = np.max(np.abs(endpoint(0.005) - ref))
-        assert 3.5 <= e1 / e2 <= 4.5
-
     def test_lagrange_params_conserve_omega3_exactly(self, rng):
         # A=B, x0=y0=0: the third omega relation degenerates to w3'=w3
         y = np.concatenate([rng.normal(size=3), rng.normal(size=3)])

@@ -4,15 +4,12 @@ import numpy as np
 import pytest
 
 from spintops.kowalevski import (
-    bohlin_step,
+    bohlin_stage,
     bohlin_stepper,
     gamma_step_bs,
     gamma_step_rotation,
     gamma_step_stereo,
     hybrid_stepper,
-    omega3_update,
-    stereo_forward,
-    stereo_inverse,
 )
 from spintops.models import xi
 
@@ -52,27 +49,30 @@ class TestGammaStepBs:
 
 
 class TestStereo:
+    # At h = 0 gamma_step_stereo is the chart map z = (g1 + i g2)/(1 + g3)
+    # followed by its inverse.
     def test_north_pole(self):
-        assert stereo_forward(vec3(0, 0, 1)) == 0j
+        assert gamma_step_stereo((0.0, 0.0, 1.0), (1.0, -1.0, 2.0), 0.0) == (0.0, 0.0, 1.0)
 
     def test_equator_points(self):
-        assert stereo_forward(vec3(1, 0, 0)) == 1 + 0j
-        assert stereo_forward(vec3(0, 1, 0)) == 1j
+        assert gamma_step_stereo((1.0, 0.0, 0.0), (1.0, -1.0, 2.0), 0.0) == (1.0, 0.0, 0.0)
+        assert gamma_step_stereo((0.0, 1.0, 0.0), (1.0, -1.0, 2.0), 0.0) == (0.0, 1.0, 0.0)
 
     def test_round_trip(self, rng):
-        n = 0
-        while n < 100:
+        # Over the whole sphere: gamma_3 < -1/2 runs in the second chart.
+        seen = set()
+        for _ in range(100):
             g = random_unit(rng)
-            if g[2] <= -0.99:
-                continue
-            n += 1
-            back = stereo_inverse(stereo_forward(g))
+            seen.add(g[2] < -0.5)
+            back = gamma_step_stereo(g, rng.normal(size=3), 0.0)
             assert np.max(np.abs(back - g)) <= 1e-14
+        assert seen == {False, True}
 
     def test_inverse_lands_on_sphere(self, rng):
+        # g = (Re z, Im z, 0) maps to z, so any z reaches the inverse map.
         for _ in range(50):
             z = complex(*rng.normal(size=2) * 3)
-            g = np.array(stereo_inverse(z))
+            g = np.array(gamma_step_stereo((z.real, z.imag, 0.0), (1.0, -1.0, 2.0), 0.0))
             assert abs(g @ g - 1.0) <= 1e-15
 
 
@@ -161,16 +161,26 @@ class TestGammaStepRotation:
         assert errs[1] < 0.6 * errs[0]  # first-order decay
 
 
+def omega3_after_step(omega3, gamma2_n, gamma2_next, h, c0):
+    """w3 after one bohlin_stepper step whose gamma stage moves gamma_2 from
+    gamma2_n to gamma2_next."""
+    step = bohlin_stepper(c0, h, lambda gamma, omega, h: (0.6, gamma2_next, 0.8))
+    return step((1.2, 0.3, omega3, 0.6, gamma2_n, 0.8))[2]
+
+
 class TestOmega3Update:
+    # The trapezoidal update w3' = w3 - (h/2) c0 (gamma2' + gamma2).
     def test_no_gamma2_no_change(self):
-        assert omega3_update(1.7, 0.0, 0.0, 0.1, 1.0) == 1.7
+        assert omega3_after_step(1.7, 0.0, 0.0, 0.1, 1.0) == 1.7
 
     def test_direct_arithmetic(self):
-        assert omega3_update(0.0, 1.0, 1.0, 0.1, 1.0) == pytest.approx(-0.1, abs=1e-16)
+        w3_next = omega3_after_step(0.0, 1.0, 1.0, 0.1, 1.0)
+        assert w3_next == 0.0 - 0.5 * 0.1 * 1.0 * (1.0 + 1.0)
+        assert w3_next == pytest.approx(-0.1, abs=1e-16)
 
     def test_affine_reversal(self):
-        w3_next = omega3_update(0.35, 0.2, 0.7, 0.05, 1.0)
-        w3_back = omega3_update(w3_next, 0.7, 0.2, -0.05, 1.0)
+        w3_next = omega3_after_step(0.35, 0.2, 0.7, 0.05, 1.0)
+        w3_back = omega3_after_step(w3_next, 0.7, 0.2, -0.05, 1.0)
         assert w3_back == pytest.approx(0.35, abs=1e-16)
 
 
@@ -178,28 +188,30 @@ class TestBohlinStep:
     def test_stationary_phase_returns_omega(self):
         w = 1.5 + 0.2j
         g = 0.3 + 0.1j
-        out = bohlin_step((w.real, w.imag, 0.0, g.real, g.imag, 0.5), (g.real, g.imag, 0.5),
-                          0.0, 0.001, 1.0)
+        out = bohlin_stage(1.0, 0.001)((w.real, w.imag, 0.0, g.real, g.imag, 0.5),
+                                       (g.real, g.imag, 0.5), 0.0)
         assert abs(complex(*out[:2]) - w) <= 1e-13
 
     def test_negative_real_radicand_positive_branch(self):
         # Z = -1 with predictor in the upper half plane -> +i
-        out = bohlin_step((0.0, 1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0, 0.001, 1.0)
+        out = bohlin_stage(1.0, 0.001)((0.0, 1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0), 0.0)
         assert abs(complex(*out[:2]) - 1j) <= 1e-13
 
     def test_xi_modulus_exact(self, rng):
+        recover = bohlin_stage(1.0, 0.01)
         for _ in range(50):
             w = complex(*rng.normal(size=2))
             g = complex(*rng.normal(size=2))
             gn = complex(*rng.normal(size=2))
             w3, w3n = rng.normal(size=2)
             y = (w.real, w.imag, w3, g.real, g.imag, rng.normal())
-            out = complex(*bohlin_step(y, (gn.real, gn.imag, 0.0), w3n, 0.01, 1.0)[:2])
+            out = complex(*recover(y, (gn.real, gn.imag, 0.0), w3n)[:2])
             assert abs(abs(out**2 - gn) - abs(w**2 - g)) <= 1e-13
 
     def test_matches_the_complex_form_bit_for_bit(self, rng):
         # The recovery as it read on complex arguments, before it took and
-        # returned the packed state.
+        # returned the packed state; it tests the root by |-w - p|, the stage
+        # by |w + p|.
         def complex_form(omega_n, gamma_n, gamma_next, gamma3_n, omega3_n, omega3_next, h, c0):
             chi = 0.5 * h * (omega3_next + omega3_n)
             z = cmath.exp(-1j * chi) * (omega_n * omega_n - c0 * gamma_n) + c0 * gamma_next
@@ -221,7 +233,7 @@ class TestBohlinStep:
         for y, gn, w3n, h, c0 in cases:
             want = complex_form(complex(y[0], y[1]), complex(y[3], y[4]), complex(gn[0], gn[1]),
                                 y[5], y[2], w3n, h, c0)
-            got = bohlin_step(y, gn, w3n, h, c0)
+            got = bohlin_stage(c0, h)(y, gn, w3n)
             assert list(map(float.hex, got)) == \
                 list(map(float.hex, (want.real, want.imag, w3n, *gn))), (y, gn, w3n, h, c0)
 
@@ -242,14 +254,6 @@ class TestBohlinAlgorithmStep:
     def test_zero_step_is_identity(self):
         out = bohlin_stepper(C0, 0.0, gamma_step_bs)(BENCH)
         assert np.max(np.abs(out - BENCH)) <= 1e-15
-
-    def test_first_order_accuracy(self):
-        from spintops.harness import RunConfig, convergence_study
-
-        cfg = RunConfig(model="kowalevski", scheme="bohlin-a", h=0.01, steps=1)
-        rows = convergence_study(cfg, [0.02, 0.01, 0.005], 1.0)
-        for _, _, order in rows[1:]:
-            assert order == pytest.approx(1.0, abs=0.25)
 
     def test_reversal_defect_leading_term(self, rng):
         # One forward/backward pair leaves h^2 d(y) + O(h^3); worst relative
@@ -284,7 +288,7 @@ class TestHybridStep:
         # The root 2 - 2.5e-9j and the predictor, exactly 2, lie on opposite
         # sides of the real axis. A rule comparing argument signs took the far
         # root -2 + 2.5e-9j here; the nearest root is kept.
-        out = bohlin_step((2.0, 0.0, 0.5, 0.3, 0.1, 0.9), (0.3, 0.1 - 1e-8, 0.9), 0.5, 0.0, 1.0)
+        out = bohlin_stage(1.0, 0.0)((2.0, 0.0, 0.5, 0.3, 0.1, 0.9), (0.3, 0.1 - 1e-8, 0.9), 0.5)
         assert out == (2.0, -2.4999999986841104e-9, 0.5, 0.3, 0.1 - 1e-8, 0.9)
         back = hybrid_stepper(C0, -0.001)(hybrid_stepper(C0, 0.001)(BENCH))
         assert np.max(np.abs(back - BENCH)) <= 1e-13

@@ -8,7 +8,7 @@ from spintops.euler_lagrange import (bs_stepper, lagrange_invariants, lagrange_s
                                      symmetric_stepper)
 from spintops.harness import RunConfig
 from spintops.hk import hk_omega_stage, hk_stepper
-from spintops.kowalevski import (bohlin_step, bohlin_stepper, gamma_step_bs, gamma_step_rotation,
+from spintops.kowalevski import (bohlin_stage, bohlin_stepper, gamma_step_bs, gamma_step_rotation,
                                  gamma_step_stereo, hybrid_stepper)
 from spintops.models import (
     KOWALEVSKI_INERTIA,
@@ -186,7 +186,7 @@ _OF_STATE = {
     **{f"bohlin_algorithm_step-{g.__name__}": bohlin_stepper(C0, _H, g)
        for g in (gamma_step_bs, gamma_step_stereo, gamma_step_rotation)},
     "hybrid_step": hybrid_stepper(C0, _H),
-    "bohlin_step": lambda y: bohlin_step(y, (0.6, 0.1, 0.79), 0.85, _H, C0),
+    "bohlin_step": lambda y: bohlin_stage(C0, _H)(y, (0.6, 0.1, 0.79), 0.85),
     "euler_poisson_rhs": lambda y: euler_poisson_rhs(y, _INERTIA, _G),
     "invariants": lambda y: invariants(y, _INERTIA, _G),
     "kowalevski_invariants": lambda y: kowalevski_invariants(y, C0),
