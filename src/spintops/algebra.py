@@ -9,6 +9,8 @@ numpy. All functions are pure and thread-safe.
 
 from __future__ import annotations
 
+from math import isfinite, sqrt
+
 
 class NumericalError(RuntimeError):
     """Base class for numerical failures (singular systems, non-convergence)."""
@@ -18,19 +20,18 @@ class SingularSystemError(NumericalError):
     """Raised when a linear system is singular to working precision."""
 
 
-# Relative singularity cutoff of the hk system: hk_omega_stage, the
-# elimination stage of hk_stepper, and the seed of symmetric_stepper, the same
-# system at gamma = 0 and g = 0 written out as one 3x3 system, pass solve3 the
-# cutoff that makes the 6x6 system singular when |det6| <= SINGULAR_RTOL * ||M||_F ** 6.
+# Relative singularity cutoff of solve3: a 3x3 system is singular when
+# |det| <= SINGULAR_RTOL * ||a||_F ** 3. Read when solve3 runs.
 SINGULAR_RTOL = 1e-14
 
 
-def solve3(a, b, cutoff: float) -> tuple[float, float, float]:
+def solve3(a, b) -> tuple[float, float, float]:
     """Solve the 3x3 system a x = b by Cramer's rule: x_j = sum_i (C_ij/det) b_i
     with C the cofactors of a.
 
-    Raises SingularSystemError when |det| is not above `cutoff`; a NaN
-    determinant or cutoff included.
+    Raises NumericalError("system overflows") when ||a||_F^2 is not finite,
+    and SingularSystemError when |det| is not above SINGULAR_RTOL * ||a||_F^3,
+    a NaN determinant included.
     Dividing each cofactor by det before the sum keeps a unit row exact: where
     row k of a is e_k, x_k = b_k.
     """
@@ -39,7 +40,13 @@ def solve3(a, b, cutoff: float) -> tuple[float, float, float]:
     c01 = a12 * a20 - a10 * a22
     c02 = a10 * a21 - a11 * a20
     det = a00 * c00 + a01 * c01 + a02 * c02
+    fro_sq = (a00 * a00 + a01 * a01 + a02 * a02 + a10 * a10 + a11 * a11 + a12 * a12
+              + a20 * a20 + a21 * a21 + a22 * a22)
+    cutoff = SINGULAR_RTOL * fro_sq * sqrt(fro_sq)
     if not abs(det) > cutoff:
+        # An inf or nan norm makes the cutoff inf or nan, so it lands here.
+        if not isfinite(fro_sq):
+            raise NumericalError("system overflows")
         raise SingularSystemError(f"system singular to tolerance (|det|={abs(det):.3e}, "
                                   f"cutoff {cutoff:.3e})")
     c10 = a02 * a21 - a01 * a22

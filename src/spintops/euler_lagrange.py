@@ -12,9 +12,7 @@ seeded by the free-top bilinear step, one 3x3 solve.
 
 from __future__ import annotations
 
-import math
-
-from .algebra import SINGULAR_RTOL, NumericalError, bs_solve, solve3
+from .algebra import NumericalError, bs_solve, solve3
 
 
 class ConvergenceError(NumericalError):
@@ -54,8 +52,10 @@ def symmetric_stepper(inertia, h: float):
         omega'_i - k_i (omega'_j omega_k + omega_j omega'_k) = omega_i,
         k_i = h (I_j - I_k) / (2 I_i), (i, j, k) cyclic.
 
-    It is the hk system at gamma = 0 and g = 0, with the cutoff and the
-    overflow check of hk_omega_stage and the same bits. With
+    Its rows are those of the hk system at gamma = 0 and g = 0, bit for bit,
+    and solve3 refuses them, singular or overflowing, where it refuses hk's;
+    past |h| ~ 1e154 hk also refuses them, on an overflow of its gravity
+    coefficient against the zero gamma. With
     scale = max(1, |m1|, |m2|, |m3|), the step returns the first iterate that
     has stalled (each component moved by at most 1e-16 * scale) and satisfies
     the defining relation to FIXED_POINT_TOL * scale, or the last of
@@ -65,15 +65,9 @@ def symmetric_stepper(inertia, h: float):
     constants are read when the step runs.
     """
     A, B, C = inertia
-    hh, c = 0.5 * h, 0.25 * h
+    c = 0.25 * h
     k0, k1, k2 = h * (B - C) / (2.0 * A), h * (C - A) / (2.0 * B), h * (A - B) / (2.0 * C)
     nk0, nk1, nk2 = -k0, -k1, -k2
-    kk0, kk1, kk2 = k0 * k0, k1 * k1, k2 * k2
-    b0, b1, b2 = h / (2.0 * A), h / (2.0 * B), h / (2.0 * C)
-    # The gravity terms of ||M||_F^2 of the 6x6 hk system, b_i^2 (e_j^2 + e_k^2)
-    # and (h/2)^2 |gamma|^2 with b_i = h/(2 I_i), are products with zero here:
-    # zero, or nan when b_i^2 or (h/2)^2 overflows, so they stay in the norm.
-    zero_g = 0.0 * (b0 * b0 + b1 * b1 + b2 * b2 + hh * hh)
     # The dropped gravity rows add a zero to each entry off the diagonal, of
     # the sign of I_i in row i, and +0 to each right-hand side: a sum with a
     # zero can set the sign of a zero in omega', so both stay.
@@ -82,17 +76,10 @@ def symmetric_stepper(inertia, h: float):
     def step(y) -> tuple[float, ...]:
         m0, m1, m2 = m = A * y[0], B * y[1], C * y[2]
         w0, w1, w2 = m0 / A, m1 / B, m2 / C
-        s0, s1, s2 = hh * w0, hh * w1, hh * w2
-        s_sq = s0 * s0 + s1 * s1 + s2 * s2
-        fro_sq = (6.0 + kk0 * (w1 * w1 + w2 * w2) + kk1 * (w0 * w0 + w2 * w2)
-                  + kk2 * (w0 * w0 + w1 * w1) + 2.0 * s_sq + zero_g)
-        if not math.isfinite(fro_sq):
-            raise NumericalError(f"hk system overflows (||M||_F^2={fro_sq:.3e})")
         o0, o1, o2 = solve3(((1.0, nk0 * w2 + zA, nk0 * w1 + zA),
                              (nk1 * w2 + zB, 1.0, nk1 * w0 + zB),
                              (nk2 * w1 + zC, nk2 * w0 + zC, 1.0)),
-                            (w0 + 0.0, w1 + 0.0, w2 + 0.0),
-                            1.0 / (1.0 + s_sq) * SINGULAR_RTOL * fro_sq * fro_sq * fro_sq)
+                            (w0 + 0.0, w1 + 0.0, w2 + 0.0))
         n0, n1, n2 = A * o0, B * o1, C * o2
         scale = max(1.0, abs(m0), abs(m1), abs(m2))
         tol, still = FIXED_POINT_TOL * scale, 1e-16 * scale

@@ -14,9 +14,7 @@ the state alone, which takes any sequence of six floats.
 
 from __future__ import annotations
 
-import math
-
-from .algebra import SINGULAR_RTOL, NumericalError, solve3
+from .algebra import solve3
 
 
 def hk_omega_stage(inertia, g, h: float):
@@ -32,10 +30,8 @@ def hk_omega_stage(inertia, g, h: float):
     the old-level terms. The gamma rows read
     (I + K(s)) gamma' = gamma + (h/2) gamma x omega', and
     (I + K(s))^-1 = q (I - K(s) + s s^T). Eliminating gamma' leaves one 3x3
-    system in omega', solved by Cramer's rule, with det6 = det3 / q. The
-    system counts as singular when |det6| <= SINGULAR_RTOL * ||M||_F^6, with
-    ||M||_F the Frobenius norm of the 6x6 matrix written out in scalars. A
-    norm that overflows raises NumericalError: no cutoff can be formed from it.
+    system in omega', which solve3 solves by Cramer's rule, and whose
+    singularity and overflow it decides relative to its own Frobenius norm.
     """
     A, B, C = inertia
     e0, e1, e2 = g
@@ -44,18 +40,11 @@ def hk_omega_stage(inertia, g, h: float):
     b0, b1, b2 = h / (2.0 * A), h / (2.0 * B), h / (2.0 * C)
     nk0, nk1, nk2 = -k0, -k1, -k2
     ne0, ne1, ne2 = -e0, -e1, -e2
-    # The factors of ||M||_F^2 that depend only on (inertia, g, h). Each term
-    # keeps its place in the sum, so the norm and the cutoff keep their bits.
-    kk0, kk1, kk2, hh_sq = k0 * k0, k1 * k1, k2 * k2, hh * hh
-    bee0 = b0 * b0 * (e1 * e1 + e2 * e2)
-    bee1 = b1 * b1 * (e0 * e0 + e2 * e2)
-    bee2 = b2 * b2 * (e0 * e0 + e1 * e1)
 
     def omega_stage(y) -> tuple[float, ...]:
         w0, w1, w2, g0, g1, g2 = y
         s0, s1, s2 = hh * w0, hh * w1, hh * w2
-        s_sq = s0 * s0 + s1 * s1 + s2 * s2
-        q = 1.0 / (1.0 + s_sq)
+        q = 1.0 / (1.0 + (s0 * s0 + s1 * s1 + s2 * s2))
 
         # Row i of diag(b) K(g) (I + K(s))^-1 is q b_i v^T with v = u + s x u +
         # (s.u) s, u = (i-th unit vector) x g; it enters the omega rows through
@@ -90,14 +79,7 @@ def hk_omega_stage(inertia, g, h: float):
         row2 = (nk2 * w1 + hc * (v1 * g2 - v2 * g1), nk2 * w0 + hc * (v2 * g0 - v0 * g2),
                 1.0 + hc * (v0 * g1 - v1 * g0))
         r2 = w2 + b2 * (e1 * g0 - e0 * g1) - c * (v0 * g0 + v1 * g1 + v2 * g2)
-
-        fro_sq = (6.0 + kk0 * (w1 * w1 + w2 * w2) + kk1 * (w0 * w0 + w2 * w2)
-                  + kk2 * (w0 * w0 + w1 * w1) + bee0 + bee1 + bee2
-                  + 2.0 * (hh_sq * (g0 * g0 + g1 * g1 + g2 * g2) + s_sq))
-        if not math.isfinite(fro_sq):
-            raise NumericalError(f"hk system overflows (||M||_F^2={fro_sq:.3e})")
-        o0, o1, o2 = solve3((row0, row1, row2), (r0, r1, r2),
-                            q * SINGULAR_RTOL * fro_sq * fro_sq * fro_sq)
+        o0, o1, o2 = solve3((row0, row1, row2), (r0, r1, r2))
         return o0, o1, o2, s0, s1, s2, q
 
     return omega_stage

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import spintops
-from spintops.algebra import NumericalError, SingularSystemError, bs_solve
+from spintops.algebra import NumericalError, SingularSystemError, bs_solve, solve3
 from spintops.cli import build_parser, main
 from spintops import harness
 from spintops.euler_lagrange import FIXED_POINT_TOL, MAX_FIXED_POINT_ITERATIONS, ConvergenceError
@@ -420,48 +420,69 @@ class TestRun:
     def test_free_top_steppers_match_the_momentum_form(self, scheme, rng):
         # The free-top steppers advance the packed (omega, gamma): gamma comes
         # back bit for bit, and omega' bit for bit as the momentum-form step
-        # m -> m' written out below, with m = I omega and omega' = m' / I. The
-        # symmetric form is seeded by the hk step at gamma = 0 and g = 0, the full
-        # 6x6 elimination, checks the defining relation on every iterate, and
-        # returns the first iterate that has stalled and satisfies it, or the
-        # last allowed one if that satisfies it; otherwise it raises
-        # ConvergenceError. Both sides give the same bytes, signed zeros
-        # included, or the same exception type and message, on random states,
-        # on signed zeros, 1e+-300, inf and nan in the state, and on the grid
-        # omega in {0, -0, 1, -1.5}^3 with inertias that make a k_i zero. On
-        # the grid, h = 10 reaches the signed zeros off the diagonal of the
-        # seed's 3x3 system, and h = 1e300 a norm that overflows.
+        # m -> m' written out below on floats, with m = I omega and
+        # omega' = m' / I. The symmetric form is seeded by the free-top
+        # bilinear step, one 3x3 system whose rows carry the zeros of the
+        # dropped gravity terms; the oracle checks that the seed is the hk
+        # step at gamma = 0 and g = 0. It checks the defining relation on
+        # every iterate, and returns the first iterate that has stalled and
+        # satisfies it, or the last allowed one if that satisfies it;
+        # otherwise it raises ConvergenceError. Both sides give the same
+        # bytes, signed zeros included, or the same exception type and
+        # message, on random states, on signed zeros, 1e+-300, inf and nan in
+        # the state, and on the grid omega in {0, -0, 1, -1.5}^3 with inertias
+        # that make a k_i zero. On the grid, h = 10 reaches the signed zeros
+        # off the diagonal of the seed's 3x3 system, and h = 1e300 a norm that
+        # overflows.
+        def seed(w, inertia, h):
+            (A, B, C), (w0, w1, w2) = inertia, w
+            k0, k1, k2 = h * (B - C) / (2.0 * A), h * (C - A) / (2.0 * B), h * (A - B) / (2.0 * C)
+            rows = ((1.0, -k0 * w2 + 0.0, -k0 * w1 + 0.0), (-k1 * w2 + 0.0, 1.0, -k1 * w0 + 0.0),
+                    (-k2 * w1 + 0.0, -k2 * w0 + 0.0, 1.0))
+            rhs = (w0 + 0.0, w1 + 0.0, w2 + 0.0)
+            # hk's gravity coefficient (h/2) h/(2 I_i) multiplies the zero
+            # gamma; past |h| ~ 1e154 it overflows and hk refuses the system.
+            hk = outcome(lambda: hk_stepper(inertia, (0.0, 0.0, 0.0), h)((*w, 0.0, 0.0, 0.0))[:3])
+            want = outcome(lambda: solve3(rows, rhs))
+            assert hk == want or (hk == (NumericalError, "system overflows") and abs(h) > 1e154)
+            return solve3(rows, rhs)
+
         def momentum_step(m, inertia, h):
-            w = m / inertia
+            (A, B, C), (m0, m1, m2) = inertia, m
+            w0, w1, w2 = m0 / A, m1 / B, m2 / C
             if scheme == "bs":
-                return np.array(bs_solve(m.tolist(), w.tolist(), 0.5 * h))
-            seed = hk_stepper(inertia, (0.0, 0.0, 0.0), h)((*w, 0.0, 0.0, 0.0))
-            n = inertia * np.array(seed[:3])
-            scale, c = max(1.0, *np.abs(m)), 0.25 * h
+                return bs_solve(m, (w0, w1, w2), 0.5 * h)
+            o0, o1, o2 = seed((w0, w1, w2), inertia, h)
+            n0, n1, n2 = A * o0, B * o1, C * o2
+            scale, c = max(1.0, abs(m0), abs(m1), abs(m2)), 0.25 * h
             for k in range(MAX_FIXED_POINT_ITERATIONS):
-                x = np.array(bs_solve(m.tolist(), (w + n / inertia).tolist(), c))
-                stalled = np.max(np.abs(x - n)) <= 1e-16 * scale
-                n = x
-                residual = n - m - c * np.cross(n + m, w + n / inertia)
-                if np.max(np.abs(residual)) <= FIXED_POINT_TOL * scale \
+                x0, x1, x2 = bs_solve(m, (w0 + n0 / A, w1 + n1 / B, w2 + n2 / C), c)
+                stalled = all(abs(d) <= 1e-16 * scale for d in (x0 - n0, x1 - n1, x2 - n2))
+                n0, n1, n2 = x0, x1, x2
+                s0, s1, s2 = n0 + m0, n1 + m1, n2 + m2
+                v0, v1, v2 = w0 + n0 / A, w1 + n1 / B, w2 + n2 / C
+                residual = (n0 - m0 - c * (s1 * v2 - s2 * v1), n1 - m1 - c * (s2 * v0 - s0 * v2),
+                            n2 - m2 - c * (s0 * v1 - s1 * v0))
+                if all(abs(r) <= FIXED_POINT_TOL * scale for r in residual) \
                         and (stalled or k == MAX_FIXED_POINT_ITERATIONS - 1):
-                    return n
+                    return n0, n1, n2
             raise ConvergenceError("symmetric free-top step did not converge")
 
         def outcome(step):
             try:
                 return np.array(step(), dtype=float).tobytes()
-            except Exception as e:
+            except NumericalError as e:
                 return type(e), str(e)
 
         def check(inertia, y, h):
-            cfg = RunConfig(model="euler", scheme=scheme, h=0.01, steps=1,
-                            inertia=tuple(inertia.tolist()), init=np.zeros(6))
-            got = outcome(lambda: make_stepper(cfg, h)(tuple(y.tolist())))
-            with np.errstate(all="ignore"):
-                want = outcome(lambda: (*(momentum_step(inertia * y[:3], inertia, h) / inertia),
-                                        *y[3:]))
-            assert got == want, (inertia.tolist(), y.tolist(), h)
+            inertia, y = tuple(inertia.tolist()), tuple(y.tolist())
+            A, B, C = inertia
+            cfg = RunConfig(model="euler", scheme=scheme, h=0.01, steps=1, inertia=inertia,
+                            init=np.zeros(6))
+            got = outcome(lambda: make_stepper(cfg, h)(y))
+            want = outcome(lambda: (*(n / i for n, i in zip(
+                momentum_step((A * y[0], B * y[1], C * y[2]), inertia, h), inertia)), *y[3:]))
+            assert got == want, (inertia, y, h)
             return got
 
         for _ in range(200):
@@ -783,7 +804,9 @@ REFERENCE_OVERFLOWS = [
 
 # Each input exits 3: a singular solve, or a state or invariant that overflows.
 NUMERICAL_ERRORS = [
-    ["run", "--model", "kowalevski", "--scheme", "hk", "--h", "1e9", "--steps", "5"],
+    # a free top spinning about its middle axis, where the hk system is singular
+    ["run", "--model", "euler", "--scheme", "hk", "--h", "2", "--steps", "1", "--inertia", "3,2,1",
+     "--init", "0,1.7320508075688772,0,0,0,1"],
     [*_KOW_RUN, "--init", "1e200,0,0,1,0,0"],
     [*_EULER_RUN, "--init", "1e200,1e200,1e200,1,0,0"],
     ["run", "--model", "kowalevski", "--scheme", "bohlin-c", "--h", "1e300", "--steps", "5"],

@@ -1,10 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
-from spintops import hk
-from spintops.algebra import SINGULAR_RTOL, NumericalError, SingularSystemError, solve3
+from spintops import algebra
+from spintops.algebra import NumericalError, SingularSystemError, solve3
+from spintops.euler_lagrange import symmetric_stepper
 from spintops.harness import RunConfig, make_stepper
 from spintops.hk import hk_omega_stage, hk_stepper
 from spintops.models import KOWALEVSKI_INERTIA
@@ -119,9 +118,84 @@ def random_system(rng):
     return rng.normal(size=6), inertia, g, rng.uniform(-0.05, 1.0)
 
 
+def random_top(rng):
+    """Inertia, gravity and state of a random general top, as float lists."""
+    return (rng.uniform(0.5, 3.0, 3).tolist(), rng.normal(size=3).tolist(),
+            rng.normal(size=6).tolist())
+
+
+def dense_error(y, inertia, g, h, x):
+    """Max-norm distance of a step's x from the dense 6x6 solve by complete
+    pivoting, relative to the largest component of that solve."""
+    want = full_pivot_solve(*assemble_system(np.asarray(y, dtype=float), inertia, g, h))
+    return float(np.max(np.abs(np.asarray(x) - want)) / np.max(np.abs(want)))
+
+
+# A free top with inertia (3, 2, 1) spinning about its middle axis at
+# |w2| = sqrt(3), h = 2: the omega block has det 1 - h^2 w2^2 / 12 = 0.
+MIDDLE_AXIS = ((0.0, 3.0 ** 0.5, 0.0, 0.0, 0.0, 1.0), (3.0, 2.0, 1.0), NO_G, 2.0)
+# A general top at h = 1e9, where the 3x3 system is singular to its cutoff.
+GENERAL_1E9 = ((0.3, -1.2, 0.8, 0.6, 0.0, 0.8), (1.0, 2.0, 3.0), (0.5, 0.0, 1.0), 1e9)
+
+
 class TestBlockSolve:
     # The hk step eliminates gamma' in closed form and solves one 3x3 system; the
-    # oracle solves the dense 6x6 by complete pivoting.
+    # oracle solves the dense 6x6 by complete pivoting, assembled by
+    # conftest.assemble_system.
+
+    def test_identity(self, rng):
+        # at h = 0 the system is I x = y
+        inertia, g, y = random_top(rng)
+        assert np.array_equal(hk_stepper(inertia, g, 0.0)(y), y)
+
+    def test_block_diagonal_matches_solve3(self, rng):
+        # Without gravity the omega rows decouple from gamma': the omega block
+        # solves alone, and the gamma block then solves with the new omega.
+        for _ in range(20):
+            inertia, _, y = random_top(rng)
+            h = rng.uniform(0.01, 0.5)
+            mat, rhs = assemble_system(np.array(y), inertia, NO_G, h)
+            x = hk_stepper(inertia, NO_G, h)(y)
+            omega = solve3(mat[:3, :3].tolist(), rhs[:3].tolist())
+            gamma = solve3(mat[3:, 3:].tolist(), (rhs[3:] - mat[3:, :3] @ omega).tolist())
+            assert np.allclose(x[:3], omega, atol=1e-13)
+            assert np.allclose(x[3:], gamma, atol=1e-13)
+
+    def test_matches_full_pivot_oracle(self, rng):
+        for _ in range(50):
+            inertia, g, y = random_top(rng)
+            h = rng.uniform(0.01, 0.5)
+            mat, rhs = assemble_system(np.array(y), inertia, g, h)
+            x = np.array(hk_stepper(inertia, g, h)(y))
+            assert np.allclose(x, full_pivot_solve(mat, rhs), atol=1e-12)
+            assert np.max(np.abs(mat @ x - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+    def test_singular_raises(self):
+        for y, inertia, g, h in [MIDDLE_AXIS, GENERAL_1E9]:
+            with pytest.raises(SingularSystemError):
+                hk_stepper(inertia, g, h)(y)
+
+    def test_verdict_follows_the_accuracy_of_the_solve(self, monkeypatch):
+        # The Kowalevski system at h = 1e9 is far from singular relative to
+        # the norm of its 3x3 rows: the step returns the dense solve.
+        x = hk_stepper(KOWALEVSKI_INERTIA, KOW_G, 1e9)(BENCH)
+        assert dense_error(BENCH, KOWALEVSKI_INERTIA, KOW_G, 1e9, x) <= 1e-15
+        # The free top's seed of symmetric and the hk step solve the same
+        # rows, so they are refused with the same message.
+        y, inertia, g, h = MIDDLE_AXIS
+        messages = set()
+        for step in (hk_stepper(inertia, g, h), symmetric_stepper(inertia, h)):
+            with pytest.raises(SingularSystemError) as info:
+                step(y)
+            messages.add(str(info.value))
+        assert len(messages) == 1, messages
+        # The general top at h = 1e9 is refused, and with no cutoff its
+        # omega' would be 9e-2 off the dense solve.
+        y, inertia, g, h = GENERAL_1E9
+        with pytest.raises(SingularSystemError):
+            hk_stepper(inertia, g, h)(y)
+        monkeypatch.setattr(algebra, "SINGULAR_RTOL", 0.0)
+        assert dense_error(y, inertia, g, h, hk_stepper(inertia, g, h)(y)) > 1e-2
 
     def test_matches_dense_oracle(self, rng):
         # measured worst 7.3e-15
@@ -142,17 +216,19 @@ class TestBlockSolve:
             det6 = np.linalg.det(mat)
             assert abs(np.linalg.det(schur) * (1.0 + s @ s) - det6) <= 1e-13 * abs(det6)
 
-    def test_singular_cutoff_is_the_dense_one(self, rng, monkeypatch):
-        # Move the relative cutoff to the median of |det6| / ||M||_F^6 over
-        # the sampled systems: the block solve must raise for exactly the half
-        # that the dense 6x6 criterion calls singular.
+    def test_singular_cutoff_is_the_3x3_one(self, rng, monkeypatch):
+        # Move the relative cutoff to the median of |det S| / ||S||_F^3 over
+        # the sampled systems, S the omega Schur complement of the dense 6x6
+        # matrix: the block solve must raise for exactly the half that the
+        # 3x3 criterion calls singular.
         systems = [random_system(rng) for _ in range(400)]
         ratios = []
         for y, inertia, g, h in systems:
             mat, _ = assemble_system(y, inertia, g, h)
-            ratios.append(abs(np.linalg.det(mat)) / np.linalg.norm(mat) ** 6)
+            schur = mat[:3, :3] - mat[:3, 3:] @ np.linalg.solve(mat[3:, 3:], mat[3:, :3])
+            ratios.append(abs(np.linalg.det(schur)) / np.linalg.norm(schur) ** 3)
         rtol = float(np.median(ratios))
-        monkeypatch.setattr(hk, "SINGULAR_RTOL", rtol)
+        monkeypatch.setattr(algebra, "SINGULAR_RTOL", rtol)
         for (y, inertia, g, h), ratio in zip(systems, ratios):
             if abs(ratio / rtol - 1.0) <= 1e-9:
                 continue
@@ -193,14 +269,7 @@ def loop_form_hk_step(y, inertia, g, h):
         rows.append((p0 + hh * c * (v1 * g2 - v2 * g1), p1 + hh * c * (v2 * g0 - v0 * g2),
                      p2 + hh * c * (v0 * g1 - v1 * g0)))
         rhs.append(ri - c * (v0 * g0 + v1 * g1 + v2 * g2))
-
-    fro_sq = (6.0 + k0 * k0 * (w1 * w1 + w2 * w2) + k1 * k1 * (w0 * w0 + w2 * w2)
-              + k2 * k2 * (w0 * w0 + w1 * w1) + b0 * b0 * (e1 * e1 + e2 * e2)
-              + b1 * b1 * (e0 * e0 + e2 * e2) + b2 * b2 * (e0 * e0 + e1 * e1)
-              + 2.0 * (hh * hh * (g0 * g0 + g1 * g1 + g2 * g2) + s_sq))
-    if not math.isfinite(fro_sq):
-        raise NumericalError(f"hk system overflows (||M||_F^2={fro_sq:.3e})")
-    o0, o1, o2 = solve3(rows, rhs, q * SINGULAR_RTOL * fro_sq * fro_sq * fro_sq)
+    o0, o1, o2 = solve3(rows, rhs)
 
     z0 = g0 + hh * (g1 * o2 - g2 * o1)
     z1 = g1 + hh * (g2 * o0 - g0 * o2)
@@ -273,12 +342,12 @@ class TestOmegaStage:
             ((0.0, -0.0, -0.0, 0.0, -0.0, 1.0), (-0.5, 0.0, -0.0), 0.0)]]
         # A system singular to tolerance, and two whose norm overflows: the
         # same exception, with the same message.
-        errors = [(bench, KOWALEVSKI_INERTIA, KOW_G, 1e9),
+        errors = [MIDDLE_AXIS,
                   ((1e200, 0.0, 0.0, 1.0, 0.0, 0.0), KOWALEVSKI_INERTIA, KOW_G, 1e-3),
                   ((1e200, 1e200, 1e200, 1.0, 0.0, 0.0), (1.0, 2.0, 3.0), NO_G, 0.01)]
         want = [outcome(loop_form_hk_step, *case) for case in errors]
         assert [w[0] for w in want] == [SingularSystemError, NumericalError, NumericalError]
-        assert all(w[1].startswith("hk system overflows (") for w in want[1:])
+        assert all(w[1] == "system overflows" for w in want[1:])
         models = set()
         for case in cases + errors + bit_cases(rng, 2400):
             want = outcome(loop_form_hk_step, *case)
