@@ -52,34 +52,28 @@ def symmetric_stepper(inertia, h: float):
         omega'_i - k_i (omega'_j omega_k + omega_j omega'_k) = omega_i,
         k_i = h (I_j - I_k) / (2 I_i), (i, j, k) cyclic.
 
-    Its rows are those of the hk system at gamma = 0 and g = 0, bit for bit,
-    and solve3 refuses them, singular or overflowing, where it refuses hk's;
-    past |h| ~ 1e154 hk also refuses them, on an overflow of its gravity
-    coefficient against the zero gamma. With
-    scale = max(1, |m1|, |m2|, |m3|), the step returns the first iterate that
-    has stalled (each component moved by at most 1e-16 * scale) and satisfies
-    the defining relation to FIXED_POINT_TOL * scale, or the last of
-    MAX_FIXED_POINT_ITERATIONS iterates if that one satisfies it, stalled or
-    not; otherwise it raises ConvergenceError. The relation is evaluated only
-    on those iterates, the only ones that can end the loop. Both module
+    Its rows are those of the hk system at gamma = 0 and g = 0, equal as
+    floats (a zero may change its sign), and solve3 refuses them, singular or
+    overflowing, where it refuses hk's; past |h| ~ 1e154 hk also refuses
+    them, on an overflow of its gravity coefficient against the zero gamma.
+    With scale = max(1, |m1|, |m2|, |m3|), the step returns the first iterate
+    that has stalled (each component moved by at most 1e-16 * scale) and
+    satisfies the defining relation to FIXED_POINT_TOL * scale, or the last
+    of MAX_FIXED_POINT_ITERATIONS iterates if that one satisfies it, stalled
+    or not; otherwise it raises ConvergenceError. The relation is evaluated
+    only on those iterates, the only ones that can end the loop. Both module
     constants are read when the step runs.
     """
     A, B, C = inertia
     c = 0.25 * h
     k0, k1, k2 = h * (B - C) / (2.0 * A), h * (C - A) / (2.0 * B), h * (A - B) / (2.0 * C)
     nk0, nk1, nk2 = -k0, -k1, -k2
-    # The dropped gravity rows add a zero to each entry off the diagonal, of
-    # the sign of I_i in row i, and +0 to each right-hand side: a sum with a
-    # zero can set the sign of a zero in omega', so both stay.
-    zA, zB, zC = 0.0 * A, 0.0 * B, 0.0 * C
 
     def step(y) -> tuple[float, ...]:
         m0, m1, m2 = m = A * y[0], B * y[1], C * y[2]
         w0, w1, w2 = m0 / A, m1 / B, m2 / C
-        o0, o1, o2 = solve3(((1.0, nk0 * w2 + zA, nk0 * w1 + zA),
-                             (nk1 * w2 + zB, 1.0, nk1 * w0 + zB),
-                             (nk2 * w1 + zC, nk2 * w0 + zC, 1.0)),
-                            (w0 + 0.0, w1 + 0.0, w2 + 0.0))
+        o0, o1, o2 = solve3(((1.0, nk0 * w2, nk0 * w1), (nk1 * w2, 1.0, nk1 * w0),
+                             (nk2 * w1, nk2 * w0, 1.0)), (w0, w1, w2))
         n0, n1, n2 = A * o0, B * o1, C * o2
         scale = max(1.0, abs(m0), abs(m1), abs(m2))
         tol, still = FIXED_POINT_TOL * scale, 1e-16 * scale

@@ -38,8 +38,6 @@ def hk_omega_stage(inertia, g, h: float):
     hh = 0.5 * h
     k0, k1, k2 = h * (B - C) / (2.0 * A), h * (C - A) / (2.0 * B), h * (A - B) / (2.0 * C)
     b0, b1, b2 = h / (2.0 * A), h / (2.0 * B), h / (2.0 * C)
-    nk0, nk1, nk2 = -k0, -k1, -k2
-    ne0, ne1, ne2 = -e0, -e1, -e2
 
     def omega_stage(y) -> tuple[float, ...]:
         w0, w1, w2, g0, g1, g2 = y
@@ -50,33 +48,33 @@ def hk_omega_stage(inertia, g, h: float):
         # (s.u) s, u = (i-th unit vector) x g; it enters the omega rows through
         # gamma' as (h/2) q b_i (v x gamma) . omega' + q b_i v . gamma. The rows
         # are written out with u = (0, -e2, e1), (e2, 0, -e0) and (-e1, e0, 0),
-        # zeros included: a product with a zero component, or a sum with one,
-        # can set the sign of a zero in omega'.
-        su = s0 * 0.0 + s1 * ne2 + s2 * e1
-        v0 = 0.0 + (s1 * e1 - s2 * ne2) + su * s0
-        v1 = ne2 + (s2 * 0.0 - s0 * e1) + su * s1
-        v2 = e1 + (s0 * ne2 - s1 * 0.0) + su * s2
+        # without the terms of u's zero components, which can change only the
+        # sign of a zero.
+        su = s2 * e1 - s1 * e2
+        v0 = (s1 * e1 + s2 * e2) + su * s0
+        v1 = su * s1 - (e2 + s0 * e1)
+        v2 = (e1 - s0 * e2) + su * s2
         c = q * b0
         hc = hh * c
-        row0 = (1.0 + hc * (v1 * g2 - v2 * g1), nk0 * w2 + hc * (v2 * g0 - v0 * g2),
-                nk0 * w1 + hc * (v0 * g1 - v1 * g0))
+        row0 = (1.0 + hc * (v1 * g2 - v2 * g1), hc * (v2 * g0 - v0 * g2) - k0 * w2,
+                hc * (v0 * g1 - v1 * g0) - k0 * w1)
         r0 = w0 + b0 * (e2 * g1 - e1 * g2) - c * (v0 * g0 + v1 * g1 + v2 * g2)
-        su = s0 * e2 + s1 * 0.0 + s2 * ne0
-        v0 = e2 + (s1 * ne0 - s2 * 0.0) + su * s0
-        v1 = 0.0 + (s2 * e2 - s0 * ne0) + su * s1
-        v2 = ne0 + (s0 * 0.0 - s1 * e2) + su * s2
+        su = s0 * e2 - s2 * e0
+        v0 = (e2 - s1 * e0) + su * s0
+        v1 = (s2 * e2 + s0 * e0) + su * s1
+        v2 = su * s2 - (e0 + s1 * e2)
         c = q * b1
         hc = hh * c
-        row1 = (nk1 * w2 + hc * (v1 * g2 - v2 * g1), 1.0 + hc * (v2 * g0 - v0 * g2),
-                nk1 * w0 + hc * (v0 * g1 - v1 * g0))
+        row1 = (hc * (v1 * g2 - v2 * g1) - k1 * w2, 1.0 + hc * (v2 * g0 - v0 * g2),
+                hc * (v0 * g1 - v1 * g0) - k1 * w0)
         r1 = w1 + b1 * (e0 * g2 - e2 * g0) - c * (v0 * g0 + v1 * g1 + v2 * g2)
-        su = s0 * ne1 + s1 * e0 + s2 * 0.0
-        v0 = ne1 + (s1 * 0.0 - s2 * e0) + su * s0
-        v1 = e0 + (s2 * ne1 - s0 * 0.0) + su * s1
-        v2 = 0.0 + (s0 * e0 - s1 * ne1) + su * s2
+        su = s1 * e0 - s0 * e1
+        v0 = su * s0 - (e1 + s2 * e0)
+        v1 = (e0 - s2 * e1) + su * s1
+        v2 = (s0 * e0 + s1 * e1) + su * s2
         c = q * b2
         hc = hh * c
-        row2 = (nk2 * w1 + hc * (v1 * g2 - v2 * g1), nk2 * w0 + hc * (v2 * g0 - v0 * g2),
+        row2 = (hc * (v1 * g2 - v2 * g1) - k2 * w1, hc * (v2 * g0 - v0 * g2) - k2 * w0,
                 1.0 + hc * (v0 * g1 - v1 * g0))
         r2 = w2 + b2 * (e1 * g0 - e0 * g1) - c * (v0 * g0 + v1 * g1 + v2 * g2)
         o0, o1, o2 = solve3((row0, row1, row2), (r0, r1, r2))

@@ -422,9 +422,9 @@ class TestRun:
         # back bit for bit, and omega' bit for bit as the momentum-form step
         # m -> m' written out below on floats, with m = I omega and
         # omega' = m' / I. The symmetric form is seeded by the free-top
-        # bilinear step, one 3x3 system whose rows carry the zeros of the
-        # dropped gravity terms; the oracle checks that the seed is the hk
-        # step at gamma = 0 and g = 0. It checks the defining relation on
+        # bilinear step, one 3x3 system; the oracle checks that the seed is
+        # the hk step at gamma = 0 and g = 0, equal as floats, since hk may
+        # give a zero the other sign. It checks the defining relation on
         # every iterate, and returns the first iterate that has stalled and
         # satisfies it, or the last allowed one if that satisfies it;
         # otherwise it raises ConvergenceError. Both sides give the same
@@ -437,15 +437,16 @@ class TestRun:
         def seed(w, inertia, h):
             (A, B, C), (w0, w1, w2) = inertia, w
             k0, k1, k2 = h * (B - C) / (2.0 * A), h * (C - A) / (2.0 * B), h * (A - B) / (2.0 * C)
-            rows = ((1.0, -k0 * w2 + 0.0, -k0 * w1 + 0.0), (-k1 * w2 + 0.0, 1.0, -k1 * w0 + 0.0),
-                    (-k2 * w1 + 0.0, -k2 * w0 + 0.0, 1.0))
-            rhs = (w0 + 0.0, w1 + 0.0, w2 + 0.0)
+            rows = ((1.0, -k0 * w2, -k0 * w1), (-k1 * w2, 1.0, -k1 * w0),
+                    (-k2 * w1, -k2 * w0, 1.0))
             # hk's gravity coefficient (h/2) h/(2 I_i) multiplies the zero
             # gamma; past |h| ~ 1e154 it overflows and hk refuses the system.
-            hk = outcome(lambda: hk_stepper(inertia, (0.0, 0.0, 0.0), h)((*w, 0.0, 0.0, 0.0))[:3])
-            want = outcome(lambda: solve3(rows, rhs))
+            # Adding 0.0 maps -0 to +0 and keeps every other bit.
+            hk = outcome(lambda: [x + 0.0 for x in
+                                  hk_stepper(inertia, (0.0, 0.0, 0.0), h)((*w, 0.0, 0.0, 0.0))[:3]])
+            want = outcome(lambda: [x + 0.0 for x in solve3(rows, w)])
             assert hk == want or (hk == (NumericalError, "system overflows") and abs(h) > 1e154)
-            return solve3(rows, rhs)
+            return solve3(rows, w)
 
         def momentum_step(m, inertia, h):
             (A, B, C), (m0, m1, m2) = inertia, m
