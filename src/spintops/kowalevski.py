@@ -82,11 +82,10 @@ def bohlin_stage(c0: float, h: float):
         chi = half_h * (omega3_next + w2)
         w = cmath.sqrt(cmath.exp(-1j * chi) * (omega * omega - c0 * complex(g0, g1))
                        + c0 * complex(n0, n1))
-        if w:
-            predictor = omega - half_ih * (w2 * omega - c0 * g2)
-            # |w + p| is |-w - p| bit for bit: negation is exact.
-            if abs(w - predictor) > abs(w + predictor):
-                w = -w
+        predictor = omega - half_ih * (w2 * omega - c0 * g2)
+        # |w + p| is |-w - p| bit for bit: negation is exact.
+        if abs(w - predictor) > abs(w + predictor):
+            w = -w
         return w.real, w.imag, omega3_next, n0, n1, n2
 
     return recover

@@ -8,12 +8,26 @@ that agreement is a real cross-check.
 """
 
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spintops
 from spintops.models import euler_poisson_rhs
+
+SRC = str(Path(spintops.__file__).resolve().parents[1])
+
+
+def spawn(script, *args, cwd=None, timeout=60):
+    """Run `python -c script *args` in a fresh interpreter that imports
+    spintops from SRC, with its output captured as text. The numpy-free
+    tests make numpy unimportable at the top of their script."""
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": SRC}, timeout=timeout)
 
 
 def roundoff(n: int) -> float:

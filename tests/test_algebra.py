@@ -2,53 +2,8 @@ import numpy as np
 import pytest
 
 from spintops.algebra import NumericalError, SingularSystemError, bs_solve, solve3
-from spintops.kowalevski import gamma_step_rotation
 
-from conftest import cramer_solve3, cross, skew_apply_matrix, vec3
-
-
-class TestCross:
-    def test_basis_identity(self):
-        assert np.array_equal(cross(vec3(1, 0, 0), vec3(0, 1, 0)), vec3(0, 0, 1))
-
-    def test_self_cross_vanishes(self, rng):
-        for _ in range(20):
-            u = rng.normal(size=3)
-            assert np.array_equal(cross(u, u), np.zeros(3))
-
-    def test_component_formula(self):
-        # component-formula oracle: (1,2,3) x (4,5,6)
-        assert np.array_equal(cross(vec3(1, 2, 3), vec3(4, 5, 6)), vec3(-3, 6, -3))
-
-    def test_antisymmetry_and_bilinearity(self, rng):
-        for _ in range(50):
-            u, v, w = rng.normal(size=(3, 3))
-            a, b = rng.normal(size=2)
-            assert np.allclose(cross(u, v), -cross(v, u), atol=1e-15)
-            assert np.allclose(
-                cross(a * u + b * w, v), a * cross(u, v) + b * cross(w, v), atol=1e-13
-            )
-
-    def test_orthogonal_to_both(self, rng):
-        for _ in range(50):
-            u, v = rng.normal(size=(2, 3))
-            c = cross(u, v)
-            assert abs(c @ u) < 1e-14
-            assert abs(c @ v) < 1e-14
-
-    def test_scalar_triple_product_cyclic(self, rng):
-        for _ in range(50):
-            u, v, w = rng.normal(size=(3, 3))
-            t1 = u @ cross(v, w)
-            t2 = v @ cross(w, u)
-            t3 = w @ cross(u, v)
-            assert abs(t1 - t2) < 1e-13
-            assert abs(t2 - t3) < 1e-13
-
-    def test_skew_apply_matrix(self, rng):
-        for _ in range(20):
-            v, x = rng.normal(size=(2, 3))
-            assert np.allclose(skew_apply_matrix(v) @ x, cross(v, x), atol=1e-15)
+from conftest import cramer_solve3, cross, vec3
 
 
 class TestSolve3:
@@ -92,36 +47,6 @@ class TestSolve3:
             with pytest.raises(NumericalError) as info:
                 solve3(a.tolist(), [1.0, 1.0, 1.0])
             assert info.type is NumericalError and str(info.value) == "system overflows"
-
-
-def rotation_matrix(theta):
-    """Matrix of g -> exp(-K(theta)) g, built column by column from the
-    rotation gamma-step with h = 1."""
-    return np.column_stack([gamma_step_rotation(e, theta, 1.0) for e in np.eye(3)])
-
-
-class TestRotationMatrix:
-    def test_zero_angle_is_identity(self):
-        assert np.array_equal(rotation_matrix(np.zeros(3)), np.eye(3))
-
-    def test_quarter_turn_about_z(self):
-        # substitute n=(0,0,1), c=0, s=1 into the entry table
-        r = rotation_matrix(vec3(0, 0, np.pi / 2))
-        expected = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        assert np.allclose(r, expected, atol=1e-15)
-        assert np.allclose(r @ vec3(1, 0, 0), vec3(0, -1, 0), atol=1e-15)
-
-    def test_orthogonality(self, rng):
-        for _ in range(50):
-            r = rotation_matrix(rng.normal(size=3))
-            assert np.max(np.abs(r @ r.T - np.eye(3))) <= 1e-13
-            assert abs(np.linalg.det(r) - 1.0) <= 1e-13
-
-    def test_norm_preservation(self, rng):
-        for _ in range(50):
-            theta = rng.normal(size=3)
-            g = rng.normal(size=3)
-            assert abs(np.linalg.norm(rotation_matrix(theta) @ g) - np.linalg.norm(g)) <= 1e-13
 
 
 class TestBsSolve:

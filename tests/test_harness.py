@@ -4,12 +4,10 @@ import math
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import spintops
 from spintops.algebra import NumericalError, SingularSystemError, bs_solve, solve3
 from spintops.cli import build_parser, main
 from spintops import harness
@@ -29,7 +27,7 @@ from spintops.harness import (
 from spintops.hk import hk_stepper
 from spintops.models import KOWALEVSKI_INERTIA, invariants, kowalevski_invariants
 
-from conftest import vector_body_rhs, vector_lagrange_rhs, vector_rk4
+from conftest import SRC, spawn, vector_body_rhs, vector_lagrange_rhs, vector_rk4
 
 
 def kow_cfg(**kw):
@@ -333,60 +331,6 @@ class TestRun:
         with pytest.raises(NumericalError,
                            match=r"^kowalevski/hk run: invariant gamma_sq overflows at step 0$"):
             drift_report(run(cfg))
-
-    @pytest.mark.parametrize(
-        "model,scheme",
-        [(m, s) for m in MODELS for s in MODELS[m].schemes],
-        ids=lambda x: x,
-    )
-    def test_invariants_same_on_floats_and_on_columns(self, model, scheme, tmp_path,
-                                                      monkeypatch):
-        # A run computes its invariants on floats whether or not numpy is
-        # imported: the CSV, the drift report, the step numbers and every
-        # column are the same to the bit either way, and the invariant
-        # columns hold the invariant function's floats.
-        init = None if model == "kowalevski" else (0.3, -0.2, 0.9, 0.6, 0.0, 0.8)
-        cfg = RunConfig(model=model, scheme=scheme, h=0.01, steps=60, stride=3, init=init)
-        names = MODELS[model].columns + MODELS[model].invariant_names
-        with monkeypatch.context() as m:
-            m.setitem(sys.modules, "numpy", None)
-            without_numpy = run(cfg)
-            without_numpy.to_csv(str(tmp_path / "without_numpy.csv"))
-            report = drift_report(without_numpy)
-            steps = len(without_numpy.steps), list(without_numpy.steps)
-            values = [without_numpy.values(name) for name in names]
-        with_numpy = run(cfg)
-        with_numpy.to_csv(str(tmp_path / "with_numpy.csv"))
-        assert ((tmp_path / "without_numpy.csv").read_bytes()
-                == (tmp_path / "with_numpy.csv").read_bytes())
-        assert drift_report(with_numpy) == report
-        assert steps == (21, list(range(0, 61, 3)))
-        assert values == [with_numpy.values(name) for name in names]
-        invariants_of = MODELS[model].invariants(with_numpy.config)
-        assert values[len(MODELS[model].columns):] == [
-            list(col) for col in zip(*map(invariants_of, with_numpy.samples))]
-
-    def test_many_samples_read_without_numpy(self):
-        # A run of 20 001 samples writes its CSV and drift report with numpy
-        # made unimportable, and the report is the same to the bit as in a
-        # process that has imported numpy.
-        cfg = RunConfig(model="euler", scheme="bs", h=0.01, steps=20_000, stride=1,
-                        inertia=(1, 2, 3), init=(1, 1, 1, 1, 0, 0))
-        script = f"""if True:
-            import os, sys
-            sys.modules["numpy"] = None
-            from spintops.harness import RunConfig, drift_report, run
-            traj = run(RunConfig(**{cfg._asdict()!r}))
-            traj.to_csv(os.devnull)
-            for name, drift in drift_report(traj).items():
-                print(name, *map(float.hex, drift))
-        """
-        src = str(Path(spintops.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}, timeout=60)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines() == [" ".join([name, *map(float.hex, drift)])
-                                           for name, drift in drift_report(run(cfg)).items()]
 
     def test_lagrange_csv_header(self, tmp_path):
         path = tmp_path / "lag.csv"
@@ -840,6 +784,33 @@ NEGATIVE_EXPONENT_VALUES = [
 ]
 
 
+def two_step_run(model, scheme, out):
+    """The argv of a CLI run of two steps of the pair that writes every
+    sample to the CSV file out."""
+    init = [] if model == "kowalevski" else ["--init", "0.3,-0.2,0.9,0.6,0,0.8"]
+    return ["run", "--model", model, "--scheme", scheme, "--h", "0.01",
+            "--steps", "2", "--stride", "1", "--out", str(out), *init]
+
+
+@pytest.fixture(scope="module")
+def csv_without_numpy(tmp_path_factory):
+    """The directory of the CSV files <model>-<scheme>.csv that two_step_run
+    writes for every pair, all from one interpreter with numpy made
+    unimportable."""
+    path = tmp_path_factory.mktemp("without_numpy")
+    runs = [two_step_run(m, s, path / f"{m}-{s}.csv") for m in MODELS for s in MODELS[m].schemes]
+    script = f"""if True:
+        import sys
+        sys.modules["numpy"] = None
+        from spintops.cli import main
+        for argv in {runs!r}:
+            assert main(argv) == 0, argv
+    """
+    out = spawn(script)
+    assert out.returncode == 0, out.stderr
+    return path
+
+
 class TestCli:
     def test_run_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "traj.csv"
@@ -1029,7 +1000,6 @@ class TestCli:
     def test_closed_stdout_exits_quietly(self):
         # A reader that has gone away, as `spintops run ... | head -0` leaves
         # it: exit 0 and nothing on stderr, the flush at exit included.
-        src = str(Path(spintops.__file__).resolve().parents[1])
         for argv in (["reverse", "--model", "kowalevski", "--scheme", "hk", "--h", "0.001",
                       "--n", "10"], _KOW_RUN, ["run", "--help"]):
             read_end, write_end = os.pipe()
@@ -1037,7 +1007,7 @@ class TestCli:
             try:
                 out = subprocess.run([sys.executable, "-m", "spintops.cli", *argv],
                                      stdout=write_end, stderr=subprocess.PIPE, text=True,
-                                     env={**os.environ, "PYTHONPATH": src}, timeout=60)
+                                     env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
             finally:
                 os.close(write_end)
             assert (out.returncode, out.stderr) == (0, ""), argv
@@ -1135,9 +1105,7 @@ class TestCli:
             assert main(["converge", "--model", "kowalevski", "--scheme", "hybrid", "--h", "0.01",
                          "--h-list", "0.02,0.01,0.005", "--t-end", "1.0"]) == 0
         """
-        src = str(Path(spintops.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-c", script, str(csv_path)], capture_output=True,
-                             text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        out = spawn(script, str(csv_path))
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines() == [
             "ran 2000 steps of kowalevski/hk at h=0.001",
@@ -1194,9 +1162,7 @@ class TestCli:
                      "--init", "0.2,-0.1,1,0.7071,0,0.7071", "--column", "E"]):
                 assert main(["period", *argv]) == 0
         """
-        src = str(Path(spintops.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        out = spawn(script)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines() == ["estimated period of g3: 28.173",
                                            "estimated period of w1: 6.42275",
@@ -1224,36 +1190,17 @@ class TestCli:
         [(m, s) for m in MODELS for s in MODELS[m].schemes],
         ids=lambda x: x,
     )
-    def test_every_registered_scheme_runs(self, model, scheme, tmp_path):
+    def test_every_registered_scheme_runs(self, model, scheme, tmp_path, csv_without_numpy):
+        # The CSV of a two-step run, which one numpy-free interpreter writes
+        # to the same bytes.
         out = tmp_path / "traj.csv"
-        init = [] if model == "kowalevski" else ["--init", "0.3,-0.2,0.9,0.6,0,0.8"]
-        rc = main(["run", "--model", model, "--scheme", scheme, "--h", "0.01",
-                   "--steps", "2", "--stride", "1", "--out", str(out), *init])
+        rc = main(two_step_run(model, scheme, out))
         assert rc == 0
         lines = out.read_text().splitlines()
         m = MODELS[model]
         assert lines[0] == ",".join(("step", "t") + m.columns + m.invariant_names)
         assert len(lines) == 4
-
-    def test_reverse_command(self, capsys):
-        rc = main(["reverse", "--model", "kowalevski", "--scheme", "hk",
-                   "--h", "0.001", "--steps", "10", "--n", "50"])
-        assert rc == 0
-        assert "round-trip" in capsys.readouterr().out
-
-    def test_converge_command(self, capsys):
-        rc = main(["converge", "--model", "kowalevski", "--scheme", "hk",
-                   "--h", "0.01", "--h-list", "0.02,0.01,0.005", "--t-end", "0.5"])
-        assert rc == 0
-        assert "observed order" in capsys.readouterr().out
-
-    @pytest.mark.slow
-    def test_period_command(self, capsys):
-        rc = main(["period", "--model", "kowalevski", "--scheme", "hk",
-                   "--h", "0.001", "--steps", "50000", "--stride", "50",
-                   "--column", "g3"])
-        assert rc == 0
-        assert "estimated period" in capsys.readouterr().out
+        assert out.read_bytes() == (csv_without_numpy / f"{model}-{scheme}.csv").read_bytes()
 
     def test_lagrange_run(self, capsys):
         rc = main(["run", "--model", "lagrange", "--scheme", "bs",

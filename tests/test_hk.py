@@ -69,6 +69,13 @@ class TestHkStep:
         out = hk_stepper(KOWALEVSKI_INERTIA, KOW_G, 0.0)(y)
         assert np.array_equal(out, y)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 21: at h = 0, z = gamma + (h/2) gamma x "
+                                           "omega' forms 0 * inf from this finite state")
+    @pytest.mark.parametrize("h", [0.0, -0.0])
+    def test_zero_step_is_identity_at_large_components(self, h):
+        y = (0.3869, -1e300, -0.4529, -1e300, 1.6516, 0.4257)
+        assert hk_stepper((0.6406, 2.3385, 2.8105), (0.3459, -0.5477, 0.5778), h)(y) == y
+
     def test_free_principal_rotation_fixes_omega(self):
         inertia = (1.0, 2.0, 3.0)
         y = np.array([0, 0, 1.7, 0.3, 0.1, 0.94])

@@ -135,7 +135,7 @@ class TestGammaStepRotation:
     def test_exact_angle_matches_rodrigues(self, rng):
         # Rodrigues' formula for the rotation of g by the angle t about -n,
         # n = omega/|omega|, t = h|omega|: first order g + h g x omega.
-        for t in [1e-13, 1e-8, 1e-3, 0.5, 2.0, 3.0]:
+        for t in [1e-13, 1e-8, 1e-3, 0.5, 2.0, 3.0, 4.0]:
             for _ in range(20):
                 g, n = rng.normal(size=3), random_unit(rng)
                 h = rng.uniform(0.5, 2.0)

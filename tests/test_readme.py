@@ -2,12 +2,9 @@
 
 import ast
 import importlib
-import os
 import pkgutil
 import re
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -16,6 +13,8 @@ import pytest
 
 import spintops
 from spintops.harness import MODELS
+
+from conftest import spawn
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -114,8 +113,6 @@ def test_cli_commands_run_without_numpy(tmp_path):
             assert main(argv) == 0, argv
         assert "dataclasses" not in sys.modules
     """
-    src = str(Path(spintops.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    out = spawn(script, cwd=tmp_path, timeout=120)
     assert out.returncode == 0, out.stderr
     assert (tmp_path / "traj.csv").is_file()
