@@ -11,7 +11,8 @@ takes the state as six floats and returns a tuple of six. `run`,
 `make_stepper(config, h)`; it turns every failure of a step into a
 NumericalError that names the model and scheme. `run` keeps every stride-th
 state as six floats in a Trajectory and writes no file; the other two keep
-the loop's last state and compare endpoints. A Trajectory computes its
+the loop's last state and compare endpoints, `convergence_study` with the
+Taylor-series endpoint `_taylor_endpoint`. A Trajectory computes its
 invariants on floats, one sample at a time, when first read, so nothing here
 imports numpy but `Trajectory.states`, the one array, which needs the
 `array` extra. `RunConfig`, `Model`, `Scheme` and `InvariantDrift` are named
@@ -24,8 +25,9 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, islice
+from operator import mul
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import euler_lagrange, kowalevski
@@ -279,6 +281,70 @@ def _lagrange_reference(config: RunConfig, h: float):
     return _rk4(rhs, h)
 
 
+def _body_series(inertia, g):
+    """(k, six coefficient lists to degree k-1) -> the six coefficients of
+    degree k of the body flow w' = I^-1 (Iw x w + gamma x g), gamma' =
+    gamma x w, whose Iw x w is ((B-C) w2 w3, (C-A) w3 w1, (A-B) w1 w2)."""
+    (A, B, C), (e0, e1, e2) = inertia, g
+    a, b, c = (B - C) / A, (C - A) / B, (A - B) / C
+
+    def coefficient(k: int, w0, w1, w2, g0, g1, g2) -> tuple[float, ...]:
+        return ((a * sum(map(mul, w1, reversed(w2))) + (g1[-1] * e2 - g2[-1] * e1) / A) / k,
+                (b * sum(map(mul, w2, reversed(w0))) + (g2[-1] * e0 - g0[-1] * e2) / B) / k,
+                (c * sum(map(mul, w0, reversed(w1))) + (g0[-1] * e1 - g1[-1] * e0) / C) / k,
+                (sum(map(mul, g1, reversed(w2))) - sum(map(mul, g2, reversed(w1)))) / k,
+                (sum(map(mul, g2, reversed(w0))) - sum(map(mul, g0, reversed(w2)))) / k,
+                (sum(map(mul, g0, reversed(w1))) - sum(map(mul, g1, reversed(w0)))) / k)
+
+    return coefficient
+
+
+# convergence_study's reference: Taylor series of this degree, each step sized
+# so that the last two terms stay below this tolerance times max(1, |y|), then
+# shortened by this factor (Jorba and Zou, Experiment. Math. 14 (2005)).
+_TAYLOR_DEGREE, _TAYLOR_TOL, _TAYLOR_SAFETY = 20, 1e-16, math.exp(-0.7)
+
+
+def _taylor_endpoint(config: RunConfig, t_end: float, max_steps: int) -> tuple[float, ...]:
+    """The state at t_end of the model's flow from the init, by Taylor steps
+    whose last lands on t_end. Raises NumericalError, prefixed with the model,
+    the scheme and "reference", for a coefficient or state that is not
+    finite, a step size that is not positive, and more than max_steps steps.
+    The Lagrange flow m' = p x a, a' = m x a is the body flow of (-m, a) at
+    unit inertia and g = p, and negation is exact."""
+    lagrange = config.model == "lagrange"
+    coefficient = _body_series(*((1.0, 1.0, 1.0), config.vertical) if lagrange else config.body())
+    flip = (lambda y: (-y[0], -y[1], -y[2], *y[3:])) if lagrange else tuple
+    y, t, p = flip(config.init), 0.0, _TAYLOR_DEGREE
+    where = f"{config.model}/{config.scheme} reference:"
+    for n in range(1, max_steps + 1):
+        cs = [[v] for v in y]
+        for k in range(1, p + 1):
+            new = coefficient(k, *cs)
+            # As in _steps, only a sum that is not finite needs each checked.
+            if not math.isfinite(sum(new)) and not all(map(math.isfinite, new)):
+                raise NumericalError(f"{where} Taylor coefficient {k} overflows at step {n}")
+            for c, v in zip(cs, new):
+                c.append(v)
+        tol, h = _TAYLOR_TOL * max(1.0, *map(abs, y)), math.inf
+        for k in (p - 1, p):
+            top = sum(abs(c[k]) for c in cs)
+            if top:
+                h = min(h, _TAYLOR_SAFETY * (tol / top) ** (1.0 / k))
+        if not h > 0:
+            raise NumericalError(f"{where} step size {h:g} at step {n}")
+        last = h >= t_end - t
+        if last:
+            h = t_end - t
+        y = tuple(reduce(lambda acc, v: acc * h + v, reversed(c)) for c in cs)
+        if not math.isfinite(sum(y)) and not all(map(math.isfinite, y)):
+            raise NumericalError(f"{where} non-finite state at step {n}")
+        if last:
+            return flip(y)
+        t += h
+    raise NumericalError(f"{where} needs more than {max_steps} steps, the count of the finest run")
+
+
 _BODY_COLUMNS = ("w1", "w2", "w3", "g1", "g2", "g3")
 _BODY_INVARIANTS = ("gamma_sq", "E")
 _BODY_SCHEMES = {
@@ -439,11 +505,12 @@ def estimate_period(series, dt: float) -> float:
 def convergence_study(
     config: RunConfig, h_list: list[float], t_end: float
 ) -> list[tuple[float, float, float | None]]:
-    """Endpoint error against a fourth-order reference at min(h)/20, for each
-    h in h_list. Returns rows (h, error, observed_order) where observed_order
-    compares each row against the previous one (None if either error is 0).
-    Raises NumericalError naming the first step of a run whose state is
-    non-finite.
+    """Endpoint error at t_end, for each h in h_list, against the Taylor
+    reference `_taylor_endpoint`, which is at roundoff level and may take no
+    more steps than the run at min(h). Returns rows (h, error, observed_order)
+    where observed_order compares each row against the previous one (None if
+    either error is 0). Raises NumericalError for a failure of the reference
+    and naming the first step of a run whose state is non-finite.
     """
     config = config.validated()
     try:
@@ -456,20 +523,14 @@ def convergence_study(
         raise ConfigError("step sizes and t_end must be positive and finite")
     if len(set(h_list)) < len(h_list):
         raise ConfigError("step sizes must be distinct")
-    h_ref = min(h_list) / 20.0
-    if t_end < h_ref:
-        raise ConfigError(f"t_end={t_end:g} is shorter than the reference step min(h)/20={h_ref:g}")
-    if t_end / h_ref > sys.maxsize:
-        raise ConfigError(f"t_end={t_end:g} needs more than {sys.maxsize} reference steps")
+    if t_end / min(h_list) > sys.maxsize:
+        raise ConfigError(f"t_end={t_end:g} needs more than {sys.maxsize} steps at min(h)")
     for h in h_list:
         n = t_end / h
         if round(n) < 1 or abs(n - round(n)) > 1e-9:
             raise ConfigError(f"t_end/h not a positive integer for h={h}")
 
-    ref_cfg = config._replace(scheme="reference")
-    y_ref = ref_cfg.init
-    for y_ref in _steps(ref_cfg, [(h_ref, round(t_end / h_ref))], "run"):
-        pass
+    y_ref = _taylor_endpoint(config, t_end, round(t_end / min(h_list)))
 
     rows: list[tuple[float, float, float | None]] = []
     prev: tuple[float, float] | None = None

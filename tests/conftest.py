@@ -30,6 +30,10 @@ def spawn(script, *args, cwd=None, timeout=60):
                           cwd=cwd, env={**os.environ, "PYTHONPATH": SRC}, timeout=timeout)
 
 
+# The bound on the distance of an observed order from the declared one.
+ORDER_TOL = 0.15
+
+
 def roundoff(n: int) -> float:
     """Relative roundoff bound for n steps, c*eps*sqrt(n) with c = 8: the
     rounding errors of the steps add up like a random walk (Hairer, Lubich

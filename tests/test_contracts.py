@@ -30,13 +30,13 @@ import pytest
 
 from spintops.harness import MODELS, RunConfig, convergence_study, reversal_test, run
 
-from conftest import roundoff
+from conftest import ORDER_TOL, roundoff
 
 SEED = 20260823
 N_STATES = 20
 H_DRIFT, N_DRIFT = 0.05, 200
 H_TRIP, N_TRIP = (0.01, 0.05), 50
-H_ORDER, T_ORDER, N_ORDER_STATES, ORDER_TOL = [0.04, 0.02, 0.01], 1.0, 4, 0.15
+H_ORDER, T_ORDER, N_ORDER_STATES = [0.04, 0.02, 0.01], 1.0, 4
 # A scheme declared not reversible misses the start, in the median over the
 # states at the largest h, by at least this many times the roundoff bound.
 IRREVERSIBLE_FACTOR = 1e4
