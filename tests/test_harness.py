@@ -27,7 +27,7 @@ from spintops.harness import (
 from spintops.hk import hk_stepper
 from spintops.models import KOWALEVSKI_INERTIA, invariants, kowalevski_invariants
 
-from conftest import SRC, spawn, vector_body_rhs, vector_lagrange_rhs, vector_rk4
+from conftest import ORDER_TOL, SRC, spawn, vector_body_rhs, vector_lagrange_rhs, vector_rk4
 
 
 def kow_cfg(**kw):
@@ -480,6 +480,71 @@ class TestReference:
             assert np.array_equal(y, expected), (cfg, h)
 
 
+def _taylor_configs(model, rng, n):
+    """n validated configs of the model with random parameters and inits
+    omega (or m) ~ 2 N(0, 1) and a unit gamma (or a)."""
+    configs = []
+    for _ in range(n):
+        v = rng.normal(size=3)
+        init = [*(2.0 * rng.normal(size=3)).tolist(), *(v / np.linalg.norm(v)).tolist()]
+        configs.append(RunConfig(model, "reference", 0.01, init=init,
+                                 **_REFERENCE_PARAMS[model](rng)).validated())
+    return configs
+
+
+class TestTaylorReference:
+    # convergence_study's reference, harness._taylor_endpoint: Taylor steps
+    # of the model's flow to t_end, at most max_steps of them.
+    @pytest.mark.parametrize("model", list(_REFERENCE_PARAMS))
+    def test_rk4_converges_to_it_at_order_4(self, model, rng):
+        # RK4 to T = 1 at n = 40, 80, ..., 2560 steps: its distance to the
+        # Taylor endpoint falls 16-fold per halving of its step, order 4
+        # within ORDER_TOL, at every halving that ends above 1e-13 relative,
+        # and ends within 1e-12, where RK4's roundoff is near.
+        for cfg in _taylor_configs(model, rng, 2):
+            y_ref = harness._taylor_endpoint(cfg, 1.0, 1000)
+            scale = max(1.0, *map(abs, y_ref))
+            distances = []
+            for n in (40, 80, 160, 320, 640, 1280, 2560):
+                step, y = make_stepper(cfg, 1.0 / n), cfg.init
+                for _ in range(n):
+                    y = step(y)
+                distances.append(max(abs(a - b) for a, b in zip(y, y_ref)) / scale)
+            orders = [math.log2(a / b) for a, b in zip(distances, distances[1:]) if b > 1e-13]
+            assert len(orders) >= 4 and all(abs(o - 4) <= ORDER_TOL for o in orders), \
+                (cfg, distances)
+            assert distances[-1] <= 1e-12, (cfg, distances)
+
+    @pytest.mark.parametrize("model", list(_REFERENCE_PARAMS))
+    def test_tighter_tolerance_or_half_step_moves_it_by_roundoff(self, model, rng, monkeypatch):
+        # A tolerance 100 times tighter, or every step halved: the endpoint
+        # at T = 1 moves by a few ulps of max(1, |y|).
+        for cfg in _taylor_configs(model, rng, 5):
+            y = harness._taylor_endpoint(cfg, 1.0, 1000)
+            bound = 32 * sys.float_info.epsilon * max(1.0, *map(abs, y))
+            for name, value in (("_TAYLOR_TOL", harness._TAYLOR_TOL / 100),
+                                ("_TAYLOR_SAFETY", harness._TAYLOR_SAFETY / 2)):
+                with monkeypatch.context() as m:
+                    m.setattr(harness, name, value)
+                    z = harness._taylor_endpoint(cfg, 1.0, 1000)
+                assert max(abs(a - b) for a, b in zip(y, z)) <= bound, (cfg, name, y, z)
+
+    def test_step_budget_and_step_size_raise(self, monkeypatch):
+        # The default point takes three steps to T = 1: a budget of two
+        # raises, and so does a study whose finest run takes 4 steps of
+        # 5e299, where a Taylor step is below 1.
+        cfg = kow_cfg().validated()
+        reference = harness._taylor_endpoint
+        assert reference(cfg, 1.0, 3) == reference(cfg, 1.0, 1000)
+        with pytest.raises(NumericalError, match=r"^kowalevski/hk reference: needs more than 2 "):
+            reference(cfg, 1.0, 2)
+        with pytest.raises(NumericalError, match=r"^kowalevski/hk reference: needs more than 4 "):
+            convergence_study(cfg, [2e300, 1e300, 5e299], 2e300)
+        monkeypatch.setattr(harness, "_TAYLOR_TOL", 0.0)
+        with pytest.raises(NumericalError, match=r"^kowalevski/hk reference: step size 0 at step 1"):
+            reference(cfg, 1.0, 1000)
+
+
 # One config per model with its parameters away from their defaults. The
 # Kowalevski state starts at gamma_3 = -0.8, in bohlin-b's second chart.
 _FORM_CONFIGS = {
@@ -498,7 +563,8 @@ def _hex(states):
 class TestBoundSteppers:
     # run, reversal_test and convergence_study bind each step once per leg
     # through make_stepper(config, h); binding and stepping it by hand, leg
-    # by leg, gives the same bits.
+    # by leg, and calling the Taylor reference with the study's step budget,
+    # gives the same bits.
     @pytest.mark.parametrize("model,scheme", [(m, s) for m in MODELS for s in MODELS[m].schemes],
                              ids=lambda x: x)
     def test_diagnostics_match_the_function_forms(self, model, scheme, monkeypatch):
@@ -521,7 +587,7 @@ class TestBoundSteppers:
         assert float.hex(reversal_test(cfg, 15)) == float.hex(miss(trip[-1], cfg.init))
 
         h_list, t_end = [0.04, 0.02, 0.01], 0.2
-        y_ref = by_hand(cfg._replace(scheme="reference"), [(0.0005, 400)])[-1]
+        y_ref = harness._taylor_endpoint(cfg, t_end, round(t_end / min(h_list)))
         errors = [miss(by_hand(cfg, [(h, round(t_end / h))])[-1], y_ref) for h in h_list]
         rows = convergence_study(cfg, h_list, t_end)
         assert [(float.hex(h), float.hex(e)) for h, e, _ in rows] == \
@@ -672,10 +738,8 @@ class TestConvergenceStudy:
     def test_needs_integral_step_counts(self):
         with pytest.raises(ConfigError):
             convergence_study(kow_cfg(), [0.02, 0.01, 0.003], 1.0)
-
-    def test_t_end_shorter_than_reference_step(self):
-        # zero reference steps would otherwise fail as "stride must be >= 1"
-        with pytest.raises(ConfigError, match=r"t_end.*min\(h\)/20"):
+        # a t_end far below every h: zero steps
+        with pytest.raises(ConfigError, match="t_end/h not a positive integer"):
             convergence_study(kow_cfg(), [0.02, 0.01, 0.005], 1e-300)
 
     def test_zero_error_leaves_order_undefined(self, capsys):
@@ -719,6 +783,9 @@ CONFIG_ERRORS = [
      "--steps", "100", "--stride", _HUGE],
     ["converge", "--model", "kowalevski", "--scheme", "hk", "--h", "0.01",
      "--h-list", "0.02,0.01,0.005", "--t-end", "inf"],
+    # a t_end far below every h, zero steps of each
+    ["converge", "--model", "kowalevski", "--scheme", "hk", "--h", "0.01",
+     "--h-list", "0.02,0.01,0.005", "--t-end", "1e-300"],
     ["period", "--model", "kowalevski", "--scheme", "hk", "--h", "0.001",
      "--steps", "100", "--column", "zz"],
     ["period", "--model", "kowalevski", "--scheme", "hk", "--h", "0.001",
@@ -1034,6 +1101,19 @@ class TestCli:
             assert f"{model}/{scheme} " in err, (argv, err)
             if argv in REFERENCE_OVERFLOWS:
                 assert "step 1" in err, (argv, err)
+
+    def test_overflowing_init_fails_in_the_reference(self, capsys):
+        # converge computes its reference first, and the Taylor coefficients
+        # of this init overflow there: exit 3, with the reference and the
+        # coefficient named, before the state is formed.
+        for model in MODELS:
+            scheme = next(iter(MODELS[model].schemes))
+            assert main(["converge", "--model", model, "--scheme", scheme, "--h", "0.01",
+                         "--h-list", "0.02,0.01,0.005", "--t-end", "1.0",
+                         "--init", "1e200,1e200,1e200,1,0,0"]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"numerical failure: {model}/{scheme} reference: Taylor "
+                                  "coefficient "), err
 
     @pytest.mark.slow
     @pytest.mark.filterwarnings("error")
