@@ -9,6 +9,13 @@ step, and the recovery stage they share, takes the packed state
 (omega, gamma) as any sequence of six floats and returns a tuple of six; the
 one parameter is the float c0. `bohlin_stage`, `bohlin_stepper` and
 `hybrid_stepper` take c0 and h and return a function of the state alone.
+
+The stereographic substep and the recovery stage do their complex arithmetic
+in real and imaginary parts, with the operation order of the complex-number
+forms, so on finite inputs they return values equal as floats to those forms'
+(a zero may change its sign), except where the root choice of `bohlin_stage`
+differs. A complex number is made only for cmath.exp, cmath.sqrt and the
+complex abs of |z|.
 """
 
 from __future__ import annotations
@@ -37,6 +44,11 @@ def gamma_step_stereo(gamma, omega, h: float) -> tuple[float, float, float]:
     R omega) with R = diag(1, -1, -1), the rotation by pi about e1 under which
     gamma_dot = gamma x omega keeps its form, mapped back by R. So |z| <= sqrt(3)
     in the chart in use.
+
+    z is carried as its real and imaginary parts, in the operation order of
+    the complex form, and |z| is abs(complex(zr, zi)), the libm hypot; so
+    each output equals, as a float, what the complex form returns.
+    math.hypot rounds differently in about 1 case of 200.
     """
     g0, g1, g2 = gamma
     w0, w1, w2 = omega
@@ -45,12 +57,17 @@ def gamma_step_stereo(gamma, omega, h: float) -> tuple[float, float, float]:
         return n0, -n1, -n2
     # z = (gamma_1 + i*gamma_2) / (1 + gamma_3), and back by
     # gamma_1 + i*gamma_2 = 2z/(1+|z|^2), gamma_3 = (1-|z|^2)/(1+|z|^2).
-    z = complex(g0, g1) / (1.0 + g2)
-    w = complex(w0, w1)
-    z += h * (0.5j * (w - 2.0 * w2 * z - w.conjugate() * z * z))
-    r = abs(z) ** 2
+    s = 1.0 + g2
+    zr, zi = g0 / s, g1 / s
+    # q = w - 2*w3*z - conj(w)*z^2 and z += h*(i/2)*q
+    t = 2.0 * w2
+    vr, vi = w0 * zr + w1 * zi, w0 * zi - w1 * zr
+    qr = (w0 - t * zr) - (vr * zr - vi * zi)
+    qi = (w1 - t * zi) - (vr * zi + vi * zr)
+    zr, zi = zr - h * (0.5 * qi), zi + h * (0.5 * qr)
+    r = abs(complex(zr, zi)) ** 2
     d = 1.0 + r
-    return 2.0 * z.real / d, 2.0 * z.imag / d, (1.0 - r) / d
+    return 2.0 * zr / d, 2.0 * zi / d, (1.0 - r) / d
 
 
 def gamma_step_rotation(gamma, omega, h: float) -> tuple[float, float, float]:
@@ -62,6 +79,12 @@ def gamma_step_rotation(gamma, omega, h: float) -> tuple[float, float, float]:
     return bs_solve(gamma, (t0, t1, t2), math.tan(0.5 * t) / t if t else 0.5)
 
 
+# Scales p in the root choice when Re(w conj(p)) overflows. A finite square
+# root has |w| < 1.6e154, so the scaled products stay finite, and both
+# products overflow only when |p| > 1.1e154, so the scaled p is exact.
+_SCALE = 2.0 ** -600
+
+
 def bohlin_stage(c0: float, h: float):
     """The last stage of both steps, bound once for c0 and h: returns
     recover(y, gamma_next, omega3_next), which advances the state
@@ -71,22 +94,42 @@ def bohlin_stage(c0: float, h: float):
 
     Solves (omega')^2 = exp(-i*chi)(omega^2 - c0*gamma) + c0*gamma' by a
     complex square root, keeping the root nearer the one-step explicit
-    predictor omega - (i h/2)(w3*omega - c0*gamma3).
+    predictor p = omega - (i h/2)(w3*omega - c0*gamma3).
+
+    The arithmetic is in real parts: xi's parts as `models._xi_parts` forms them,
+    the product with exp(-i*chi) and the predictor in the operation order of
+    complex multiplication, so the root is the float the complex form gives.
+    The root w is kept when Re(w conj(p)) >= 0 and negated otherwise: since
+    |w - p|^2 - |w + p|^2 = -4 Re(w conj(p)), this is the exact form of
+    comparing the two distances, with no modulus to overflow; where its two
+    products overflow with opposite signs it is summed again with p scaled by
+    2**-600. It chooses differently from comparing abs(w - p) with
+    abs(w + p) only where those round to the same float or overflow, or w or
+    p is not finite.
     """
-    half_h, half_ih = 0.5 * h, 0.5j * h
+    half_h = 0.5 * h
 
     def recover(y, gamma_next, omega3_next: float) -> tuple[float, ...]:
         w0, w1, w2, g0, g1, g2 = y
         n0, n1, n2 = gamma_next
-        omega = complex(w0, w1)
-        chi = half_h * (omega3_next + w2)
-        w = cmath.sqrt(cmath.exp(-1j * chi) * (omega * omega - c0 * complex(g0, g1))
-                       + c0 * complex(n0, n1))
-        predictor = omega - half_ih * (w2 * omega - c0 * g2)
-        # |w + p| is |-w - p| bit for bit: negation is exact.
-        if abs(w - predictor) > abs(w + predictor):
-            w = -w
-        return w.real, w.imag, omega3_next, n0, n1, n2
+        # exp(-i*chi) by cmath, which is nan, not an error, at chi = +-inf
+        e = cmath.exp(-1j * (half_h * (omega3_next + w2)))
+        er, ei = e.real, e.imag
+        xr = (w0 * w0 - w1 * w1) - c0 * g0
+        xi = (w0 * w1 + w1 * w0) - c0 * g1
+        w = cmath.sqrt(complex((er * xr - ei * xi) + c0 * n0, (er * xi + ei * xr) + c0 * n1))
+        wr, wi = w.real, w.imag
+        pr = w0 + half_h * (w2 * w1)
+        pi = w1 - half_h * (w2 * w0 - c0 * g2)
+        # |w - p|^2 - |w + p|^2 = -4 Re(w conj(p)): keep the nearer root.
+        re = wr * pr + wi * pi
+        if re != re:
+            # inf - inf, or a nan in w or p: the scaled sum has the exact
+            # sign for finite w and p
+            re = wr * (pr * _SCALE) + wi * (pi * _SCALE)
+        if re < 0.0:
+            return -wr, -wi, omega3_next, n0, n1, n2
+        return wr, wi, omega3_next, n0, n1, n2
 
     return recover
 

@@ -1,4 +1,5 @@
 import cmath
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -110,6 +111,34 @@ class TestGammaStepStereo:
         out = np.array(gamma_step_stereo(vec3(0, 0, -1.0), vec3(1, 0, 0), 0.01))
         assert abs(out @ out - 1.0) <= 1e-15
 
+    def test_matches_the_complex_form_bit_for_bit(self, rng):
+        # The substep as it read in complex arithmetic. The real-part form
+        # keeps its operation order and its |z| from complex abs, the libm
+        # hypot, so each output is the same float.
+        def complex_form(gamma, omega, h):
+            g0, g1, g2 = gamma
+            w0, w1, w2 = omega
+            if g2 < -0.5:
+                n0, n1, n2 = complex_form((g0, -g1, -g2), (w0, -w1, -w2), h)
+                return n0, -n1, -n2
+            z = complex(g0, g1) / (1.0 + g2)
+            w = complex(w0, w1)
+            z += h * (0.5j * (w - 2.0 * w2 * z - w.conjugate() * z * z))
+            r = abs(z) ** 2
+            d = 1.0 + r
+            return 2.0 * z.real / d, 2.0 * z.imag / d, (1.0 - r) / d
+
+        steps = [0.0, -0.0, 1e-3, -1e-3, 0.05, -0.05, 0.5, -2.0]
+        charts = set()
+        for i in range(8000):
+            g = random_unit(rng).tolist()
+            w = (rng.normal(size=3) * rng.choice([0.5, 2.0, 10.0])).tolist()
+            h = steps[i % 8] if i % 2 else float(rng.uniform(-0.2, 0.2))
+            charts.add(g[2] < -0.5)
+            assert list(map(float.hex, gamma_step_stereo(g, w, h))) == \
+                list(map(float.hex, complex_form(g, w, h))), (g, w, h)
+        assert charts == {False, True}
+
 
 class TestGammaStepRotation:
     def test_zero_step(self):
@@ -211,7 +240,7 @@ class TestBohlinStep:
     def test_matches_the_complex_form_bit_for_bit(self, rng):
         # The recovery as it read on complex arguments, before it took and
         # returned the packed state; it tests the root by |-w - p|, the stage
-        # by |w + p|.
+        # by the sign of Re(w conj(p)), which agree away from rounding ties.
         def complex_form(omega_n, gamma_n, gamma_next, gamma3_n, omega3_n, omega3_next, h, c0):
             chi = 0.5 * h * (omega3_next + omega3_n)
             z = cmath.exp(-1j * chi) * (omega_n * omega_n - c0 * gamma_n) + c0 * gamma_next
@@ -236,6 +265,53 @@ class TestBohlinStep:
             got = bohlin_stage(c0, h)(y, gn, w3n)
             assert list(map(float.hex, got)) == \
                 list(map(float.hex, (want.real, want.imag, w3n, *gn))), (y, gn, w3n, h, c0)
+
+    def test_root_choice_of_huge_roots_returns_floats(self, rng):
+        # |w - p| and |w + p| overflow complex abs at |omega| ~ 1e154 and
+        # h >= 1, so comparing them raised OverflowError; the sign of
+        # Re(w conj(p)) needs no modulus. Where its two products overflow
+        # with opposite signs, the root kept is still the nearer one.
+        y = (-3.468903974554656e+153, 7.196427932170763e+153, -4.8277784076537155e+153,
+             0.9475210145722677, -0.9902418298943088, -0.6625843345290108)
+        gn = (0.2962086396190098, -0.758094302640133, -0.7783226447327929)
+        out = bohlin_stage(1.0, 10.0)(y, gn, 0.5724404560861982)
+        assert len(out) == 6 and all(type(v) is float and np.isfinite(v) for v in out)
+        assert out[2:] == (0.5724404560861982, *gn)
+        opposite = 0
+        for _ in range(300):
+            h = float(rng.choice([1.0, -1.0, 10.0, -10.0, 100.0, -100.0]))
+            w0, w1, w2 = (rng.normal(size=3) * 5e153).tolist()
+            y = (w0, w1, w2, *rng.uniform(-1, 1, size=3).tolist())
+            out = bohlin_stage(1.0, h)(y, rng.uniform(-1, 1, size=3).tolist(), rng.normal())
+            assert len(out) == 6 and all(type(v) is float for v in out)
+            # the predictor omega - (i h/2)(w3 omega - c0 gamma3), in parts
+            p = (w0 + 0.5 * h * (w2 * w1), w1 - 0.5 * h * (w2 * w0 - y[5]))
+            if np.isfinite(p).all() and np.isfinite(out[:2]).all():
+                products = out[0] * p[0], out[1] * p[1]
+                opposite += np.isinf(products).all() and products[0] != products[1]
+                assert Fraction(out[0]) * Fraction(p[0]) + Fraction(out[1]) * Fraction(p[1]) >= 0
+        assert opposite > 0
+
+    def test_root_choice_at_a_rounding_tie(self, rng):
+        # With w3 = 1e200 at h = 1 the predictor p is of order 1e200 and the
+        # roots +-w of order 1, below the rounding unit of |p|: |w - p| and
+        # |w + p| round to the same float. The kept root still has
+        # Re(w conj(p)) >= 0, exactly, so it is the nearer one.
+        recover = bohlin_stage(1.0, 1.0)
+        flips = 0
+        for _ in range(200):
+            w0, w1 = rng.normal(size=2).tolist()
+            w3 = float(rng.choice([1e200, -1e200])) * (1.0 + rng.uniform())
+            y = (w0, w1, w3, *random_unit(rng).tolist())
+            gn = random_unit(rng).tolist()
+            out = recover(y, gn, rng.normal())
+            omega = complex(w0, w1)
+            p = omega - 0.5j * (w3 * omega - y[5])
+            w = complex(*out[:2])
+            assert abs(w - p) == abs(w + p)
+            assert Fraction(w.real) * Fraction(p.real) + Fraction(w.imag) * Fraction(p.imag) >= 0
+            flips += w.real < 0.0  # the principal root has Re >= 0
+        assert 0 < flips < 200
 
     def test_phase_update_matches_reference_flow(self):
         # one-step trapezoidal phase vs a tiny-step reference integration
