@@ -567,7 +567,7 @@ class TestBoundSteppers:
     # gives the same bits.
     @pytest.mark.parametrize("model,scheme", [(m, s) for m in MODELS for s in MODELS[m].schemes],
                              ids=lambda x: x)
-    def test_diagnostics_match_stepping_by_hand(self, model, scheme, monkeypatch):
+    def test_diagnostics_match_the_function_forms(self, model, scheme, monkeypatch):
         cfg = RunConfig(model, scheme, 0.01, 40, stride=7, **_FORM_CONFIGS[model]).validated()
 
         def by_hand(c, legs):
