@@ -7,19 +7,19 @@ inertial-frame solver advances (m, a) with a fixed vertical p. Each factory
 takes the inertia or the vertical as three floats, then h, computes once what
 depends only on those, and returns the step, which takes any sequence of six
 floats and returns a tuple of six. The fully symmetric free-top step is
-seeded by the free-top bilinear step, one 3x3 solve.
+seeded by one explicit midpoint step, with no linear solve.
 """
 
 from __future__ import annotations
 
-from .algebra import NumericalError, bs_solve, solve3
+from .algebra import NumericalError, bs_solve
 
 
 class ConvergenceError(NumericalError):
     """Fixed-point iteration failed to reach tolerance."""
 
 
-MAX_FIXED_POINT_ITERATIONS = 100
+MAX_FIXED_POINT_ITERATIONS = 200
 FIXED_POINT_TOL = 1e-13
 
 
@@ -46,16 +46,12 @@ def symmetric_stepper(inertia, h: float):
     advanced by m' - m = (h/4)(m' + m) x (omega' + omega).
 
     Conserves both |m|^2 and m.omega and is symmetric under h -> -h, at the
-    price of an implicit solve. Fixed-point iteration seeded by the bilinear
-    free-top step of Kahan, one 3x3 system in omega':
+    price of an implicit solve. Fixed-point iteration seeded by one explicit
+    midpoint step of m' = m x omega, which is as accurate as the scheme:
 
-        omega'_i - k_i (omega'_j omega_k + omega_j omega'_k) = omega_i,
-        k_i = h (I_j - I_k) / (2 I_i), (i, j, k) cyclic.
+        p = m + (h/2) m x omega,   m'_0 = m + h p x (p / I).
 
-    Its rows are those of the hk system at gamma = 0 and g = 0, equal as
-    floats (a zero may change its sign), and solve3 refuses them, singular or
-    overflowing, where it refuses hk's; past |h| ~ 1e154 hk also refuses
-    them, on an overflow of its gravity coefficient against the zero gamma.
+    The seed solves nothing, so the step fails only with ConvergenceError.
     With scale = max(1, |m1|, |m2|, |m3|), the step returns the first iterate
     that has stalled (each component moved by at most 1e-16 * scale) and
     satisfies the defining relation to FIXED_POINT_TOL * scale, or the last
@@ -65,16 +61,16 @@ def symmetric_stepper(inertia, h: float):
     constants are read when the step runs.
     """
     A, B, C = inertia
-    c = 0.25 * h
-    k0, k1, k2 = h * (B - C) / (2.0 * A), h * (C - A) / (2.0 * B), h * (A - B) / (2.0 * C)
-    nk0, nk1, nk2 = -k0, -k1, -k2
+    c, hh = 0.25 * h, 0.5 * h
 
     def step(y) -> tuple[float, ...]:
         m0, m1, m2 = m = A * y[0], B * y[1], C * y[2]
         w0, w1, w2 = m0 / A, m1 / B, m2 / C
-        o0, o1, o2 = solve3(((1.0, nk0 * w2, nk0 * w1), (nk1 * w2, 1.0, nk1 * w0),
-                             (nk2 * w1, nk2 * w0, 1.0)), (w0, w1, w2))
-        n0, n1, n2 = A * o0, B * o1, C * o2
+        p0, p1, p2 = (m0 + hh * (m1 * w2 - m2 * w1), m1 + hh * (m2 * w0 - m0 * w2),
+                      m2 + hh * (m0 * w1 - m1 * w0))
+        q0, q1, q2 = p0 / A, p1 / B, p2 / C
+        n0, n1, n2 = (m0 + h * (p1 * q2 - p2 * q1), m1 + h * (p2 * q0 - p0 * q2),
+                      m2 + h * (p0 * q1 - p1 * q0))
         scale = max(1.0, abs(m0), abs(m1), abs(m2))
         tol, still = FIXED_POINT_TOL * scale, 1e-16 * scale
         for left in range(MAX_FIXED_POINT_ITERATIONS, 0, -1):

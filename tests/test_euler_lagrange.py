@@ -10,7 +10,6 @@ from spintops.euler_lagrange import (
     lagrange_stepper,
     symmetric_stepper,
 )
-from spintops.hk import hk_omega_stage
 
 from conftest import cramer_solve3, cross, roundoff, skew_apply_matrix, vec3
 
@@ -64,6 +63,22 @@ class TestSymmetricStepEuler:
         assert np.allclose(free_step(symmetric_stepper, m, (1.5, 1.5, 1.5), 0.05), m,
                            atol=1e-13)
 
+    @pytest.mark.parametrize("inertia,speed", [((3.0, 2.0, 1.0), 3.0 ** 0.5),
+                                               ((1.0, 2.0, 3.0), 0.12 ** 0.5)])
+    @pytest.mark.parametrize("h", [0.01, 2.0, 10.0])
+    def test_steady_rotation_is_fixed_at_any_step(self, inertia, speed, h):
+        # A rotation about a principal axis is a fixed point of the step,
+        # also where h^2 speed^2 = 12 makes the free-top bilinear system
+        # singular (the middle axis at h = 2 and at h = 10 here): gamma comes
+        # back unchanged and omega as (I omega) / I.
+        gamma = (0.6, -0.0, 0.8)
+        for axis in range(3):
+            for w in (speed, -speed):
+                omega = [0.0, 0.0, 0.0]
+                omega[axis] = w
+                out = symmetric_stepper(inertia, h)((*omega, *gamma))
+                assert out == (*(i * o / i for i, o in zip(inertia, omega)), *gamma)
+
     def test_defining_relation(self):
         m = vec3(0.7, -1.1, 0.4)
         h = 0.05
@@ -109,8 +124,9 @@ class TestSymmetricStepEuler:
         y, inertia = (0.7, -0.55, 0.4 / 3, 0.0, 0.0, 0.0), (1.0, 2.0, 3.0)
         m = [i * w for i, w in zip(inertia, y[:3])]
         w = [x / i for x, i in zip(m, inertia)]
-        seed = hk_omega_stage(inertia, (0.0, 0.0, 0.0), 1e-3)((*w, 0.0, 0.0, 0.0))[:3]
-        n = [i * o for i, o in zip(inertia, seed)]
+        # The seed: one explicit midpoint step of m' = m x omega.
+        p = [a + 0.5e-3 * b for a, b in zip(m, cross(m, w))]
+        n = [a + 1e-3 * b for a, b in zip(m, cross(p, [x / i for x, i in zip(p, inertia)]))]
         first = bs_solve(m, [a + x / i for a, x, i in zip(w, n, inertia)], 0.25 * 1e-3)
         assert max(abs(x - s) for x, s in zip(first, n)) > 1e-16
         step = symmetric_stepper(inertia, 1e-3)
