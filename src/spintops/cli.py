@@ -99,8 +99,8 @@ def _cmd_run(config: RunConfig, args) -> int:
 
 
 def _cmd_reverse(config: RunConfig, args) -> int:
-    err = reversal_test(config, args.n)
-    print(f"round-trip error after {args.n} steps forward + backward: {err:.6e}")
+    err = reversal_test(config)
+    print(f"round-trip error after {config.steps} steps forward + backward: {err:.6e}")
     return 0
 
 
@@ -163,14 +163,12 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_run, p_rev, p_conv, p_per):
         _add_run_flags(p)
         p.set_defaults(parser=p)
-    # reverse validates --steps but does not use it, as converge does --h.
-    for p in (p_run, p_rev, p_per):
-        p.add_argument("--steps", type=int)
     for p in (p_run, p_per):
+        p.add_argument("--steps", type=int)
         p.add_argument("--stride", type=int, default=10)
         p.add_argument("--out", dest="out_path")
     p_run.set_defaults(func=_cmd_run)
-    p_rev.add_argument("--n", type=int, default=1000, help="steps each direction")
+    p_rev.add_argument("--steps", "--n", type=int, default=1000, help="steps each direction")
     p_rev.set_defaults(func=_cmd_reverse)
     p_conv.add_argument("--h-list", required=True, help="comma-separated step sizes")
     p_conv.add_argument("--t-end", type=float, required=True)

@@ -12,6 +12,8 @@ seeded by one explicit midpoint step, with no linear solve.
 
 from __future__ import annotations
 
+import math
+
 from .algebra import NumericalError, bs_solve
 
 
@@ -51,7 +53,7 @@ def symmetric_stepper(inertia, h: float):
 
         p = m + (h/2) m x omega,   m'_0 = m + h p x (p / I).
 
-    The seed solves nothing, so the step fails only with ConvergenceError.
+    A seed that is not finite raises NumericalError before any iteration.
     With scale = max(1, |m1|, |m2|, |m3|), the step returns the first iterate
     that has stalled (each component moved by at most 1e-16 * scale) and
     satisfies the defining relation to FIXED_POINT_TOL * scale, or the last
@@ -71,6 +73,8 @@ def symmetric_stepper(inertia, h: float):
         q0, q1, q2 = p0 / A, p1 / B, p2 / C
         n0, n1, n2 = (m0 + h * (p1 * q2 - p2 * q1), m1 + h * (p2 * q0 - p0 * q2),
                       m2 + h * (p0 * q1 - p1 * q0))
+        if not math.isfinite(n0 + n1 + n2) and not all(map(math.isfinite, (n0, n1, n2))):
+            raise NumericalError("symmetric free-top step: seed overflows")
         scale = max(1.0, abs(m0), abs(m1), abs(m2))
         tol, still = FIXED_POINT_TOL * scale, 1e-16 * scale
         for left in range(MAX_FIXED_POINT_ITERATIONS, 0, -1):

@@ -446,15 +446,13 @@ def run(config: RunConfig) -> Trajectory:
     return Trajectory(config, [config.init, *islice(loop, stride - 1, None, stride)])
 
 
-def reversal_test(config: RunConfig, n: int) -> float:
-    """Forward n steps with +h then n steps with -h; max-norm distance from
-    the starting state. Raises NumericalError naming the first step of the
-    round trip whose state is non-finite."""
+def reversal_test(config: RunConfig) -> float:
+    """Forward config.steps steps with +h then as many with -h; max-norm
+    distance from the starting state. Raises NumericalError naming the first
+    step of the round trip whose state is non-finite."""
     config = config.validated()
-    if not _is_count(n):
-        raise ConfigError(f"n must be an integer from 0 to {sys.maxsize}")
-    y = config.init
-    for y in _steps(config, [(config.h, n), (-config.h, n)], "round trip"):
+    h, n, y = config.h, config.steps, config.init
+    for y in _steps(config, [(h, n), (-h, n)], "round trip"):
         pass
     return max(abs(a - b) for a, b in zip(y, config.init))
 

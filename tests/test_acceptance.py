@@ -236,10 +236,10 @@ def test_criterion_8_reversibility():
     # at fixed T = n*h leave O(h), and halving h halves the round trip.
     n = 1000
     cfg = RunConfig(model="kowalevski", scheme="hk", h=H, steps=n)
-    e_hk = reversal_test(cfg, n)
+    e_hk = reversal_test(cfg)
     cfg_a = RunConfig(model="kowalevski", scheme="bohlin-a", h=H, steps=n)
-    e_a = reversal_test(cfg_a, n)
-    e_a_half = reversal_test(cfg_a._replace(h=H / 2, steps=2 * n), 2 * n)
+    e_a = reversal_test(cfg_a)
+    e_a_half = reversal_test(cfg_a._replace(h=H / 2, steps=2 * n))
     ratio = e_a / e_a_half
     y0 = cfg_a.validated().init
     estimate = n * H**2 * np.linalg.norm(bohlin_reversal_defect(y0[:3], y0[3:], cfg_a.c0))

@@ -103,7 +103,7 @@ def test_exact_columns(pair):
 def test_reversibility(pair):
     model, scheme = pair
     bound = roundoff(2 * N_TRIP)
-    trips = {h: [reversal_test(traj.config._replace(h=h), N_TRIP)
+    trips = {h: [reversal_test(traj.config._replace(h=h, steps=N_TRIP))
                  / max(1.0, *map(abs, traj.config.init)) for traj in drift_runs(model, scheme)]
              for h in H_TRIP}
     if MODELS[model].schemes[scheme].reversible:

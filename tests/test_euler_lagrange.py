@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spintops import euler_lagrange
-from spintops.algebra import bs_solve
+from spintops.algebra import NumericalError, bs_solve
 from spintops.euler_lagrange import (
     ConvergenceError,
     bs_stepper,
@@ -114,6 +114,18 @@ class TestSymmetricStepEuler:
         # h|omega| far beyond the fixed-point iteration's contraction range
         with pytest.raises(ConvergenceError):
             free_step(symmetric_stepper, vec3(1, 20, 1), I123, 0.5)
+
+    def test_overflowing_seed_raises_before_iterating(self, monkeypatch):
+        # At omega = 1e200 (1, 1, 1) the seed's products overflow: the step
+        # says so at once, and solves nothing.
+        def no_solve(*args):
+            raise AssertionError("bs_solve called")
+
+        monkeypatch.setattr(euler_lagrange, "bs_solve", no_solve)
+        step = symmetric_stepper((1.0, 2.0, 3.0), 0.01)
+        with pytest.raises(NumericalError, match="^symmetric free-top step: seed overflows$") as e:
+            step((1e200, 1e200, 1e200, 0.0, 0.0, 1.0))
+        assert type(e.value) is NumericalError
 
     def test_last_allowed_iterate_returns_if_it_satisfies_the_relation(self, monkeypatch):
         # With one iterate allowed, the first is also the last. At h = 1e-3

@@ -85,6 +85,14 @@ class TestRunConfigValidation:
         assert cfg.init[5] == 0.001
         assert cfg.init[3] == pytest.approx(np.sqrt(1 - 0.001**2), abs=1e-16)
 
+    def test_default_vertical_is_the_unit_z_axis(self):
+        # A Lagrange run with the vertical left out ends on the bits of one
+        # with vertical=(0, 0, 1).
+        cfg = RunConfig("lagrange", "bs", 0.01, 40, init=_FORM_CONFIGS["lagrange"]["init"])
+        left_out, given = (" ".join(map(float.hex, run(c).samples[-1]))
+                           for c in (cfg, cfg._replace(vertical=(0.0, 0.0, 1.0))))
+        assert left_out == given
+
     def test_config_is_an_immutable_value(self):
         # Equal configs compare and hash equal, a field cannot be assigned,
         # and validating a validated config changes nothing.
@@ -129,7 +137,7 @@ class TestRunConfigValidation:
         cfg = RunConfig(model="euler", scheme="bs", h=0.01, steps=3, init=(1, 1, 1, 1, 0, 0))
         for n in (2.5, "3", True, -1, 10**20):
             with pytest.raises(ConfigError):
-                reversal_test(cfg, n)
+                reversal_test(cfg._replace(steps=n))
         for h_list, t_end in [([0.02, "0.01", 0.005], 0.02), ([0.02, 0.02, 0.01], 0.02),
                               (0.5, 1.0), ([0.02, 0.01, 0.005], True),
                               ([1e-300, 2e-300, 4e-300], 1e300)]:
@@ -184,7 +192,7 @@ class TestLibraryInputContract:
             n = pick(_FUZZ_N) if rng.random() < 0.5 else 3
             h_list = pick(_FUZZ_H_LISTS) if rng.random() < 0.5 else [0.02, 0.01, 0.005]
             t_end = pick(_FUZZ_T_END) if rng.random() < 0.5 else 0.02
-            for call in (lambda: run(cfg), lambda: reversal_test(cfg, n),
+            for call in (lambda: run(cfg), lambda: reversal_test(cfg._replace(steps=n)),
                          lambda: convergence_study(cfg, h_list, t_end)):
                 try:
                     call()
@@ -237,8 +245,9 @@ class TestRun:
 
     def test_last_sample_time_past_the_float_range(self, monkeypatch):
         # 3 * 1e308 overflows, so the t of the last CSV row would be inf: run
-        # refuses the config before it steps. One step of 1e308 runs, and
-        # reversal_test and convergence_study, which ignore steps, run too.
+        # refuses the config before it steps. One step of 1e308 runs, a round
+        # trip of no steps runs, and convergence_study, which ignores steps,
+        # runs too.
         cfg = RunConfig(model="euler", scheme="reference", h=1e308, steps=3, stride=1,
                         init=(0, 0, 0, 1, 0, 0))
         with monkeypatch.context() as m:
@@ -246,7 +255,7 @@ class TestRun:
             with pytest.raises(ConfigError, match=r"^steps\*h must be finite, not 3\*1e\+308$"):
                 run(cfg)
         assert run(cfg._replace(steps=1)).steps == range(2)
-        assert reversal_test(cfg, 0) == 0.0
+        assert reversal_test(cfg._replace(steps=0)) == 0.0
         assert len(convergence_study(cfg, [0.02, 0.01, 0.005], 0.02)) == 3
 
     def test_determinism_identical_csv_bytes(self, tmp_path):
@@ -365,10 +374,11 @@ class TestRun:
         # back bit for bit, and omega' bit for bit as the momentum-form step
         # m -> m' written out below on floats, with m = I omega and
         # omega' = m' / I. The symmetric form is seeded by one explicit
-        # midpoint step of m' = m x omega. The oracle checks the defining
-        # relation on every iterate, and returns the first iterate that has
-        # stalled and satisfies it, or the last allowed one if that satisfies
-        # it; otherwise it raises ConvergenceError. Both sides give the same
+        # midpoint step of m' = m x omega, and a seed that is not finite
+        # raises NumericalError. The oracle checks the defining relation on
+        # every iterate, and returns the first iterate that has stalled and
+        # satisfies it, or the last allowed one if that satisfies it;
+        # otherwise it raises ConvergenceError. Both sides give the same
         # bytes, signed zeros included, or the same exception type and
         # message, on random states, on signed zeros, 1e+-300, inf and nan in
         # the state, and on the grid omega in {0, -0, 1, -1.5}^3 with inertias
@@ -387,6 +397,8 @@ class TestRun:
             if scheme == "bs":
                 return bs_solve(m, (w0, w1, w2), 0.5 * h)
             n0, n1, n2 = seed(m, (w0, w1, w2), inertia, h)
+            if not all(map(math.isfinite, (n0, n1, n2))):
+                raise NumericalError("symmetric free-top step: seed overflows")
             scale, c = max(1.0, abs(m0), abs(m1), abs(m2)), 0.25 * h
             for k in range(MAX_FIXED_POINT_ITERATIONS):
                 x0, x1, x2 = bs_solve(m, (w0 + n0 / A, w1 + n1 / B, w2 + n2 / C), c)
@@ -433,10 +445,10 @@ class TestRun:
                 for h in (0.01, -0.01, 0.0, -0.0, 0.5, -0.5, 10.0, 1e9, 1e300):
                     got = check(np.array(inertia), np.array([*omega, 0.25, -0.0, 1.0]), h)
                     outcomes.add(type(got) if type(got) is bytes else got[0])
-        # On the grid the symmetric step has one way to fail: it returns or
-        # does not converge.
+        # On the grid the symmetric step returns, refuses a seed that
+        # overflows, or does not converge.
         if scheme == "symmetric":
-            assert outcomes == {bytes, ConvergenceError}
+            assert outcomes == {bytes, NumericalError, ConvergenceError}
 
 
 # Random parameters a model reads, for the reference stepper.
@@ -556,17 +568,8 @@ class TestBoundSteppers:
     # through make_stepper(config, h); binding and stepping it by hand, leg
     # by leg, and calling the Taylor reference with the study's step budget,
     # gives the same bits.
-    @pytest.mark.parametrize("model,scheme", [p for p in _PAIRS if p[0] == "kowalevski"],
-                             ids=lambda x: x)
+    @pytest.mark.parametrize("model,scheme", _PAIRS, ids=lambda x: x)
     def test_diagnostics_match_stepping_by_hand(self, model, scheme, monkeypatch):
-        self.check_diagnostics(model, scheme, monkeypatch)
-
-    @pytest.mark.parametrize("model,scheme", [p for p in _PAIRS if p[0] != "kowalevski"],
-                             ids=lambda x: x)
-    def test_diagnostics_match_the_function_forms(self, model, scheme, monkeypatch):
-        self.check_diagnostics(model, scheme, monkeypatch)
-
-    def check_diagnostics(self, model, scheme, monkeypatch):
         cfg = RunConfig(model, scheme, 0.01, 40, stride=7, **_FORM_CONFIGS[model]).validated()
 
         def by_hand(c, legs):
@@ -583,7 +586,8 @@ class TestBoundSteppers:
 
         assert _hex(run(cfg).samples) == _hex(by_hand(cfg, [(cfg.h, cfg.steps)])[::cfg.stride])
         trip = by_hand(cfg, [(cfg.h, 15), (-cfg.h, 15)])
-        assert float.hex(reversal_test(cfg, 15)) == float.hex(miss(trip[-1], cfg.init))
+        assert float.hex(reversal_test(cfg._replace(steps=15))) == \
+            float.hex(miss(trip[-1], cfg.init))
 
         h_list, t_end = [0.04, 0.02, 0.01], 0.2
         y_ref = harness._taylor_endpoint(cfg, t_end, round(t_end / min(h_list)))
@@ -605,7 +609,7 @@ class TestBoundSteppers:
         monkeypatch.setattr(harness, "make_stepper", failing_on_the_third_step_back)
         with pytest.raises(NumericalError, match=rf"^{model}/{scheme} round trip: non-finite "
                                                  r"state at step 18 of the round trip$"):
-            reversal_test(cfg, 15)
+            reversal_test(cfg._replace(steps=15))
 
 
 # The final state of a 40-step run at h = 0.01 from each config of
@@ -677,17 +681,17 @@ _DEFAULT_POINT_BITS = {
 def test_default_point_keeps_its_bits(scheme):
     cfg = RunConfig("kowalevski", scheme, 1e-3, 40)
     final = run(cfg).samples[-1]
-    assert (" ".join(map(float.hex, final)), float.hex(reversal_test(cfg, 20))) == \
-        _DEFAULT_POINT_BITS[scheme]
+    trip = reversal_test(cfg._replace(steps=20))
+    assert (" ".join(map(float.hex, final)), float.hex(trip)) == _DEFAULT_POINT_BITS[scheme]
 
 
 class TestReversalTest:
     def test_zero_rounds(self):
-        assert reversal_test(kow_cfg(), 0) == 0.0
+        assert reversal_test(kow_cfg(steps=0)) == 0.0
 
     def test_hybrid_round_trip_from_default_point(self):
         # omega_2 = 0 at the default point; measured 7.0e-14
-        assert reversal_test(kow_cfg(scheme="hybrid", steps=1000), 1000) <= 1e-12
+        assert reversal_test(kow_cfg(scheme="hybrid", steps=1000)) <= 1e-12
 
 
 class TestDriftReport:
@@ -722,6 +726,10 @@ class TestEstimatePeriod:
     def test_mean_of_values_near_the_float_range(self):
         # The sum of the values overflows, their mean does not.
         assert estimate_period([1e308, 1e308, -1e308, -1e308] * 3, 1.0) == 4.0
+
+    def test_sample_exactly_at_the_mean_starts_an_upward_crossing(self):
+        # The mean is 0, so each upward crossing starts on a sample at it.
+        assert estimate_period([0.0, 1.0, 0.0, -1.0] * 4, 0.5) == 2.0
 
     def test_non_finite_series_rejected(self):
         for series in ([math.inf, -math.inf, 0.0, 1.0] * 3, [math.nan, 0.0, 1.0] * 3):
@@ -936,7 +944,7 @@ class TestCli:
     def test_reverse_and_converge_take_no_sampling_flags(self, tmp_path, capsys):
         # Neither command samples a run: argparse refuses --stride and --out,
         # and --steps of converge, with exit 2, and no file is written.
-        # reverse keeps --steps, which it validates but does not use.
+        # reverse keeps --steps, the same flag as its --n: the last one wins.
         out = str(tmp_path / "x.csv")
         reverse = ["reverse", "--model", "kowalevski", "--scheme", "hk", "--h", "0.001", "--n", "10"]
         converge = ["converge", "--model", "kowalevski", "--scheme", "hybrid", "--h", "0.01",
@@ -954,6 +962,18 @@ class TestCli:
         assert main([*reverse, "--steps", "1000"]) == 0
         assert main(converge) == 0
         capsys.readouterr()
+
+    def test_reverse_steps_and_n_are_one_flag(self, capsys):
+        # --n is a second spelling of --steps, whose default is 1000: the
+        # last one given sets the count, and the count is what is printed.
+        head = ["reverse", "--model", "kowalevski", "--scheme", "hk", "--h", "0.001"]
+        for flags, n in [([], 1000), (["--n", "3"], 3), (["--steps", "3"], 3),
+                         (["--n", "3", "--steps", "4"], 4), (["--steps", "4", "--n", "3"], 3)]:
+            assert main([*head, *flags]) == 0, flags
+            assert capsys.readouterr().out.startswith(f"round-trip error after {n} steps"), flags
+        with pytest.raises(SystemExit):
+            main(["reverse", "--help"])
+        assert "--steps STEPS, --n STEPS" in capsys.readouterr().out
 
     def test_overflowing_hk_system_is_not_called_singular(self, capsys):
         # |s|^2 and ||M||_F^2 overflow at this init, so no singularity cutoff

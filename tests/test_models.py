@@ -120,6 +120,16 @@ class TestKowalevskiInvariants:
         y = (0.0, 0.0, 0.0, -1.5e308, -1.5e308, 0.0)
         assert kowalevski_invariants(y, 1.0)[3] == math.inf
 
+    def test_first_entries_are_the_general_invariants(self, rng):
+        # (gamma^2, 2 ell, E) equal invariants() of the reduced top as
+        # floats, at omega_3 != 0 too.
+        for _ in range(500):
+            g = rng.normal(size=3)
+            y = (*rng.normal(size=3).tolist(), *(g / np.linalg.norm(g)).tolist())
+            c0 = float(rng.uniform(0.5, 2.0))
+            assert kowalevski_invariants(y, c0)[:3] == \
+                invariants(y, KOWALEVSKI_INERTIA, (c0, 0.0, 0.0)), (y, c0)
+
     def test_rest_on_x_axis(self):
         y = np.array([0, 0, 0, 1, 0, 0.0])
         assert kowalevski_invariants(y, C0) == (1.0, 0.0, 1.0, 1.0)
