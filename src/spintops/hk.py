@@ -9,7 +9,9 @@ gamma' in closed form.
 
 `hk_omega_stage` and `hk_stepper` take the inertia, the gravity vector and h,
 compute once every term that depends only on those, and return a function of
-the state alone, which takes any sequence of six floats.
+the state alone, which takes any sequence of six floats. A gravity vector
+(e0, 0, 0), as the Kowalevski and the free top have, binds the omega' stage to
+rows without the terms of its two zero components.
 """
 
 from __future__ import annotations
@@ -32,6 +34,12 @@ def hk_omega_stage(inertia, g, h: float):
     (I + K(s))^-1 = q (I - K(s) + s s^T). Eliminating gamma' leaves one 3x3
     system in omega', which solve3 solves by Cramer's rule, and whose
     singularity and overflow it decides relative to its own Frobenius norm.
+
+    g is tested once, here. Where g[1] and g[2] are zeros of either sign, the
+    returned stage uses the axial rows: the general rows without every
+    product with, and sum with, those two components, each remaining term
+    in the same order, so that every output equals the general stage's as a
+    float.
     """
     A, B, C = inertia
     e0, e1, e2 = g
@@ -80,7 +88,38 @@ def hk_omega_stage(inertia, g, h: float):
         o0, o1, o2 = solve3((row0, row1, row2), (r0, r1, r2))
         return o0, o1, o2, s0, s1, s2, q
 
-    return omega_stage
+    if e1 != 0.0 or e2 != 0.0:
+        return omega_stage
+
+    def axial_stage(y) -> tuple[float, ...]:
+        # The rows above at g = (e0, 0, 0), without their products with, and
+        # sums with, e1 and e2: in row 0, v = 0.
+        w0, w1, w2, g0, g1, g2 = y
+        s0, s1, s2 = hh * w0, hh * w1, hh * w2
+        q = 1.0 / (1.0 + (s0 * s0 + s1 * s1 + s2 * s2))
+        row0 = (1.0, -k0 * w2, -k0 * w1)
+        su = -s2 * e0
+        v0 = su * s0 - s1 * e0
+        v1 = s0 * e0 + su * s1
+        v2 = su * s2 - e0
+        c = q * b1
+        hc = hh * c
+        row1 = (hc * (v1 * g2 - v2 * g1) - k1 * w2, 1.0 + hc * (v2 * g0 - v0 * g2),
+                hc * (v0 * g1 - v1 * g0) - k1 * w0)
+        r1 = w1 + b1 * (e0 * g2) - c * (v0 * g0 + v1 * g1 + v2 * g2)
+        su = s1 * e0
+        v0 = su * s0 - s2 * e0
+        v1 = e0 + su * s1
+        v2 = s0 * e0 + su * s2
+        c = q * b2
+        hc = hh * c
+        row2 = (hc * (v1 * g2 - v2 * g1) - k2 * w1, hc * (v2 * g0 - v0 * g2) - k2 * w0,
+                1.0 + hc * (v0 * g1 - v1 * g0))
+        r2 = w2 - b2 * (e0 * g1) - c * (v0 * g0 + v1 * g1 + v2 * g2)
+        o0, o1, o2 = solve3((row0, row1, row2), (w0, r1, r2))
+        return o0, o1, o2, s0, s1, s2, q
+
+    return axial_stage
 
 
 def hk_stepper(inertia, g, h: float):

@@ -93,6 +93,13 @@ class TestRunConfigValidation:
                            for c in (cfg, cfg._replace(vertical=(0.0, 0.0, 1.0))))
         assert left_out == given
 
+    def test_init_at_the_float_maximum_is_accepted(self):
+        # Only what lies past the float range is refused: a component of
+        # exactly +-sys.float_info.max is finite and kept.
+        big = sys.float_info.max
+        cfg = RunConfig("euler", "bs", 0.01, 1, init=(big, -big, 0, 1, 0, 0)).validated()
+        assert cfg.init[:2] == (big, -big)
+
     def test_config_is_an_immutable_value(self):
         # Equal configs compare and hash equal, a field cannot be assigned,
         # and validating a validated config changes nothing.
@@ -757,6 +764,17 @@ class TestConvergenceStudy:
         assert rc == 0
         rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
         assert [(float(err), order) for _, err, order in rows] == [(0.0, "-")] * 3
+
+    def test_zero_error_next_to_nonzero_ones_leaves_both_orders_undefined(self, monkeypatch):
+        # A reference on the endpoint of the h = 0.01 run: its error is
+        # exactly 0, between two that are not, and neither order next to it
+        # is defined.
+        cfg = RunConfig("euler", "bs", 0.01, init=(1, 1, 1, 1, 0, 0))
+        endpoint = run(cfg._replace(steps=100)).samples[-1]
+        monkeypatch.setattr(harness, "_taylor_endpoint", lambda *args: endpoint)
+        rows = convergence_study(cfg, [0.02, 0.01, 0.005], 1.0)
+        assert [err > 0 for _, err, _ in rows] == [True, False, True]
+        assert [order for _, _, order in rows] == [None, None, None]
 
 
 _KOW_RUN = ["run", "--model", "kowalevski", "--scheme", "hk", "--h", "0.001", "--steps", "10"]

@@ -292,10 +292,14 @@ def unsigned(step):
     return lambda *args: [x + 0.0 for x in step(*args)]
 
 
+# The steps of bit_cases and axial_cases, 0 and negative steps included.
+BIT_STEPS = [0.0, -1e-2, 1e-2, 1e-3, 0.05, 0.3]
+
+
 def bit_cases(rng, n):
     """n random (y, inertia, g, h) cases as Python floats: every fourth at
     gamma = 0 and g = 0, every fourth with one component an exact signed zero,
-    h from a set that includes 0 and negative steps."""
+    h from BIT_STEPS."""
     cases = []
     for i in range(n):
         y, inertia, g = rng.normal(size=6).tolist(), rng.uniform(0.5, 3.0, 3).tolist(), \
@@ -304,7 +308,24 @@ def bit_cases(rng, n):
             y[3:], g = [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]
         elif i % 4 == 2:
             y[int(rng.integers(6))] = float(rng.choice([0.0, -0.0]))
-        cases.append((y, inertia, g, float(rng.choice([0.0, -1e-2, 1e-2, 1e-3, 0.05, 0.3]))))
+        cases.append((y, inertia, g, float(rng.choice(BIT_STEPS))))
+    return cases
+
+
+def axial_cases(rng, n):
+    """n random (y, inertia, g, h) cases with g = (e0, +-0, +-0), which
+    hk_omega_stage binds to its axial rows: e0 normal, 0 or -0, the inertia
+    random or KOWALEVSKI_INERTIA, every fourth y with one component an exact
+    signed zero, h from BIT_STEPS."""
+    cases = []
+    for i in range(n):
+        y = rng.normal(size=6).tolist()
+        if i % 4 == 2:
+            y[int(rng.integers(6))] = float(rng.choice([0.0, -0.0]))
+        inertia = KOWALEVSKI_INERTIA if i % 2 else tuple(rng.uniform(0.5, 3.0, 3).tolist())
+        e0 = float(rng.normal()) if i % 3 else float(rng.choice([0.0, -0.0]))
+        g = (e0, *(float(rng.choice([0.0, -0.0])) for _ in range(2)))
+        cases.append((y, inertia, g, float(rng.choice(BIT_STEPS))))
     return cases
 
 
@@ -355,7 +376,7 @@ class TestOmegaStage:
         assert [w[0] for w in want] == [SingularSystemError, NumericalError, NumericalError]
         assert all(w[1] == "system overflows" for w in want[1:])
         models = set()
-        for case in cases + errors + bit_cases(rng, 2400):
+        for case in cases + errors + bit_cases(rng, 2400) + axial_cases(rng, 2400):
             y, inertia, g, h = case
             step = hk_stepper(inertia, g, h)
             assert outcome(unsigned(step), y) == outcome(unsigned(loop_form_hk_step), *case), case
@@ -366,7 +387,7 @@ class TestOmegaStage:
         assert models == {"kowalevski", "euler", "general"}
 
     def test_omega_is_the_first_three_of_the_step(self, rng):
-        for y, inertia, g, h in bit_cases(rng, 500):
+        for y, inertia, g, h in bit_cases(rng, 500) + axial_cases(rng, 500):
             assert outcome(hk_omega_stage(inertia, g, h), y)[:3] \
                 == outcome(hk_stepper(inertia, g, h), y)[:3], (y, inertia, g, h)
 
