@@ -60,13 +60,15 @@ def symmetric_stepper(inertia, h: float):
     of MAX_FIXED_POINT_ITERATIONS iterates if that one satisfies it, stalled
     or not; otherwise it raises ConvergenceError. The relation is evaluated
     only on those iterates, the only ones that can end the loop. Both module
-    constants are read when the step runs.
+    constants are read when the step runs. Each iterate is bs_solve(m, omega +
+    m'_k / I, h/4) written out in its operation order, equal to it as floats
+    (test_free_top_steppers_match_the_momentum_form compares bytes).
     """
     A, B, C = inertia
     c, hh = 0.25 * h, 0.5 * h
 
     def step(y) -> tuple[float, ...]:
-        m0, m1, m2 = m = A * y[0], B * y[1], C * y[2]
+        m0, m1, m2 = A * y[0], B * y[1], C * y[2]
         w0, w1, w2 = m0 / A, m1 / B, m2 / C
         p0, p1, p2 = (m0 + hh * (m1 * w2 - m2 * w1), m1 + hh * (m2 * w0 - m0 * w2),
                       m2 + hh * (m0 * w1 - m1 * w0))
@@ -78,7 +80,12 @@ def symmetric_stepper(inertia, h: float):
         scale = max(1.0, abs(m0), abs(m1), abs(m2))
         tol, still = FIXED_POINT_TOL * scale, 1e-16 * scale
         for left in range(MAX_FIXED_POINT_ITERATIONS, 0, -1):
-            x0, x1, x2 = bs_solve(m, (w0 + n0 / A, w1 + n1 / B, w2 + n2 / C), c)
+            a0, a1, a2 = c * (w0 + n0 / A), c * (w1 + n1 / B), c * (w2 + n2 / C)
+            t0, t1, t2 = a1 * m2 - a2 * m1, a2 * m0 - a0 * m2, a0 * m1 - a1 * m0
+            k = 2.0 / (1.0 + (a0 * a0 + a1 * a1 + a2 * a2))
+            x0 = m0 + k * ((a1 * t2 - a2 * t1) - t0)
+            x1 = m1 + k * ((a2 * t0 - a0 * t2) - t1)
+            x2 = m2 + k * ((a0 * t1 - a1 * t0) - t2)
             stalled = (-still <= x0 - n0 <= still and -still <= x1 - n1 <= still
                        and -still <= x2 - n2 <= still)
             n0, n1, n2 = x0, x1, x2

@@ -398,6 +398,8 @@ class TestRun:
             return (m0 + h * (p1 * q2 - p2 * q1), m1 + h * (p2 * q0 - p0 * q2),
                     m2 + h * (p0 * q1 - p1 * q0))
 
+        last_iteration = []
+
         def momentum_step(m, inertia, h):
             (A, B, C), (m0, m1, m2) = inertia, m
             w0, w1, w2 = m0 / A, m1 / B, m2 / C
@@ -408,6 +410,7 @@ class TestRun:
                 raise NumericalError("symmetric free-top step: seed overflows")
             scale, c = max(1.0, abs(m0), abs(m1), abs(m2)), 0.25 * h
             for k in range(MAX_FIXED_POINT_ITERATIONS):
+                last_iteration[:] = [k]
                 x0, x1, x2 = bs_solve(m, (w0 + n0 / A, w1 + n1 / B, w2 + n2 / C), c)
                 stalled = all(abs(d) <= 1e-16 * scale for d in (x0 - n0, x1 - n1, x2 - n2))
                 n0, n1, n2 = x0, x1, x2
@@ -446,6 +449,12 @@ class TestRun:
                     y[i] = v
                     check(rng.uniform(0.5, 3.0, 3), y, h)
                 check(rng.uniform(0.5, 3.0, 3), np.full(6, v), h)
+        # Iterates that keep moving by more than the stall bound, which is
+        # below one ulp of m3 here: the symmetric step returns the last
+        # allowed iterate, which satisfies the relation.
+        got = check(np.array([0.7, 1.3, 2.9]), np.array([-0.98, -2.08, 5.88, 0.0, 0.0, 1.0]), 0.1)
+        if scheme == "symmetric":
+            assert type(got) is bytes and last_iteration == [MAX_FIXED_POINT_ITERATIONS - 1]
         outcomes = set()
         for inertia in ((1.0, 2.0, 3.0), (1.0, 1.0, 2.0), (2.0, 2.0, 2.0), (3.0, 2.0, 2.0)):
             for omega in itertools.product((0.0, -0.0, 1.0, -1.5), repeat=3):
@@ -755,6 +764,11 @@ class TestConvergenceStudy:
         # a t_end far below every h: zero steps
         with pytest.raises(ConfigError, match="t_end/h not a positive integer"):
             convergence_study(kow_cfg(), [0.02, 0.01, 0.005], 1e-300)
+        # t_end/h may miss an integer by at most 1e-9
+        rows = convergence_study(kow_cfg(), [0.04, 0.02, 1 / (100 + 5e-10)], 1.0)
+        assert [h for h, _, _ in rows] == [0.04, 0.02, 1 / (100 + 5e-10)]
+        with pytest.raises(ConfigError, match="t_end/h not a positive integer"):
+            convergence_study(kow_cfg(), [0.04, 0.02, 1 / (100 + 2e-9)], 1.0)
 
     def test_zero_error_leaves_order_undefined(self, capsys):
         # a free top at rest is a fixed point of every scheme: every error is 0
